@@ -1,11 +1,13 @@
 """Multi-period worker problem under log-additive utility.
 
 The evaluated-wage coefficients phi_t are fitted from a numerical
-backward-induction oracle on a wage grid (value iteration with linear
-interpolation of continuation values). Two independent cross-checks exist:
-an exact recursion derived from the log-linear structure of the value
-function, and the literal closed-sum formula retained as a diagnostic (it is
-known to violate the terminal normalization phi_T = 1).
+backward induction on a wage grid (value iteration with linear interpolation
+of continuation values). The golden-section argmax per grid state, which
+validates the affine policy, is built only when AdditiveSolution.raw_effort is
+first read; only the criterion 4 check and the tests read it. Two independent
+cross-checks exist: an exact recursion derived from the log-linear structure
+of the value function, and the literal closed-sum formula retained as a
+diagnostic (it is known to violate the terminal normalization phi_T = 1).
 
 Key structural facts used throughout: with wage scale s and bonus rate alpha,
 the evaluated consumption is x = s*(1+alpha)*e - alpha*w, the first-order
@@ -14,8 +16,11 @@ is affine in w: e_t(w) = (p/b)*phi_t + (alpha/(1+alpha))*(w/s).
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -144,8 +149,9 @@ class AdditiveSolution:
 
     phi[t-1] and evaluated_wage[t-1] refer to period t; effort follows the
     affine policy e_t(w) = (p/b)*phi_t + (alpha/(1+alpha))*(w/s), clamped to
-    [0, 1]. raw_effort holds the per-grid-point golden-section argmax used to
-    validate the affine fit.
+    [0, 1]. raw_effort, the per-grid-point golden-section argmax that
+    validates the affine fit, is built from the stored value table on first
+    read; only the criterion 4 check and the tests read it.
     """
 
     contract: ContractParams
@@ -155,9 +161,26 @@ class AdditiveSolution:
     wage_grid: np.ndarray
     phi: np.ndarray
     evaluated_wage: np.ndarray
-    raw_effort: np.ndarray      # (T, n_grid) golden-section argmax per state
     value: np.ndarray           # (T, n_grid) value function per period
     effort_tolerance: float = field(default=1e-6)
+
+    @functools.cached_property
+    def raw_effort(self) -> np.ndarray:
+        """(T, n_grid) golden-section argmax of each period's objective."""
+        c, s, grid = self.contract, self.wage_scale, self.wage_grid
+        T, n = self.value.shape
+        log_grid = _log_grid(grid)
+        if c.p > 0.0:
+            lo = np.minimum(c.alpha * grid / ((1.0 + c.alpha) * s) + 1e-12, 1.0)
+        else:
+            lo = np.zeros(n)
+        hi = np.ones(n)
+        table = np.zeros((T, n))
+        for t in range(T, 0, -1):
+            V_next = self.value[t] if t < T else np.zeros(n)
+            objective = _period_objective(c, self.prefs, s, grid, log_grid, V_next)
+            table[t - 1], _ = golden_max_vec(objective, lo, hi, tol=self.effort_tolerance)
+        return table
 
     def effort(self, t: int, prev_wage: float) -> float:
         """Closed-form effort for period t (1-based) at the given previous wage."""
@@ -193,18 +216,65 @@ def _interp_guarded(x: np.ndarray | float, grid: np.ndarray, values: np.ndarray)
     return np.where(bad, NEG_INF, out)
 
 
+def _interp_guarded_float(x: float, grid: list[float], values: list[float]) -> float:
+    """_interp_guarded on Python floats: the same index and arithmetic."""
+    i = min(max(bisect.bisect_left(grid, x) - 1, 0), len(grid) - 2)
+    x0, x1 = grid[i], grid[i + 1]
+    v0, v1 = values[i], values[i + 1]
+    if v0 == NEG_INF or v1 == NEG_INF:
+        return NEG_INF
+    frac = (x - x0) / (x1 - x0) if x1 > x0 else 0.0
+    return v0 + frac * (v1 - v0)
+
+
+def _log_grid(grid: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.where(grid > 0.0, np.log(np.maximum(grid, 1e-300)), NEG_INF)
+
+
+def _period_objective(contract: ContractParams, prefs: WorkerPrefs, s: float,
+                      grid: np.ndarray, log_grid: np.ndarray,
+                      V_next: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Period objective in effort, one problem per grid wage:
+        p*ln(x) + (1-p)*ln(w) - b*e + delta*[p*V(x) + (1-p)*V(w)],
+    with x = s*(1+alpha)*e - alpha*w and V the next period's value V_next.
+    """
+    p, alpha = contract.p, contract.alpha
+    b, delta = prefs.b, prefs.delta
+
+    def objective(e: np.ndarray) -> np.ndarray:
+        x = s * (1.0 + alpha) * e - alpha * grid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_x = np.where(x > 0.0, np.log(np.maximum(x, 1e-300)), NEG_INF)
+        cont_eval = _interp_guarded(np.clip(x, grid[0], grid[-1]), grid, V_next)
+        cont_eval = np.where(x > 0.0, cont_eval, NEG_INF)
+        out = -b * e
+        if p > 0.0:
+            out = out + p * (log_x + delta * cont_eval)
+        if p < 1.0:
+            out = out + (1.0 - p) * (log_grid + delta * V_next)
+        return out
+
+    return objective
+
+
 def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
                              horizon: Horizon, wage_grid: np.ndarray | None = None,
                              effort_tolerance: float = 1e-6,
                              wage_scale: float = 1.0) -> AdditiveSolution:
     """Numerical Bellman solve on a wage grid.
 
-    Per period and grid wage, the objective
-        p*ln(x) + (1-p)*ln(w) - b*e + delta*[p*V(x) + (1-p)*V(w)],
-    with x = s*(1+alpha)*e - alpha*w, is maximized by golden-section search
-    (raw_effort table). The fitted evaluated wage W_t comes from bisecting the
-    same objective's first-order condition in x, which is shared by every
-    state, and phi_t = W_t * b / (p*(1+alpha)*s).
+    Per period, the objective (see _period_objective) is shared by every grid
+    wage through x = s*(1+alpha)*e - alpha*w. The fitted evaluated wage W_t
+    comes from bisecting its first-order condition in x, and
+    phi_t = W_t * b / (p*(1+alpha)*s). The value table follows the affine
+    policy from W_t, clamped to [0, 1]; the golden-section argmax per state
+    (raw_effort) is built from it only when read.
+
+    When the fitted phi is not finite (p = 0, where no evaluation happens, or
+    a subnormal p, where the division by p overflows), phi comes from the
+    exact recursion phi_series_recursive and the evaluated wage is
+    s*(1+alpha)*(p/b)*phi.
 
     Raises DomainError for contracts whose never-evaluated branch has zero
     consumption (w0 = 0 with p < 1 is degenerate for log utility).
@@ -221,72 +291,49 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
     grid = default_wage_grid(contract, s) if wage_grid is None else np.asarray(wage_grid, float)
     n = len(grid)
     cap = s * (1.0 + alpha)  # maximal evaluated consumption at w = 0
-
-    with np.errstate(divide="ignore"):
-        log_grid = np.where(grid > 0.0, np.log(np.maximum(grid, 1e-300)), NEG_INF)
+    log_grid = _log_grid(grid)
+    grid_list = grid.tolist()
 
     phi = np.zeros(T)
     evaluated_wage = np.zeros(T)
-    raw_effort = np.zeros((T, n))
     value = np.zeros((T, n))
     V_next = np.zeros(n)  # continuation after the final period
 
     for t in range(T, 0, -1):
         if p > 0.0:
+            V_list = V_next.tolist()
+
             def g(x: float) -> float:
                 # derivative of p*ln(x) + delta*p*V(x) - b*e(x) in x
                 h = max(1e-9 * max(x, 1e-6), 1e-12)
-                dV = float(_interp_guarded(min(x + h, grid[-1]), grid, V_next)
-                           - _interp_guarded(max(x - h, grid[0]), grid, V_next)) / (2 * h)
+                dV = (_interp_guarded_float(min(x + h, grid_list[-1]), grid_list, V_list)
+                      - _interp_guarded_float(max(x - h, grid_list[0]), grid_list, V_list)) \
+                    / (2 * h)
                 if not math.isfinite(dV):
                     return 1.0
                 return p / x + delta * p * dV - b / ((1.0 + alpha) * s)
 
-            x_star = bisect_root(g, max(grid[1] if n > 1 else 1e-9, 1e-12), cap)
+            x_star = bisect_root(g, max(grid_list[1] if n > 1 else 1e-9, 1e-12), cap)
+            e_pol = np.clip((x_star + alpha * grid) / ((1.0 + alpha) * s), 0.0, 1.0)
         else:
             x_star = 0.0
+            e_pol = np.zeros(n)
         evaluated_wage[t - 1] = x_star
         phi[t - 1] = (x_star * b / (p * (1.0 + alpha) * s)) if p > 0.0 else math.nan
 
-        # golden-section argmax per grid state (oracle table)
-        def objective(e: np.ndarray) -> np.ndarray:
-            x = s * (1.0 + alpha) * e - alpha * grid
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_x = np.where(x > 0.0, np.log(np.maximum(x, 1e-300)), NEG_INF)
-            cont_eval = _interp_guarded(np.clip(x, grid[0], grid[-1]), grid, V_next)
-            cont_eval = np.where(x > 0.0, cont_eval, NEG_INF)
-            out = -b * e
-            if p > 0.0:
-                out = out + p * (log_x + delta * cont_eval)
-            if p < 1.0:
-                out = out + (1.0 - p) * (log_grid + delta * V_next)
-            return out
-
-        if p > 0.0:
-            lo = np.minimum(alpha * grid / ((1.0 + alpha) * s) + 1e-12, 1.0)
-        else:
-            lo = np.zeros(n)
-        hi = np.ones(n)
-        e_raw, _ = golden_max_vec(objective, lo, hi, tol=effort_tolerance)
-        raw_effort[t - 1] = e_raw
-
         # value update from the polished policy (affine from x_star, clamped)
-        if p > 0.0:
-            e_pol = np.clip((x_star + alpha * grid) / ((1.0 + alpha) * s), 0.0, 1.0)
-        else:
-            e_pol = np.zeros(n)
-        value[t - 1] = objective(e_pol)
+        value[t - 1] = _period_objective(contract, prefs, s, grid, log_grid, V_next)(e_pol)
         V_next = value[t - 1]
 
-    # fall back to phi = the exact recursion when never evaluated
-    if p == 0.0:
+    # p = 0 leaves phi undefined; a subnormal p overflows the division by p
+    if not np.all(np.isfinite(phi)):
         phi = phi_series_recursive(contract, prefs, horizon)
-        evaluated_wage = np.zeros(T)
+        evaluated_wage = s * (1.0 + alpha) * (p / b) * phi
 
     return AdditiveSolution(contract=contract, prefs=prefs, horizon=horizon,
                             wage_scale=s, wage_grid=grid, phi=phi,
-                            evaluated_wage=evaluated_wage, raw_effort=raw_effort,
-                            value=value, effort_tolerance=effort_tolerance)
+                            evaluated_wage=evaluated_wage, value=value,
+                            effort_tolerance=effort_tolerance)
 
 
 def wage_support(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,

@@ -2,10 +2,10 @@
 
 Distributions are finite-support. propagate() applies one evaluation round per
 period: mass (1-p) keeps its wage, mass p moves to the policy's evaluated
-wage. enumerate_histories() sums over all 2^T sampling histories and must
-agree with propagate() exactly. simulate() draws paths from a counter-based
-generator keyed by (seed, path, period) so results do not depend on how the
-work is chunked.
+wage. enumerate_histories() sums over all 2^T sampling histories, one period
+at a time over arrays, and must agree with propagate() exactly. simulate()
+draws paths from a counter-based generator keyed by (seed, path, period) so
+results do not depend on how the work is chunked.
 """
 from __future__ import annotations
 
@@ -133,25 +133,28 @@ def propagate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
 def enumerate_histories(policy: WagePolicy, contract: ContractParams,
                         horizon: Horizon, initial_wage: float | None = None,
                         merge_tol: float = MERGE_TOL) -> WageDistribution:
-    """Exact final-period distribution by summing over all sampling histories."""
+    """Exact final-period distribution by summing over all sampling histories.
+
+    The 2^T histories are walked level by level: each period appends the
+    sampled branch after the unsampled one, so a history's final index is its
+    mask (bit t-1 set when evaluated in period t). The policy is called once
+    per period on the whole level, and not at all when p = 0; histories whose
+    probability is 0 are dropped.
+    """
     T = horizon.T
     if T > 20:
         raise ValueError(f"history enumeration refuses T > 20 (got {T})")
     p = contract.p
     w0 = contract.w0 if initial_wage is None else initial_wage
-    pairs: list[tuple[float, float]] = []
-    for mask in range(1 << T):
-        prob = 1.0
-        w = w0
-        for t in range(1, T + 1):
-            sampled = bool(mask >> (t - 1) & 1)
-            if sampled:
-                prob *= p
-                w = float(policy.next_wage_if_evaluated(t, w))
-            else:
-                prob *= 1.0 - p
-        if prob > 0.0:
-            pairs.append((w, prob))
+    wages = np.array([float(w0)])
+    probs = np.array([1.0])
+    for t in range(1, T + 1):
+        sampled = wages if p == 0.0 else np.asarray(
+            policy.next_wage_if_evaluated(t, wages), dtype=float)
+        wages = np.concatenate([wages, sampled])
+        probs = np.concatenate([probs * (1.0 - p), probs * p])
+    keep = probs > 0.0
+    pairs = list(zip(wages[keep].tolist(), probs[keep].tolist()))
     return WageDistribution.from_pairs(pairs, merge_tol)
 
 

@@ -70,7 +70,7 @@ def _additive_response(contract: ContractParams, prefs: WorkerPrefs,
         return _RecursiveAffinePolicy(contract, prefs, horizon, s, phi)
     grid = np.linspace(0.0, max(1.5, s * (1.0 + alpha), contract.w0 * 1.01), 241)
     sol = solve_backward_induction(contract, prefs, horizon, wage_grid=grid,
-                                   effort_tolerance=1e-9, wage_scale=s)
+                                   wage_scale=s)
     return AffineEffortPolicy(sol)
 
 
@@ -154,34 +154,36 @@ def _step(dist: WageDistribution, policy, contract: ContractParams, t: int) -> W
 def profit_by_history_enumeration(contract: ContractParams, firm: FirmParams,
                                   prefs: WorkerPrefs, horizon: Horizon,
                                   policy=None) -> float:
-    """Independent profit computation summing over all 2^T sampling histories."""
+    """Independent profit computation summing over all 2^T sampling histories.
+
+    Walks the histories level by level like enumerate_histories (final index =
+    sampling mask). Each history's discounted profit accumulates period by
+    period, and the probability-weighted histories are summed in mask order.
+    """
     T = horizon.T
     if T > 20:
         raise ValueError("history enumeration refuses T > 20")
     if policy is None:
         policy = worker_policy(contract, prefs, horizon, firm)
     p = contract.p
+    wages = np.array([float(contract.w0)])
+    probs = np.array([1.0])
+    contrib = np.array([0.0])
+    for t in range(1, T + 1):
+        e = np.asarray(policy.effort(t, wages), dtype=float)
+        nxt = np.asarray(policy.next_wage_if_evaluated(t, wages), dtype=float)
+        comp = nxt + np.asarray(policy.bonus_if_evaluated(t, wages), dtype=float)
+        scale = firm.eta ** (t - 1)
+        cost = p * firm.c
+        contrib = np.concatenate([contrib + scale * (firm.k * e - wages - cost),
+                                  contrib + scale * (firm.k * e - comp - cost)])
+        wages = np.concatenate([wages, nxt])
+        probs = np.concatenate([probs * (1.0 - p), probs * p])
+    # a left-to-right float sum, as the per-history loop added them (np.sum
+    # and Python 3.12's sum() round differently)
     total = 0.0
-    for mask in range(1 << T):
-        prob = 1.0
-        w = contract.w0
-        contrib = 0.0
-        for t in range(1, T + 1):
-            e = float(policy.effort(t, w))
-            sampled = bool(mask >> (t - 1) & 1)
-            if sampled:
-                prob *= p
-                wage = float(policy.next_wage_if_evaluated(t, w))
-                comp = wage + float(policy.bonus_if_evaluated(t, w))
-                w_next = wage
-            else:
-                prob *= 1.0 - p
-                comp = w
-                w_next = w
-            contrib += firm.eta ** (t - 1) * (firm.k * e - comp - p * firm.c)
-            w = w_next
-        if prob > 0.0:
-            total += prob * contrib
+    for term in (probs * contrib)[probs > 0.0].tolist():
+        total += term
     return total
 
 

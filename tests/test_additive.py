@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wagedyn import additive
 from wagedyn import (AffineEffortPolicy, ContractParams, DomainError, Horizon,
                      WorkerPrefs, deterministic_path, phi_series_recursive,
                      propagate, single_period_effort, single_period_variance,
                      single_period_wage_pair, solve_backward_induction,
                      wage_support)
-from wagedyn.additive import phi_series_closed_sum
+from wagedyn.additive import _interp_guarded, _interp_guarded_float, phi_series_closed_sum
+from wagedyn.golden import golden_max_vec
 
 FIG32 = dict(contract=ContractParams(0.2, 0.5, 0.4),
              prefs=WorkerPrefs.additive(delta=0.9), horizon=Horizon(10))
@@ -237,3 +240,72 @@ def test_profile_shape_matches_classic_pattern(fig32_solution):
     increments = np.diff(means[:6])
     assert np.all(np.diff(increments) < 0)
     assert means[-1] < max(means)
+
+
+def test_subnormal_p_takes_phi_from_recursion():
+    # p * (1+alpha) * s is subnormal, so the fitted phi = W*b/(p(1+alpha)s)
+    # overflows; phi and the evaluated wage come from the exact recursion
+    import warnings
+
+    contract = ContractParams(5e-324, 1.0, 0.5)
+    prefs = WorkerPrefs.additive(delta=0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_backward_induction(contract, prefs, Horizon(4))
+    phi_exact = phi_series_recursive(contract, prefs, Horizon(4))
+    assert np.all(np.isfinite(sol.phi))
+    assert np.array_equal(sol.phi, phi_exact)
+    assert np.array_equal(sol.evaluated_wage, 2.0 * contract.p * phi_exact)
+
+
+grid_values = st.lists(st.one_of(st.floats(-50.0, 50.0), st.just(-math.inf)),
+                       min_size=2, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=grid_values, cap=st.floats(0.1, 3.0), data=st.data())
+def test_float_interpolation_matches_array_interpolation(values, cap, data):
+    # the first-order condition interpolates on Python floats; it must agree
+    # bit for bit with _interp_guarded, at the grid ends and beside -inf cells
+    grid = np.linspace(0.0, cap, len(values))
+    vals = np.array(values)
+    i = data.draw(st.integers(0, len(values) - 2))
+    x = data.draw(st.one_of(st.just(grid[0]), st.just(grid[-1]), st.just(grid[i]),
+                            st.floats(grid[i], grid[i + 1]),
+                            st.floats(0.0, cap)))
+    expected = float(_interp_guarded(x, grid, vals))
+    got = _interp_guarded_float(float(x), grid.tolist(), vals.tolist())
+    assert got.hex() == expected.hex()
+
+
+def test_oracle_table_is_built_only_when_read(monkeypatch):
+    calls = []
+
+    def counting_golden(*args, **kwargs):
+        calls.append(1)
+        return golden_max_vec(*args, **kwargs)
+
+    monkeypatch.setattr(additive, "golden_max_vec", counting_golden)
+    contract, prefs, horizon = FIG32["contract"], FIG32["prefs"], Horizon(4)
+    grid = np.linspace(0.0, 1.5, 601)
+    sol = solve_backward_induction(contract, prefs, horizon, wage_grid=grid)
+    assert calls == []
+    table = sol.raw_effort
+    assert len(calls) == horizon.T
+    assert sol.raw_effort is table  # cached after the first read
+    assert len(calls) == horizon.T
+
+    # rebuild value and table inline, the way one backward pass computes both
+    s, alpha = sol.wage_scale, contract.alpha
+    log_grid = additive._log_grid(grid)
+    lo = np.minimum(alpha * grid / ((1.0 + alpha) * s) + 1e-12, 1.0)
+    V_next = np.zeros(len(grid))
+    for t in range(horizon.T, 0, -1):
+        objective = additive._period_objective(contract, prefs, s, grid, log_grid, V_next)
+        e_raw, _ = golden_max_vec(objective, lo, np.ones(len(grid)),
+                                  tol=sol.effort_tolerance)
+        assert np.array_equal(table[t - 1], e_raw)
+        e_pol = np.clip((sol.evaluated_wage[t - 1] + alpha * grid) / ((1.0 + alpha) * s),
+                        0.0, 1.0)
+        V_next = objective(e_pol)
+        assert np.array_equal(sol.value[t - 1], V_next)

@@ -233,3 +233,58 @@ def test_mass_conserved_for_random_contracts(p, alpha, w0, T):
     for d in dists:
         assert float(d.probs.sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(d.support >= 0.0)
+
+
+def enumerate_histories_per_mask(policy, contract, horizon):
+    """Reference enumeration: one history at a time, scalar policy calls."""
+    T, p = horizon.T, contract.p
+    pairs = []
+    for mask in range(1 << T):
+        prob = 1.0
+        w = contract.w0
+        for t in range(1, T + 1):
+            if mask >> (t - 1) & 1:
+                prob *= p
+                w = float(policy.next_wage_if_evaluated(t, w))
+            else:
+                prob *= 1.0 - p
+        if prob > 0.0:
+            pairs.append((w, prob))
+    return WageDistribution.from_pairs(pairs)
+
+
+unit_p = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=unit_p, alpha=st.floats(0.0, 1.0), w0=st.floats(0.01, 1.0),
+       T=st.integers(1, 8))
+def test_level_wise_enumeration_matches_per_mask_additive(p, alpha, w0, T):
+    contract = ContractParams(p, alpha, w0)
+    sol = solve_backward_induction(contract, PREFS, Horizon(T),
+                                   wage_grid=np.linspace(0, 2.5, 801))
+    policy = AffineEffortPolicy(sol)
+    fast = enumerate_histories(policy, contract, Horizon(T))
+    ref = enumerate_histories_per_mask(policy, contract, Horizon(T))
+    assert np.array_equal(fast.support, ref.support)
+    assert np.array_equal(fast.probs, ref.probs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=unit_p, alpha=st.floats(0.0, 1.0), w0_step=st.integers(0, 10),
+       T=st.integers(1, 8))
+def test_level_wise_enumeration_matches_per_mask_cobb_douglas(p, alpha, w0_step, T):
+    contract = ContractParams(p, alpha, w0_step / 10)
+    policy = TableEffortPolicy(solve_policy(contract, CD_PREFS, Horizon(T)))
+    fast = enumerate_histories(policy, contract, Horizon(T))
+    ref = enumerate_histories_per_mask(policy, contract, Horizon(T))
+    assert np.array_equal(fast.support, ref.support)
+    assert np.array_equal(fast.probs, ref.probs)
+
+
+def test_enumeration_at_largest_horizon_matches_propagation():
+    T = 20
+    policy = additive_policy(Horizon(T))
+    final = enumerate_histories(policy, CONTRACT, Horizon(T))
+    assert len(final.support) == T + 1
+    assert propagate(policy, CONTRACT, Horizon(T))[-1].tv_distance(final) < 1e-12

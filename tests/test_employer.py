@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WorkerPrefs,
                      analytic_one_period_optimum, expected_profit,
                      grid_search_optimum, profit_by_history_enumeration,
                      single_period_effort, stationary_grid_search,
                      stationary_one_period_optimum, tech_shock, tech_sweep)
-from wagedyn.employer import _one_period_profit
+from wagedyn.employer import _one_period_profit, worker_policy
 
 PREFS = WorkerPrefs.additive(delta=0.9)
 UNIT_SCALE_FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
@@ -254,3 +255,47 @@ def test_tech_shock_report():
     assert not report.turnover[0]
     with pytest.raises(ValueError):
         tech_shock(after, before, prefs, Horizon(5))
+
+
+def profit_per_mask(contract, firm, policy, T):
+    """Reference history enumeration: one history at a time, scalar calls."""
+    p = contract.p
+    total = 0.0
+    for mask in range(1 << T):
+        prob = 1.0
+        w = contract.w0
+        contrib = 0.0
+        for t in range(1, T + 1):
+            e = float(policy.effort(t, w))
+            if mask >> (t - 1) & 1:
+                prob *= p
+                wage = float(policy.next_wage_if_evaluated(t, w))
+                comp = wage + float(policy.bonus_if_evaluated(t, w))
+                w_next = wage
+            else:
+                prob *= 1.0 - p
+                comp = w
+                w_next = w
+            contrib += firm.eta ** (t - 1) * (firm.k * e - comp - p * firm.c)
+            w = w_next
+        if prob > 0.0:
+            total += prob * contrib
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       alpha=st.floats(0.0, 1.0), w0_step=st.integers(1, 10), T=st.integers(1, 7),
+       cobb_douglas=st.booleans())
+@example(p=0.9, alpha=0.9, w0_step=10, T=5, cobb_douglas=False)  # clamped fallback
+def test_level_wise_profit_enumeration_matches_per_mask(p, alpha, w0_step, T,
+                                                        cobb_douglas):
+    # w0 on the Cobb-Douglas grid; additive draws reach both the exact affine
+    # policy and the clamped-policy numerical fallback
+    firm = FirmParams(k=1.4, lam=0.8, c=0.1, eta=0.92)
+    prefs = (WorkerPrefs.cobb_douglas(delta=0.9, gamma=0.4, beta=0.6)
+             if cobb_douglas else PREFS)
+    contract = ContractParams(p, alpha, w0_step / 10)
+    policy = worker_policy(contract, prefs, Horizon(T), firm)
+    fast = profit_by_history_enumeration(contract, firm, prefs, Horizon(T), policy)
+    assert fast == profit_per_mask(contract, firm, policy, T)
