@@ -12,19 +12,19 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import additive, reference, statics
 from .cobb_douglas import TableEffortPolicy, always_sampled_path, solve_policy
 from .config import Scenario, validate_config
-from .distribution import (WageDistribution, enumerate_histories, propagate,
-                           simulate)
+from .distribution import (WageDistribution, cd_bracket_columns, enumerate_histories,
+                           propagate, simulate)
 from .employer import (GridSteps, analytic_one_period_optimum,
                        grid_search_optimum, stationary_grid_search, tech_shock,
                        tech_sweep)
 from .params import ContractParams, FirmParams, Horizon, WorkerPrefs
-from .report import cd_bracket_columns
 
 
 @dataclass
@@ -442,11 +442,11 @@ def check_statics() -> CriterionResult:
     return out
 
 
-def check_determinism(workdir: Path | None = None) -> CriterionResult:
-    """Criterion 10: byte-identical reruns and chunk-invariant simulation."""
+def check_determinism(runners: Mapping[str, Callable], workdir: Path | None = None
+                      ) -> CriterionResult:
+    """Criterion 10: byte-identical reruns of the scenario runners (the CLI
+    passes report.RUNNERS) and chunk-invariant simulation."""
     import tempfile
-
-    from .report import RUNNERS
 
     out = CriterionResult(10, "determinism")
     scenario = load_scenario("fig3_2")
@@ -475,8 +475,8 @@ def check_determinism(workdir: Path | None = None) -> CriterionResult:
         sc = load_scenario(scenario_name)
         d1 = base / f"{scenario_name}-run1"
         d2 = base / f"{scenario_name}-run2"
-        RUNNERS[command](sc, d1)
-        RUNNERS[command](sc, d2)
+        runners[command](sc, d1)
+        runners[command](sc, d2)
         for f1 in sorted(d1.iterdir()):
             n_files += 1
             f2 = d2 / f1.name
@@ -494,5 +494,7 @@ ALL_CHECKS = (check_policy_table, check_sampled_path, check_distribution_table,
               check_determinism)
 
 
-def run_all_checks() -> list[CriterionResult]:
-    return [check() for check in ALL_CHECKS]
+def run_all_checks(runners: Mapping[str, Callable]) -> list[CriterionResult]:
+    """Every criterion in order; criterion 10 reruns the given scenario runners."""
+    return [check(runners) if check is check_determinism else check()
+            for check in ALL_CHECKS]

@@ -83,7 +83,7 @@ def _reproduce_all(args) -> int:
     for scenario_name, command in _REPRODUCE_PLAN:
         scenario = load_scenario(scenario_name)
         RUNNERS[command](scenario, outdir / scenario_name, args.format)
-    results = run_all_checks()
+    results = run_all_checks(RUNNERS)
     lines = []
     n_warn = 0
     for res in results:

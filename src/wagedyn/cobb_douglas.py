@@ -13,6 +13,7 @@ without interpolation.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +38,31 @@ class DpGrid:
             raise ValueError("effort_step must be an integer multiple of wage_step "
                              "so every effort is a wage-grid point")
 
-    @property
+    @functools.cached_property
     def wages(self) -> np.ndarray:
         n = int(round(self.wage_max / self.wage_step))
-        return np.round(np.linspace(0.0, self.wage_max, n + 1), 12)
+        return _read_only(np.round(np.linspace(0.0, self.wage_max, n + 1), 12))
 
-    @property
+    @functools.cached_property
     def efforts(self) -> np.ndarray:
         n = int(round(1.0 / self.effort_step))
-        return np.round(np.linspace(0.0, 1.0, n + 1), 12)
+        return _read_only(np.round(np.linspace(0.0, 1.0, n + 1), 12))
+
+    def index(self, wages) -> np.ndarray:
+        """Wage-grid indices of wages (any shape); a wage more than 1e-9 from
+        every grid point raises ValueError naming the first such wage."""
+        w = np.asarray(wages, dtype=float)
+        idx = np.rint(np.clip(w / self.wage_step, 0, len(self.wages) - 1)).astype(np.intp)
+        off = np.abs(w - self.wages[idx]) > 1e-9
+        if np.any(off):
+            raise ValueError(f"wage {float(w[off].flat[0])!r} is not on the policy grid "
+                             f"(step {self.wage_step})")
+        return idx
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -69,10 +86,7 @@ class EffortPolicy:
         return float(self.table[t - 1, self._index(prev_wage)])
 
     def _index(self, wage: float) -> int:
-        i = int(round(wage / self.grid.wage_step))
-        if not 0 <= i < len(self.grid.wages) or abs(wage - self.grid.wages[i]) > 1e-9:
-            raise ValueError(f"wage {wage} is not on the policy grid")
-        return i
+        return int(self.grid.index(wage))
 
 
 def solve_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
@@ -177,11 +191,7 @@ class TableEffortPolicy:
         self.horizon = policy.horizon
 
     def _efforts(self, t: int, prev_wage):
-        w = np.atleast_1d(np.asarray(prev_wage, dtype=float))
-        idx = np.round(w / self.policy.grid.wage_step).astype(int)
-        if np.any(np.abs(w - self.policy.grid.wages[np.clip(idx, 0, len(self.policy.grid.wages) - 1)]) > 1e-9):
-            raise ValueError("wage off the policy grid")
-        return self.policy.table[t - 1, idx]
+        return self.policy.table[t - 1, self.policy.grid.index(np.atleast_1d(prev_wage))]
 
     def effort(self, t: int, prev_wage):
         out = self._efforts(t, prev_wage)

@@ -115,19 +115,25 @@ def propagate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
     """End-of-period distributions P_1..P_T starting from a point mass at w0."""
     if initial is None:
         initial = WageDistribution.point_mass(contract.w0)
-    p = contract.p
     dists = []
     current = initial
     for t in range(1, horizon.T + 1):
-        nxt = np.asarray(policy.next_wage_if_evaluated(t, current.support), dtype=float)
-        pairs: list[tuple[float, float]] = []
-        if p < 1.0:
-            pairs.extend(zip(current.support.tolist(), (current.probs * (1.0 - p)).tolist()))
-        if p > 0.0:
-            pairs.extend(zip(np.atleast_1d(nxt).tolist(), (current.probs * p).tolist()))
-        current = WageDistribution.from_pairs(pairs, merge_tol)
+        current = step(current, policy, contract.p, t, merge_tol)
         dists.append(current)
     return dists
+
+
+def step(dist: WageDistribution, policy: WagePolicy, p: float, t: int,
+         merge_tol: float = MERGE_TOL) -> WageDistribution:
+    """One evaluation round in period t: mass 1-p keeps its wage, mass p moves
+    to the policy's evaluated wage."""
+    nxt = np.asarray(policy.next_wage_if_evaluated(t, dist.support), dtype=float)
+    pairs: list[tuple[float, float]] = []
+    if p < 1.0:
+        pairs.extend(zip(dist.support.tolist(), (dist.probs * (1.0 - p)).tolist()))
+    if p > 0.0:
+        pairs.extend(zip(np.atleast_1d(nxt).tolist(), (dist.probs * p).tolist()))
+    return WageDistribution.from_pairs(pairs, merge_tol)
 
 
 def enumerate_histories(policy: WagePolicy, contract: ContractParams,
@@ -261,3 +267,18 @@ def bracketize(dist: WageDistribution, bracket_width: float) -> Histogram:
         highs.append((idx + 1) * bracket_width)
         masses.append(cells[idx])
     return Histogram(np.array(lows), np.array(highs), np.array(masses))
+
+
+def cd_bracket_columns(dists: list[WageDistribution], width: float = 0.1,
+                       initial: WageDistribution | None = None) -> list[dict[str, float]]:
+    """Published-layout columns: column t is the distribution entering period t
+    (the initial point mass first, then the first T-1 propagated rounds)."""
+    seq = ([initial] + list(dists[:-1])) if initial is not None else list(dists)
+    out = []
+    for d in seq:
+        hist = bracketize(d, width)
+        col: dict[str, float] = {}
+        for label, mass in zip(hist.labels(), hist.masses):
+            col[label] = col.get(label, 0.0) + float(mass)
+        out.append(col)
+    return out

@@ -29,7 +29,7 @@ import numpy as np
 
 from .additive import AffineEffortPolicy, phi_series_recursive, solve_backward_induction
 from .cobb_douglas import DpGrid, TableEffortPolicy, solve_policy
-from .distribution import WageDistribution
+from .distribution import WageDistribution, step
 from .params import ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs
 
 
@@ -116,8 +116,13 @@ def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPre
                     horizon: Horizon, policy=None) -> float:
     """Discounted expected profit over the exact wage distribution.
 
-    Degenerate additive contracts (w0 = 0 with p < 1, or no effort with
-    positive evaluated consumption) yield -inf.
+    A Cobb-Douglas (TableEffortPolicy) worker's wage mass is carried as a
+    vector on the policy's wage grid; w0 must lie on that grid (0.1 steps by
+    default) or ValueError is raised. The policy reads only p and alpha, so a
+    caller may pass one policy for every w0 of a (p, alpha) row. Other
+    policies propagate a WageDistribution. Degenerate additive contracts
+    (w0 = 0 with p < 1, or no effort with positive evaluated consumption)
+    yield -inf.
     """
     if policy is None:
         if prefs.family is UtilityFamily.ADDITIVE and (contract.w0 <= 0.0 and contract.p < 1.0):
@@ -126,6 +131,8 @@ def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPre
             policy = worker_policy(contract, prefs, horizon, firm)
         except ValueError:
             return -math.inf
+    if isinstance(policy, TableEffortPolicy):
+        return _grid_profit(contract, firm, horizon, policy)
     p = contract.p
     dist = WageDistribution.point_mass(contract.w0)
     total = 0.0
@@ -137,18 +144,30 @@ def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPre
         wage_cost = p * float(np.dot(comp_eval, dist.probs)) \
             + (1.0 - p) * float(np.dot(dist.support, dist.probs))
         total += firm.eta ** (t - 1) * (output - wage_cost - p * firm.c)
-        dist = _step(dist, policy, contract, t)
+        dist = step(dist, policy, p, t)
     return total
 
 
-def _step(dist: WageDistribution, policy, contract: ContractParams, t: int) -> WageDistribution:
-    nxt = np.asarray(policy.next_wage_if_evaluated(t, dist.support), dtype=float)
-    pairs = []
-    if contract.p < 1.0:
-        pairs.extend(zip(dist.support.tolist(), (dist.probs * (1.0 - contract.p)).tolist()))
-    if contract.p > 0.0:
-        pairs.extend(zip(np.atleast_1d(nxt).tolist(), (dist.probs * contract.p).tolist()))
-    return WageDistribution.from_pairs(pairs)
+def _grid_profit(contract: ContractParams, firm: FirmParams, horizon: Horizon,
+                 policy: TableEffortPolicy) -> float:
+    """expected_profit with the wage mass m on the policy's wage grid: an
+    evaluation resets the wage to the effort, itself a grid point, so each
+    period moves mass p*m along the effort table's grid indices."""
+    grid, table = policy.policy.grid, policy.policy.table
+    wages = grid.wages
+    m = np.zeros(len(wages))
+    m[grid.index(contract.w0)] = 1.0
+    nxt = grid.index(table)
+    alpha, p = policy.contract.alpha, contract.p
+    total = 0.0
+    for t in range(1, horizon.T + 1):
+        e = table[t - 1]
+        comp_eval = e + alpha * (e - wages)
+        output = firm.k * float(np.dot(e, m))
+        wage_cost = p * float(np.dot(comp_eval, m)) + (1.0 - p) * float(np.dot(wages, m))
+        total += firm.eta ** (t - 1) * (output - wage_cost - p * firm.c)
+        m = (1.0 - p) * m + np.bincount(nxt[t - 1], weights=p * m, minlength=len(m))
+    return total
 
 
 def profit_by_history_enumeration(contract: ContractParams, firm: FirmParams,
@@ -342,10 +361,15 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
     halves the steps around the incumbent.
 
     One-period additive searches use the exact closed-form profit; other
-    cases evaluate expected_profit per cell.
+    cases call expected_profit once per cell, in (p, alpha, w0) order.
+    Cobb-Douglas searches solve one worker policy per (p, alpha) row and pass
+    it to every w0 of the row; every w0 the search reaches, refinement
+    included, must then lie on the 0.1 policy grid, or expected_profit raises
+    ValueError and so does the search.
     """
     w0_max = _w0_max(firm, steps)
     fast = prefs.family is UtilityFamily.ADDITIVE and horizon.T == 1
+    cobb_douglas = prefs.family is UtilityFamily.COBB_DOUGLAS
 
     def scan(p_vals, a_vals, w_vals):
         best = (-math.inf, None)
@@ -359,12 +383,18 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
                     pi, w = float(row[i]), float(w_arr[i])
                     if pi > best[0]:
                         best = (pi, (float(p), float(a), w))
-                else:
-                    for w in w_vals:
-                        contract = ContractParams(float(p), float(a), float(w))
-                        pi = expected_profit(contract, firm, prefs, horizon)
-                        if pi > best[0]:
-                            best = (pi, (float(p), float(a), float(w)))
+                    continue
+                policy = None
+                if cobb_douglas:
+                    # the Cobb-Douglas policy reads only p and alpha: one
+                    # solve serves the whole w0 row
+                    policy = worker_policy(ContractParams(float(p), float(a), float(w_arr[0])),
+                                           prefs, horizon, firm)
+                for w in w_vals:
+                    contract = ContractParams(float(p), float(a), float(w))
+                    pi = expected_profit(contract, firm, prefs, horizon, policy)
+                    if pi > best[0]:
+                        best = (pi, (float(p), float(a), float(w)))
         return best
 
     p_vals = _axis(0.0, 1.0, steps.p_step)
@@ -507,7 +537,7 @@ def _contract_profile(contract: ContractParams, firm: FirmParams, prefs: WorkerP
     policy = worker_policy(contract, prefs, horizon, firm)
     dists = [WageDistribution.point_mass(contract.w0)]
     for t in range(1, horizon.T + 1):
-        dists.append(_step(dists[-1], policy, contract, t))
+        dists.append(step(dists[-1], policy, contract.p, t))
     means, variances, outputs = [], [], []
     for t in range(1, horizon.T + 1):
         pre = dists[t - 1]

@@ -18,7 +18,8 @@ from . import additive, statics
 from .cobb_douglas import (TableEffortPolicy, always_sampled_path,
                            policy_monotonicity_report, solve_policy)
 from .config import Scenario, resolved_json
-from .distribution import WageDistribution, bracketize, profile, propagate, simulate
+from .distribution import (WageDistribution, cd_bracket_columns, profile, propagate,
+                           simulate)
 from .employer import (GridSteps, analytic_one_period_optimum, grid_search_optimum,
                        tech_shock, tech_sweep)
 from .params import ContractParams, FirmParams, Horizon
@@ -201,21 +202,6 @@ def run_cd_path(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dic
             "effort": path.efforts, "wage": path.wages, "bonus": path.bonuses,
             "total_compensation": path.totals}))
     return {"policy": policy, "path": path}
-
-
-def cd_bracket_columns(dists: list[WageDistribution], width: float = 0.1,
-                       initial: WageDistribution | None = None) -> list[dict[str, float]]:
-    """Published-layout columns: column t is the distribution entering period t
-    (the initial point mass first, then the first T-1 propagated rounds)."""
-    seq = ([initial] + list(dists[:-1])) if initial is not None else list(dists)
-    out = []
-    for d in seq:
-        hist = bracketize(d, width)
-        col: dict[str, float] = {}
-        for label, mass in zip(hist.labels(), hist.masses):
-            col[label] = col.get(label, 0.0) + float(mass)
-        out.append(col)
-    return out
 
 
 def run_cd_distribution(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:

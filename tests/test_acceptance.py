@@ -19,6 +19,7 @@ from pathlib import Path
 
 import wagedyn
 from wagedyn import checks
+from wagedyn.report import RUNNERS
 
 
 def _assert_criterion(result):
@@ -85,7 +86,7 @@ def test_criterion_09_comparative_statics():
 
 
 def test_criterion_10_determinism(tmp_path):
-    _assert_criterion(checks.check_determinism(tmp_path / "runners"))
+    _assert_criterion(checks.check_determinism(RUNNERS, tmp_path / "runners"))
 
 
 def test_criterion_10_reproduce_all_byte_identical(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,26 @@ def test_grid_validation():
     grid = DpGrid()
     assert grid.wages[0] == 0.0 and grid.wages[-1] == 1.0
     assert grid.efforts[0] == 0.0 and grid.efforts[-1] == 1.0
+
+
+def test_grid_arrays_built_once_and_read_only():
+    grid = DpGrid(0.05, 0.1, 1.0)
+    assert grid.wages is grid.wages and grid.efforts is grid.efforts
+    for arr in (grid.wages, grid.efforts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert grid == DpGrid(0.05, 0.1, 1.0)  # the cached arrays are not fields
+
+
+def test_grid_index():
+    grid = DpGrid()
+    assert grid.index(0.3) == 3
+    assert grid.index([[0.0, 1.0], [0.7, 0.1 + 0.2]]).tolist() == [[0, 10], [7, 3]]
+    for off, first in (([0.2, 0.25, 0.35], "0.25"), (1.1, "1.1"), (-0.1, "-0.1"),
+                       (1e300, "1e+300")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"wage {first} is not on the policy grid (step 0.1)")):
+            grid.index(off)
 
 
 def test_wrong_family_rejected():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WorkerPrefs,
-                     analytic_one_period_optimum, expected_profit,
-                     grid_search_optimum, profit_by_history_enumeration,
-                     single_period_effort, stationary_grid_search,
-                     stationary_one_period_optimum, tech_shock, tech_sweep)
-from wagedyn.employer import _one_period_profit, worker_policy
+from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistribution,
+                     WorkerPrefs, analytic_one_period_optimum, employer,
+                     expected_profit, grid_search_optimum,
+                     profit_by_history_enumeration, single_period_effort,
+                     stationary_grid_search, stationary_one_period_optimum,
+                     tech_shock, tech_sweep)
+from wagedyn.employer import _axis, _one_period_profit, _w0_max, worker_policy
 
 PREFS = WorkerPrefs.additive(delta=0.9)
 UNIT_SCALE_FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
@@ -299,3 +300,136 @@ def test_level_wise_profit_enumeration_matches_per_mask(p, alpha, w0_step, T,
     policy = worker_policy(contract, prefs, Horizon(T), firm)
     fast = profit_by_history_enumeration(contract, firm, prefs, Horizon(T), policy)
     assert fast == profit_per_mask(contract, firm, policy, T)
+
+
+CD_PREFS = WorkerPrefs.cobb_douglas(delta=0.9, gamma=0.4, beta=0.6)
+CD_FIRM = FirmParams(k=1.5, lam=0.8, c=0.2, eta=0.9)
+
+
+def profit_by_distribution_loop(contract, firm, policy, T):
+    """Reference profit: the per-period WageDistribution loop, with the step
+    built from (wage, mass) pairs and merged by from_pairs."""
+    p = contract.p
+    dist = WageDistribution.point_mass(contract.w0)
+    total = 0.0
+    for t in range(1, T + 1):
+        e = np.asarray(policy.effort(t, dist.support), dtype=float)
+        nxt = np.asarray(policy.next_wage_if_evaluated(t, dist.support), dtype=float)
+        comp = nxt + np.asarray(policy.bonus_if_evaluated(t, dist.support), dtype=float)
+        wage_cost = (p * float(np.dot(comp, dist.probs))
+                     + (1.0 - p) * float(np.dot(dist.support, dist.probs)))
+        total += firm.eta ** (t - 1) * (firm.k * float(np.dot(e, dist.probs))
+                                        - wage_cost - p * firm.c)
+        pairs = []
+        if p < 1.0:
+            pairs += zip(dist.support.tolist(), (dist.probs * (1.0 - p)).tolist())
+        if p > 0.0:
+            pairs += zip(nxt.tolist(), (dist.probs * p).tolist())
+        dist = WageDistribution.from_pairs(pairs)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       alpha=st.floats(0.0, 1.0), w0_step=st.integers(0, 10), T=st.integers(1, 8),
+       gamma=st.floats(0.1, 0.9), beta=st.floats(0.1, 0.9))
+def test_grid_profit_matches_enumeration_and_distribution_loop(p, alpha, w0_step, T,
+                                                               gamma, beta):
+    # the Cobb-Douglas profit carries its mass on the policy grid; the sums
+    # run in another order than the loop's, so equality is to 1e-12
+    prefs = WorkerPrefs.cobb_douglas(delta=0.9, gamma=gamma, beta=beta)
+    contract = ContractParams(p, alpha, w0_step / 10)
+    policy = worker_policy(contract, prefs, Horizon(T), CD_FIRM)
+    fast = expected_profit(contract, CD_FIRM, prefs, Horizon(T), policy)
+    assert fast == expected_profit(contract, CD_FIRM, prefs, Horizon(T))
+    enumerated = profit_by_history_enumeration(contract, CD_FIRM, prefs, Horizon(T), policy)
+    assert abs(fast - enumerated) <= 1e-12
+    assert abs(fast - profit_by_distribution_loop(contract, CD_FIRM, policy, T)) <= 1e-12
+
+
+def test_grid_profit_rejects_off_grid_w0():
+    with pytest.raises(ValueError, match=r"wage 0.45 is not on the policy grid \(step 0.1\)"):
+        expected_profit(ContractParams(0.5, 0.5, 0.45), CD_FIRM, CD_PREFS, Horizon(3))
+
+
+def per_cell_search(firm, prefs, horizon, steps, refine_rounds):
+    """Reference grid search: one expected_profit call per cell, each solving a
+    fresh worker policy; returns ((p, alpha, w0), profit)."""
+    w0_max = _w0_max(firm, steps)
+
+    def scan(p_vals, a_vals, w_vals):
+        best = (-math.inf, None)
+        for p in p_vals:
+            for a in a_vals:
+                for w in w_vals:
+                    cell = (float(p), float(a), float(w))
+                    pi = employer.expected_profit(ContractParams(*cell), firm, prefs,
+                                                  horizon)
+                    if pi > best[0]:
+                        best = (pi, cell)
+        return best
+
+    best = scan(_axis(0.0, 1.0, steps.p_step), _axis(0.0, 1.0, steps.alpha_step),
+                _axis(0.0, w0_max, steps.w0_step))
+    h = np.array([steps.p_step, steps.alpha_step, steps.w0_step])
+    for _ in range(refine_rounds):
+        h = h / 2.0
+        p0, a0, w0 = best[1]
+        found = scan(np.unique(np.clip(p0 + h[0] * np.arange(-3, 4), 0.0, 1.0)),
+                     np.unique(np.clip(a0 + h[1] * np.arange(-3, 4), 0.0, 1.0)),
+                     np.unique(np.clip(w0 + h[2] * np.arange(-3, 4), 0.0, w0_max)))
+        if found[0] > best[0]:
+            best = found
+    return best[1], best[0]
+
+
+@pytest.fixture
+def profit_calls(monkeypatch):
+    """Counts calls made through employer.expected_profit."""
+    count = [0]
+    original = employer.expected_profit
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(employer, "expected_profit", counted)
+    return count
+
+
+def test_cobb_douglas_search_matches_per_cell_scan(profit_calls):
+    # halving the 0.4 w0 step keeps every refinement cell on the 0.1 grid
+    steps, horizon = GridSteps(0.2, 0.2, 0.4, w0_max=0.8), Horizon(4)
+    opt = grid_search_optimum(CD_FIRM, CD_PREFS, horizon, steps, refine_rounds=1)
+    search_calls = profit_calls[0]
+    cell, profit = per_cell_search(CD_FIRM, CD_PREFS, horizon, steps, 1)
+    assert (opt.contract.p, opt.contract.alpha, opt.contract.w0) == cell
+    assert opt.profit == profit
+    assert search_calls == profit_calls[0] - search_calls
+
+
+def test_cobb_douglas_search_solves_one_policy_per_row(monkeypatch, profit_calls):
+    solves = [0]
+    original = employer.worker_policy
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(employer, "worker_policy", counted)
+    grid_search_optimum(CD_FIRM, CD_PREFS, Horizon(3),
+                        GridSteps(0.25, 0.25, 0.5, w0_max=1.0), refine_rounds=0)
+    assert solves[0] == 5 * 5
+    assert profit_calls[0] == 5 * 5 * 3
+
+
+def test_off_grid_search_raises_at_the_per_cell_scans_cell(profit_calls):
+    # refinement halves the 0.5 w0 step to 0.25, off the 0.1 policy grid
+    steps, horizon = GridSteps(0.25, 0.25, 0.5, w0_max=1.0), Horizon(3)
+    with pytest.raises(ValueError, match="not on the policy grid"):
+        grid_search_optimum(CD_FIRM, CD_PREFS, horizon, steps, refine_rounds=1)
+    search_calls = profit_calls[0]
+    with pytest.raises(ValueError, match="not on the policy grid"):
+        per_cell_search(CD_FIRM, CD_PREFS, horizon, steps, 1)
+    assert search_calls == profit_calls[0] - search_calls
+    assert search_calls > 5 * 5 * 3  # it fails in the refinement, past the coarse grid
