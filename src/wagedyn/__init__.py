@@ -4,7 +4,7 @@ Worker effort optimization under random evaluation, exact wage-distribution
 dynamics, and employer contract optimization, with reproduction checks for the
 published tables at desk scale.
 """
-from .additive import (AdditiveSolution, AffineEffortPolicy, closed_form_effort,
+from .additive import (AdditiveSolution, AffineEffortPolicy, AffinePolicy,
                        deterministic_path, phi_series_recursive,
                        single_period_effort, single_period_variance,
                        single_period_wage_pair, solve_backward_induction,
@@ -19,8 +19,8 @@ from .employer import (GridSteps, OptimalContract,
                        grid_search_optimum, profit_by_history_enumeration,
                        stationary_grid_search, stationary_one_period_optimum,
                        tech_shock, tech_sweep)
-from .model import (DomainError, bonus, consumption, deserved_wage, period_utility,
-                    production, wage_update)
+from .model import (DomainError, affine_effort, bonus, consumption, deserved_wage,
+                    period_utility, production, wage_update)
 from .params import (ContractParams, FirmParams, Horizon, UtilityFamily,
                      WorkerPrefs)
 from .statics import (EffortSensitivity, effort_sensitivity, foc_residual,

@@ -12,7 +12,8 @@ diagnostic (it is known to violate the terminal normalization phi_T = 1).
 Key structural facts used throughout: with wage scale s and bonus rate alpha,
 the evaluated consumption is x = s*(1+alpha)*e - alpha*w, the first-order
 condition pins x independently of the previous wage w, and the optimal effort
-is affine in w: e_t(w) = (p/b)*phi_t + (alpha/(1+alpha))*(w/s).
+is affine in w: e_t(w) = (p/b)*phi_t + (alpha/(1+alpha))*(w/s)
+(model.affine_effort).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .golden import bisect_root, golden_max_vec
-from .model import DomainError
+from .model import DomainError, affine_effort
 from .params import ContractParams, Horizon, UtilityFamily, WorkerPrefs
 
 NEG_INF = float("-inf")
@@ -43,8 +44,7 @@ def _require_additive(prefs: WorkerPrefs) -> None:
 def single_period_effort(contract: ContractParams, b: float = 1.0,
                          wage_scale: float = 1.0) -> float:
     """One-period optimal effort, clamped to [0, 1]."""
-    e = contract.p / b + contract.alpha / (1.0 + contract.alpha) * contract.w0 / wage_scale
-    return min(max(e, 0.0), 1.0)
+    return float(affine_effort(contract.p, contract.alpha, contract.w0, b=b, s=wage_scale))
 
 
 @dataclass(frozen=True)
@@ -147,11 +147,11 @@ def default_wage_grid(contract: ContractParams, wage_scale: float = 1.0,
 class AdditiveSolution:
     """Backward-induction result with fitted closed-form coefficients.
 
-    phi[t-1] and evaluated_wage[t-1] refer to period t; effort follows the
-    affine policy e_t(w) = (p/b)*phi_t + (alpha/(1+alpha))*(w/s), clamped to
-    [0, 1]. raw_effort, the per-grid-point golden-section argmax that
-    validates the affine fit, is built from the stored value table on first
-    read; only the criterion 4 check and the tests read it.
+    phi[t-1] and evaluated_wage[t-1] refer to period t; AffineEffortPolicy
+    turns them into the affine effort policy. raw_effort, the per-grid-point
+    golden-section argmax that validates the affine fit, is built from the
+    stored value table on first read; only the criterion 4 check and the
+    tests read it.
     """
 
     contract: ContractParams
@@ -182,25 +182,9 @@ class AdditiveSolution:
             table[t - 1], _ = golden_max_vec(objective, lo, hi, tol=self.effort_tolerance)
         return table
 
-    def effort(self, t: int, prev_wage: float) -> float:
-        """Closed-form effort for period t (1-based) at the given previous wage."""
-        if not 1 <= t <= self.horizon.T:
-            raise ValueError(f"period {t} outside 1..{self.horizon.T}")
-        c = self.contract
-        if c.p == 0.0:
-            return 0.0  # never evaluated: effort is pure disutility
-        e = (c.p / self.prefs.b) * self.phi[t - 1] \
-            + c.alpha / (1.0 + c.alpha) * prev_wage / self.wage_scale
-        return min(max(e, 0.0), 1.0)
-
     @property
     def phi_weakly_decreasing(self) -> bool:
         return bool(np.all(np.diff(self.phi) <= 1e-9))
-
-
-def closed_form_effort(solution: AdditiveSolution, t: int, prev_wage: float) -> float:
-    """Affine-policy effort using the solution's fitted phi_t."""
-    return solution.effort(t, prev_wage)
 
 
 def _interp_guarded(x: np.ndarray | float, grid: np.ndarray, values: np.ndarray):
@@ -355,35 +339,44 @@ def wage_support(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
     return rows
 
 
-class AffineEffortPolicy:
-    """Distribution-engine adapter for the additive closed-form policy.
+class AffinePolicy:
+    """The additive worker's affine effort policy for the distribution engine.
 
-    The evaluated next wage folds the bonus into the wage state (additive
-    scheme); bonuses are zero by definition here.
+    Period t (1..len(phi)) exerts model.affine_effort(p, alpha, w, phi[t-1],
+    b, wage_scale) at previous wage w, and no effort when p = 0 (never
+    evaluated, effort is pure disutility). An evaluation folds the bonus into
+    the wage state, so the evaluated next wage is max(s(1+alpha)e - alpha*w, 0)
+    and the bonus is zero.
     """
 
-    def __init__(self, solution: AdditiveSolution):
-        self.solution = solution
-        self.contract = solution.contract
-        self.horizon = solution.horizon
-        self.wage_scale = solution.wage_scale
+    def __init__(self, contract: ContractParams, b: float, wage_scale: float, phi):
+        self.contract = contract
+        self.b = b
+        self.wage_scale = wage_scale
+        self.phi = np.asarray(phi, dtype=float)
 
     def effort(self, t: int, prev_wage):
-        sol = self.solution
-        c = sol.contract
+        if not 1 <= t <= len(self.phi):
+            raise ValueError(f"period {t} outside 1..{len(self.phi)}")
+        c = self.contract
         w = np.asarray(prev_wage, dtype=float)
         if c.p == 0.0:
             return np.zeros_like(w)
-        e = (c.p / sol.prefs.b) * sol.phi[t - 1] \
-            + c.alpha / (1.0 + c.alpha) * w / sol.wage_scale
-        return np.clip(e, 0.0, 1.0)
+        return affine_effort(c.p, c.alpha, w, self.phi[t - 1], self.b, self.wage_scale)
 
     def next_wage_if_evaluated(self, t: int, prev_wage):
         c = self.contract
         w = np.asarray(prev_wage, dtype=float)
         e = self.effort(t, prev_wage)
-        x = self.wage_scale * (1.0 + c.alpha) * e - c.alpha * w
-        return np.maximum(x, 0.0)
+        return np.maximum(self.wage_scale * (1.0 + c.alpha) * e - c.alpha * w, 0.0)
 
     def bonus_if_evaluated(self, t: int, prev_wage):
         return np.zeros_like(np.asarray(prev_wage, dtype=float))
+
+
+class AffineEffortPolicy(AffinePolicy):
+    """AffinePolicy with the phi fitted by a numerical backward induction."""
+
+    def __init__(self, solution: AdditiveSolution):
+        super().__init__(solution.contract, solution.prefs.b, solution.wage_scale,
+                         solution.phi)

@@ -24,6 +24,7 @@ from .distribution import (WageDistribution, cd_bracket_columns, enumerate_histo
 from .employer import (GridSteps, analytic_one_period_optimum,
                        grid_search_optimum, stationary_grid_search, tech_shock,
                        tech_sweep)
+from .model import affine_effort
 from .params import ContractParams, FirmParams, Horizon, WorkerPrefs
 
 
@@ -187,12 +188,8 @@ def check_additive_oracle() -> CriterionResult:
     # states with a well-posed problem: finite value (w = 0 is degenerate under
     # log utility with p < 1, every effort is equally bad there)
     posed = np.isfinite(sol.value)
-    affine = np.empty_like(sol.raw_effort)
-    for t in range(1, T + 1):
-        c = contract
-        affine[t - 1] = np.clip((c.p / prefs.b) * sol.phi[t - 1]
-                                + c.alpha / (1.0 + c.alpha) * grid / sol.wage_scale,
-                                0.0, 1.0)
+    affine = affine_effort(contract.p, contract.alpha, grid[None, :], sol.phi[:, None],
+                           prefs.b, sol.wage_scale)
     gap = float(np.abs(affine - sol.raw_effort)[posed].max())
     out.add("effort_agreement_1e-5", gap <= 1e-5,
             f"max |closed form - argmax| = {gap:.2e} over well-posed states")
@@ -209,7 +206,7 @@ def check_additive_oracle() -> CriterionResult:
         worst_var = max(worst_var, float(w_eval.max() - w_eval.min()))
     out.add("evaluated_wage_independent_1e-6", worst_var < 1e-6,
             f"max spread across previous wages = {worst_var:.2e}")
-    out.add("phi_weakly_decreasing", bool(np.all(np.diff(sol.phi) <= 1e-9)),
+    out.add("phi_weakly_decreasing", sol.phi_weakly_decreasing,
             f"phi = {[round(x, 6) for x in sol.phi]}")
     phi_exact = additive.phi_series_recursive(contract, prefs, horizon)
     out.warnings.append(

@@ -23,6 +23,11 @@ from .params import ContractParams, Horizon, UtilityFamily, WorkerPrefs
 
 @dataclass(frozen=True)
 class DpGrid:
+    """Wage grid 0, wage_step, ..., wage_max and effort grid 0, effort_step,
+    ..., 1. An evaluation resets the wage to the effort, so construction
+    raises ValueError unless every effort is a wage-grid point (effort_step a
+    multiple of wage_step, wage_max >= 1)."""
+
     wage_step: float = 0.1
     effort_step: float = 0.1
     wage_max: float = 1.0
@@ -33,10 +38,14 @@ class DpGrid:
         n_w = self.wage_max / self.wage_step
         if abs(n_w - round(n_w)) > 1e-9:
             raise ValueError("wage_step must divide wage_max evenly")
-        ratio = self.effort_step / self.wage_step
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValueError("effort_step must be an integer multiple of wage_step "
-                             "so every effort is a wage-grid point")
+        n_e = 1.0 / self.effort_step
+        if abs(n_e - round(n_e)) > 1e-9:
+            raise ValueError("effort_step must divide 1 evenly")
+        try:
+            self.index(self.efforts)
+        except ValueError:
+            raise ValueError("every effort must be a wage-grid point: effort_step a "
+                             "multiple of wage_step and wage_max >= 1") from None
 
     @functools.cached_property
     def wages(self) -> np.ndarray:
@@ -115,9 +124,7 @@ def solve_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
     u_keep = leisure * W ** beta
     reward = p * u_eval + (1.0 - p) * u_keep
 
-    # index of each effort on the wage grid (next state after evaluation)
-    e_idx = np.round(e / grid.wage_step).astype(int)
-    e_idx = np.clip(e_idx, 0, len(w) - 1)
+    e_idx = grid.index(e)  # next state after an evaluation
 
     table = np.zeros((T, len(w)))
     value = np.zeros((T, len(w)))

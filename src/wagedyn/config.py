@@ -14,16 +14,14 @@ from pathlib import Path
 from typing import Any
 
 from .cobb_douglas import DpGrid
-from .params import ContractParams, FirmParams, Horizon, WorkerPrefs
+from .params import ContractParams, FirmParams, Horizon, ParamError, WorkerPrefs
 
 KNOWN_SECTIONS = ("contract", "prefs", "firm", "horizon", "grid", "simulation",
                   "experiment")
 
 
-class ConfigError(ValueError):
-    def __init__(self, errors: list[str]):
-        self.errors = errors
-        super().__init__("; ".join(errors))
+class ConfigError(ParamError):
+    """Every violation in a scenario: missing keys, wrong types and bounds."""
 
 
 @dataclass(frozen=True)
@@ -54,9 +52,24 @@ def _number(section: dict, key: str, path: str, errors: list[str],
     return float(value)
 
 
+def _build(errors: list[str], make, *args, **kwargs):
+    """make(*args, **kwargs), or None with its ParamError messages appended."""
+    try:
+        return make(*args, **kwargs)
+    except ParamError as exc:
+        errors.extend(exc.errors)
+        return None
+
+
 def validate_config(config: dict | str | Path) -> Scenario:
     """Validate a scenario dict or JSON file; raises ConfigError with the full
-    list of violations."""
+    list of violations.
+
+    Missing keys, unknown sections and values of the wrong type are reported
+    here. Each section whose numbers parse is then built into its params
+    object (or DpGrid), which checks the bounds itself; their messages join
+    the list.
+    """
     if isinstance(config, (str, Path)):
         text = Path(config).read_text(encoding="utf-8")
         try:
@@ -76,41 +89,31 @@ def validate_config(config: dict | str | Path) -> Scenario:
     contract = None
     if "contract" in config:
         sec = dict(config["contract"])
+        parsed = len(errors)
         p = _number(sec, "p", "contract", errors)
         alpha = _number(sec, "alpha", "contract", errors)
         w0 = _number(sec, "w0", "contract", errors)
-        if p is not None and not 0.0 <= p <= 1.0:
-            errors.append(f"contract.p: must be within [0, 1], got {p}")
-        if alpha is not None and not 0.0 <= alpha <= 1.0:
-            errors.append(f"contract.alpha: must be within [0, 1], got {alpha}")
-        if w0 is not None and w0 < 0.0:
-            errors.append(f"contract.w0: must be >= 0, got {w0}")
-        if not errors:
-            contract = ContractParams(p, alpha, w0)
+        if len(errors) == parsed:
+            contract = _build(errors, ContractParams, p, alpha, w0)
         resolved["contract"] = {"p": p, "alpha": alpha, "w0": w0}
 
     prefs = None
     if "prefs" in config:
         sec = dict(config["prefs"])
         family = sec.get("family")
+        parsed = len(errors)
         delta = _number(sec, "delta", "prefs", errors)
-        if delta is not None and not 0.0 < delta < 1.0:
-            errors.append(f"prefs.delta: must be inside (0, 1), got {delta}")
         if family == "additive":
             b = _number(sec, "b", "prefs", errors, required=False, default=1.0)
-            if b is not None and b <= 0.0:
-                errors.append(f"prefs.b: must be > 0, got {b}")
-            if not errors:
-                prefs = WorkerPrefs.additive(delta=delta, b=b)
+            if len(errors) == parsed:
+                prefs = _build(errors, WorkerPrefs.additive, delta=delta, b=b)
             resolved["prefs"] = {"family": "additive", "delta": delta, "b": b}
         elif family == "cobb_douglas":
             gamma = _number(sec, "gamma", "prefs", errors)
             beta = _number(sec, "beta", "prefs", errors)
-            for name, val in (("gamma", gamma), ("beta", beta)):
-                if val is not None and val <= 0.0:
-                    errors.append(f"prefs.{name}: must be > 0, got {val}")
-            if not errors:
-                prefs = WorkerPrefs.cobb_douglas(delta=delta, gamma=gamma, beta=beta)
+            if len(errors) == parsed:
+                prefs = _build(errors, WorkerPrefs.cobb_douglas, delta=delta,
+                               gamma=gamma, beta=beta)
             resolved["prefs"] = {"family": "cobb_douglas", "delta": delta,
                                  "gamma": gamma, "beta": beta}
         else:
@@ -120,24 +123,19 @@ def validate_config(config: dict | str | Path) -> Scenario:
     firm = None
     if "firm" in config:
         sec = dict(config["firm"])
+        parsed = len(errors)
         k = _number(sec, "k", "firm", errors)
-        if k is not None and k <= 0.0:
-            errors.append(f"firm.k: must be > 0, got {k}")
-        lam_default = 1.0 / k if (k is not None and k > 0) else None
+        # the lambda default 1/k exists only for k > 0; for any other k the
+        # unit placeholder lets FirmParams report the bad k alone
+        lam_default = 1.0 / k if (k is not None and k > 0) else 1.0
         lam = _number(sec, "lambda", "firm", errors, required=False, default=lam_default)
-        if lam is not None and not 0.0 < lam <= 1.0:
-            errors.append(f"firm.lambda: must be inside (0, 1], got {lam}")
         c = _number(sec, "c", "firm", errors, required=False, default=0.0)
-        if c is not None and c < 0.0:
-            errors.append(f"firm.c: must be >= 0, got {c}")
         eta_default = resolved.get("prefs", {}).get("delta")
         eta = _number(sec, "eta", "firm", errors, required=False, default=eta_default)
         if eta is None:
             errors.append("firm.eta: missing and no prefs.delta to default to")
-        elif not 0.0 < eta <= 1.0:
-            errors.append(f"firm.eta: must be inside (0, 1], got {eta}")
-        if not errors and None not in (k, lam, c, eta):
-            firm = FirmParams(k=k, lam=lam, c=c, eta=eta)
+        if len(errors) == parsed:
+            firm = _build(errors, FirmParams, k=k, lam=lam, c=c, eta=eta)
         resolved["firm"] = {"k": k, "lambda": lam, "c": c, "eta": eta}
 
     horizon = None
@@ -146,10 +144,8 @@ def validate_config(config: dict | str | Path) -> Scenario:
         T = sec.get("T")
         if isinstance(T, bool) or not isinstance(T, int):
             errors.append(f"horizon.T: expected an integer, got {T!r}")
-        elif T < 1:
-            errors.append(f"horizon.T: must be >= 1, got {T}")
         else:
-            horizon = Horizon(T)
+            horizon = _build(errors, Horizon, T)
         resolved["horizon"] = {"T": T}
 
     grid_sec = dict(config.get("grid", {}))

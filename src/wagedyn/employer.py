@@ -27,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import AffineEffortPolicy, phi_series_recursive, solve_backward_induction
+from .additive import (AffineEffortPolicy, AffinePolicy, default_wage_grid,
+                       phi_series_recursive, solve_backward_induction)
 from .cobb_douglas import DpGrid, TableEffortPolicy, solve_policy
 from .distribution import WageDistribution, step
+from .model import affine_effort
 from .params import ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs
 
 
@@ -67,40 +69,11 @@ def _additive_response(contract: ContractParams, prefs: WorkerPrefs,
     unclamped = all(0.0 <= (p / b) * ph + A * w / s <= 1.0
                     for ph in phi for w in wages)
     if unclamped:
-        return _RecursiveAffinePolicy(contract, prefs, horizon, s, phi)
-    grid = np.linspace(0.0, max(1.5, s * (1.0 + alpha), contract.w0 * 1.01), 241)
-    sol = solve_backward_induction(contract, prefs, horizon, wage_grid=grid,
+        return AffinePolicy(contract, b, s, phi)
+    sol = solve_backward_induction(contract, prefs, horizon,
+                                   wage_grid=default_wage_grid(contract, s, n_points=241),
                                    wage_scale=s)
     return AffineEffortPolicy(sol)
-
-
-class _RecursiveAffinePolicy:
-    """Affine additive policy built from the exact phi recursion."""
-
-    def __init__(self, contract, prefs, horizon, wage_scale, phi):
-        self.contract = contract
-        self.prefs = prefs
-        self.horizon = horizon
-        self.wage_scale = wage_scale
-        self.phi = phi
-
-    def effort(self, t: int, prev_wage):
-        c = self.contract
-        w = np.asarray(prev_wage, dtype=float)
-        if c.p == 0.0:
-            return np.zeros_like(w)
-        e = (c.p / self.prefs.b) * self.phi[t - 1] \
-            + c.alpha / (1.0 + c.alpha) * w / self.wage_scale
-        return np.clip(e, 0.0, 1.0)
-
-    def next_wage_if_evaluated(self, t: int, prev_wage):
-        c = self.contract
-        w = np.asarray(prev_wage, dtype=float)
-        e = self.effort(t, prev_wage)
-        return np.maximum(self.wage_scale * (1.0 + c.alpha) * e - c.alpha * w, 0.0)
-
-    def bonus_if_evaluated(self, t: int, prev_wage):
-        return np.zeros_like(np.asarray(prev_wage, dtype=float))
 
 
 def worker_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
@@ -292,45 +265,43 @@ def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
     return OptimalContract(contract, profit, SolveMethod.ANALYTIC, tuple(flags))
 
 
-def _one_period_profit(p: float, alpha: float, w0: float, firm: FirmParams,
-                       b: float = 1.0) -> float:
-    """Exact one-period profit with the additive worker's clamped response."""
-    s = firm.wage_scale
-    if w0 <= 0.0 and p < 1.0:
-        return -math.inf
-    if p == 0.0:
-        e = 0.0
-        x = 0.0
-    else:
-        cap = s * (1.0 + alpha) - alpha * w0  # evaluated consumption at e = 1
-        if cap <= 0.0:
-            # no effort yields positive evaluated consumption; no reason to work
-            e, x = 0.0, 0.0
-        else:
-            e = min(p / b + alpha * w0 / ((1.0 + alpha) * s), 1.0)
-            x = max(s * (1.0 + alpha) * e - alpha * w0, 0.0)
-    return firm.k * e - (p * x + (1.0 - p) * w0 + p * firm.c)
+def _one_period_response(p: float, alpha, w0, s: float, b: float = 1.0):
+    """One-period additive worker's effort e and evaluated wage x.
 
-
-def _one_period_profit_row(p: float, alpha, w0, firm: FirmParams,
-                           b: float = 1.0) -> np.ndarray:
-    """Vectorized _one_period_profit; alpha and w0 broadcast against each other."""
-    s = firm.wage_scale
+    e is the affine rule with phi = 1 and x = max(s(1+alpha)e - alpha*w0, 0).
+    Both are 0 when p = 0, and when not even full effort yields a positive
+    evaluated consumption (then there is no reason to work). alpha and w0
+    broadcast against each other; scalar input gives Python floats.
+    """
     alpha = np.asarray(alpha, dtype=float)
     w0 = np.asarray(w0, dtype=float)
     if p == 0.0:
         e = x = np.zeros(np.broadcast_shapes(alpha.shape, w0.shape))
     else:
-        cap = s * (1.0 + alpha) - alpha * w0
-        e = np.minimum(p / b + alpha * w0 / ((1.0 + alpha) * s), 1.0)
+        e = affine_effort(p, alpha, w0, b=b, s=s)
         x = np.maximum(s * (1.0 + alpha) * e - alpha * w0, 0.0)
-        dead = cap <= 0.0
+        dead = s * (1.0 + alpha) - alpha * w0 <= 0.0
         e = np.where(dead, 0.0, e)
         x = np.where(dead, 0.0, x)
+    if e.ndim == 0:
+        return float(e), float(x)
+    return e, x
+
+
+def _one_period_profit(p: float, alpha, w0, firm: FirmParams, b: float = 1.0):
+    """Exact one-period profit k*e - (p*x + (1-p)*w0 + p*c) under the additive
+    worker's response (_one_period_response).
+
+    alpha and w0 broadcast against each other; w0 = 0 with p < 1 gives -inf
+    (the never-evaluated worker consumes nothing). Scalar input returns a
+    Python float.
+    """
+    e, x = _one_period_response(p, alpha, w0, firm.wage_scale, b)
+    w0 = np.asarray(w0, dtype=float)
     out = firm.k * e - (p * x + (1.0 - p) * w0 + p * firm.c)
     if p < 1.0:
         out = np.where(w0 <= 0.0, -math.inf, out)
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +348,7 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
         for p in p_vals:
             for a in a_vals:
                 if fast:
-                    row = _one_period_profit_row(float(p), float(a), w_arr, firm,
-                                                 b=prefs.b)
+                    row = _one_period_profit(float(p), float(a), w_arr, firm, b=prefs.b)
                     i = int(np.argmax(row))  # first max = smallest w0 on ties
                     pi, w = float(row[i]), float(w_arr[i])
                     if pi > best[0]:
@@ -447,7 +417,7 @@ def stationary_grid_search(firm: FirmParams) -> ContractParams:
         return vals[(vals > h) & (vals < hi[dim] - h)]
 
     def profit(p, a, w):
-        return _one_period_profit_row(p, a, w, firm)
+        return _one_period_profit(p, a, w, firm)
 
     def scan(p_vals, a_vals, w_vals):
         best = (math.inf, None)
@@ -501,9 +471,7 @@ def tech_sweep(k_values, firm_template: FirmParams, prefs: WorkerPrefs | None = 
                           eta=firm_template.eta)
         opt = stationary_one_period_optimum(firm)
         p, a, w0 = opt.contract.p, opt.contract.alpha, opt.contract.w0
-        s = firm.wage_scale
-        e = min(p + a * w0 / ((1.0 + a) * s), 1.0)
-        x = max(s * (1.0 + a) * e - a * w0, 0.0)
+        e, x = _one_period_response(p, a, w0, firm.wage_scale)
         mean = p * x + (1.0 - p) * w0
         var = p * (1.0 - p) * (x - w0) ** 2
         rows.append(SweepRow(k=float(k), contract=opt.contract, profit=opt.profit,

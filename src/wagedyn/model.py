@@ -1,4 +1,5 @@
-"""Primitive model functions: wage update, bonus, consumption, utility, production.
+"""Primitive model functions: the additive effort rule, wage update, bonus,
+consumption, utility, production.
 
 Two compensation schemes coexist. In the additive scheme the bonus/penalty is
 folded into the wage state (the evaluated wage is max{w_hat + alpha*(w_hat -
@@ -8,6 +9,8 @@ wage itself and the bonus is a nonrecurrent payment entering consumption only.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .params import FirmParams, UtilityFamily, WorkerPrefs
 
@@ -19,6 +22,17 @@ class DomainError(ValueError):
 def deserved_wage(effort: float, wage_scale: float = 1.0) -> float:
     """Wage warranted by current effort: linear, wage_scale * effort."""
     return wage_scale * effort
+
+
+def affine_effort(p, alpha, w, phi=1.0, b=1.0, s=1.0):
+    """The additive worker's best response e_t(w) = (p/b)*phi_t + alpha/(1+alpha)*w/s,
+    clamped to [0, 1]; phi_t = 1 in the one-period case.
+
+    Vectorised over every argument. It has no p = 0 case, so it stays smooth
+    in p there (statics differences across p = 0); the policy of a worker who
+    is never evaluated returns zero effort itself (additive.AffinePolicy).
+    """
+    return np.clip((p / b) * phi + alpha / (1.0 + alpha) * w / s, 0.0, 1.0)
 
 
 def wage_update(prev_wage: float, effort: float, contract, evaluated: bool,

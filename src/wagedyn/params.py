@@ -1,12 +1,22 @@
 """Parameter bundles shared by every solver.
 
 All types are frozen dataclasses validated at construction; instances are
-immutable and safe to share across threads.
+immutable and safe to share across threads. A construction with bad values
+raises one ParamError listing every violated bound under its scenario key
+(for example "firm.lambda: must be inside (0, 1], got 1.5").
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+
+class ParamError(ValueError):
+    """Every violated bound of one parameter bundle, one message each."""
+
+    def __init__(self, errors: list[str]):
+        self.errors = errors
+        super().__init__("; ".join(errors))
 
 
 class UtilityFamily(enum.Enum):
@@ -23,12 +33,15 @@ class ContractParams:
     w0: float
 
     def __post_init__(self) -> None:
+        errors = []
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"contract.p must be within [0, 1], got {self.p}")
+            errors.append(f"contract.p: must be within [0, 1], got {self.p}")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"contract.alpha must be within [0, 1], got {self.alpha}")
+            errors.append(f"contract.alpha: must be within [0, 1], got {self.alpha}")
         if not self.w0 >= 0.0:
-            raise ValueError(f"contract.w0 must be >= 0, got {self.w0}")
+            errors.append(f"contract.w0: must be >= 0, got {self.w0}")
+        if errors:
+            raise ParamError(errors)
 
 
 @dataclass(frozen=True)
@@ -47,20 +60,23 @@ class WorkerPrefs:
     beta: float | None = None
 
     def __post_init__(self) -> None:
+        errors = []
         if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"prefs.delta must be inside (0, 1), got {self.delta}")
+            errors.append(f"prefs.delta: must be inside (0, 1), got {self.delta}")
         if self.family is UtilityFamily.ADDITIVE:
-            if self.b is None or not self.b > 0.0:
-                raise ValueError(f"prefs.b must be > 0 for the additive family, got {self.b}")
-            if self.gamma is not None or self.beta is not None:
-                raise ValueError("prefs.gamma/prefs.beta must be absent for the additive family")
+            present, absent = ("b",), ("gamma", "beta")
         else:
-            if self.gamma is None or not self.gamma > 0.0:
-                raise ValueError(f"prefs.gamma must be > 0, got {self.gamma}")
-            if self.beta is None or not self.beta > 0.0:
-                raise ValueError(f"prefs.beta must be > 0, got {self.beta}")
-            if self.b is not None:
-                raise ValueError("prefs.b must be absent for the Cobb-Douglas family")
+            present, absent = ("gamma", "beta"), ("b",)
+        for name in present:
+            value = getattr(self, name)
+            if value is None or not value > 0.0:
+                errors.append(f"prefs.{name}: must be > 0, got {value}")
+        for name in absent:
+            if getattr(self, name) is not None:
+                errors.append(f"prefs.{name}: must be absent for the "
+                              f"{self.family.value} family")
+        if errors:
+            raise ParamError(errors)
 
     @staticmethod
     def additive(delta: float, b: float = 1.0) -> "WorkerPrefs":
@@ -83,14 +99,17 @@ class FirmParams:
     eta: float
 
     def __post_init__(self) -> None:
+        errors = []
         if not self.k > 0.0:
-            raise ValueError(f"firm.k must be > 0, got {self.k}")
+            errors.append(f"firm.k: must be > 0, got {self.k}")
         if not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"firm.lam must be inside (0, 1], got {self.lam}")
+            errors.append(f"firm.lambda: must be inside (0, 1], got {self.lam}")
         if not self.c >= 0.0:
-            raise ValueError(f"firm.c must be >= 0, got {self.c}")
+            errors.append(f"firm.c: must be >= 0, got {self.c}")
         if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"firm.eta must be inside (0, 1], got {self.eta}")
+            errors.append(f"firm.eta: must be inside (0, 1], got {self.eta}")
+        if errors:
+            raise ParamError(errors)
 
     @property
     def wage_scale(self) -> float:
@@ -105,4 +124,4 @@ class Horizon:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.T, int) and self.T >= 1):
-            raise ValueError(f"horizon.T must be an integer >= 1, got {self.T}")
+            raise ParamError([f"horizon.T: must be an integer >= 1, got {self.T}"])

@@ -100,7 +100,7 @@ def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both
         write_csv(outdir / "solution.csv",
                   ["t", "phi", "evaluated_wage", "effort_at_w0"],
                   [[t + 1, solution.phi[t], solution.evaluated_wage[t],
-                    solution.effort(t + 1, contract.w0)]
+                    float(policy.effort(t + 1, contract.w0))]
                    for t in range(horizon.T)])
         write_csv(outdir / "support.csv",
                   ["wage", "last_evaluated_period", "probability"],

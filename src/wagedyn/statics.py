@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .golden import golden_max
-from .model import DomainError
+from .model import DomainError, affine_effort
 from .params import ContractParams, UtilityFamily, WorkerPrefs
 
 
@@ -26,9 +26,8 @@ def optimal_effort(contract: ContractParams, prefs: WorkerPrefs,
                    wage_scale: float = 1.0) -> float:
     """Single-period optimum, exact and smooth in the parameters."""
     _require_additive(prefs)
-    e = contract.p / prefs.b \
-        + contract.alpha / (1.0 + contract.alpha) * contract.w0 / wage_scale
-    return min(max(e, 0.0), 1.0)
+    return float(affine_effort(contract.p, contract.alpha, contract.w0, b=prefs.b,
+                               s=wage_scale))
 
 
 def optimal_effort_search(contract: ContractParams, prefs: WorkerPrefs,

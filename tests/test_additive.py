@@ -91,7 +91,8 @@ def test_solution_terminal_values(fig32_solution):
     sol = fig32_solution
     assert sol.phi[-1] == pytest.approx(1.0, abs=1e-9)
     assert sol.evaluated_wage[-1] == pytest.approx(0.3, abs=1e-9)
-    assert sol.effort(10, 0.4) == pytest.approx(0.2 + 0.4 / 3.0, abs=1e-6)
+    assert AffineEffortPolicy(sol).effort(10, 0.4) == pytest.approx(0.2 + 0.4 / 3.0,
+                                                                    abs=1e-6)
 
 
 def test_phi_fit_matches_recursion(fig32_solution):
@@ -112,9 +113,9 @@ def test_phi_weakly_decreasing(fig32_solution):
 def test_oracle_effort_matches_affine_policy(fig32_solution):
     sol = fig32_solution
     posed = np.isfinite(sol.value)
-    grid = sol.wage_grid
+    policy = AffineEffortPolicy(sol)
     for t in range(1, 11):
-        affine = np.array([sol.effort(t, w) for w in grid])
+        affine = policy.effort(t, sol.wage_grid)
         gap = np.abs(affine - sol.raw_effort[t - 1])[posed[t - 1]]
         assert gap.max() < 1e-5
 
@@ -141,9 +142,10 @@ def test_stationarity_of_interior_optimum(fig32_solution):
     S = [0.0] * (T + 2)
     for t in range(T, 0, -1):
         S[t] = 1.0 + q * S[t + 1]
+    policy = AffineEffortPolicy(sol)
     for t in (1, 5, 9):
         for w in (0.2, 0.4, 0.8):
-            e_star = sol.effort(t, w)
+            e_star = float(policy.effort(t, w))
             x = (1 + alpha) * e_star - alpha * w
             A_next = (1 - p) * S[t + 1]
             D_next = -(b * alpha / (1 + alpha)) * S[t + 1]
@@ -162,8 +164,9 @@ def test_never_evaluated_worker_idles():
     contract = ContractParams(0.0, 0.5, 0.4)
     sol = solve_backward_induction(contract, WorkerPrefs.additive(delta=0.9),
                                    Horizon(4))
+    policy = AffineEffortPolicy(sol)
     for t in range(1, 5):
-        assert sol.effort(t, 0.4) == 0.0
+        assert policy.effort(t, 0.4) == 0.0
     interior = (sol.wage_grid > 0.05) & (sol.wage_grid < 1.4)
     assert np.all(sol.raw_effort[:, interior] < 1e-5)
 

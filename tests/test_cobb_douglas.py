@@ -24,6 +24,10 @@ def test_grid_validation():
         DpGrid(0.1, 0.05, 1.0)  # efforts off the wage grid
     with pytest.raises(ValueError):
         DpGrid(0.3, 0.3, 1.0)  # does not divide evenly
+    with pytest.raises(ValueError):
+        DpGrid(0.1, 0.1, 0.5)  # efforts above wage_max
+    with pytest.raises(ValueError):
+        DpGrid(0.3, 0.3, 1.2)  # efforts 1/3 and 2/3 off the wage grid
     grid = DpGrid()
     assert grid.wages[0] == 0.0 and grid.wages[-1] == 1.0
     assert grid.efforts[0] == 0.0 and grid.efforts[-1] == 1.0

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from wagedyn import (ContractParams, DomainError, FirmParams, Horizon, WorkerPrefs,
                      bonus, consumption, deserved_wage, period_utility, production,
                      wage_update)
+from wagedyn.params import ParamError
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -19,6 +20,22 @@ def test_contract_validation():
         ContractParams(0.5, -0.1, 0.4)
     with pytest.raises(ValueError, match="contract.w0"):
         ContractParams(0.5, 0.1, -0.4)
+
+
+def test_every_violated_bound_listed_once():
+    with pytest.raises(ParamError) as err:
+        ContractParams(1.3, -2.0, -0.4)
+    assert err.value.errors == ["contract.p: must be within [0, 1], got 1.3",
+                                "contract.alpha: must be within [0, 1], got -2.0",
+                                "contract.w0: must be >= 0, got -0.4"]
+    with pytest.raises(ParamError) as err:
+        FirmParams(k=0.0, lam=1.5, c=-1.0, eta=0.0)
+    assert [e.split(":")[0] for e in err.value.errors] == [
+        "firm.k", "firm.lambda", "firm.c", "firm.eta"]
+    with pytest.raises(ParamError) as err:
+        WorkerPrefs.cobb_douglas(delta=1.0, gamma=0.0, beta=-1.0)
+    assert [e.split(":")[0] for e in err.value.errors] == [
+        "prefs.delta", "prefs.gamma", "prefs.beta"]
 
 
 def test_prefs_validation():
