@@ -30,7 +30,7 @@ import numpy as np
 from .additive import (AffineEffortPolicy, AffinePolicy, default_wage_grid,
                        phi_series_recursive, solve_backward_induction)
 from .cobb_douglas import DpGrid, TableEffortPolicy, solve_policy
-from .distribution import WageDistribution, step
+from .distribution import WageDistribution, WagePolicy, profile, propagate
 from .model import affine_effort
 from .params import ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs
 
@@ -86,61 +86,54 @@ def worker_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon
 
 
 def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPrefs,
-                    horizon: Horizon, policy=None) -> float:
-    """Discounted expected profit over the exact wage distribution.
+                    horizon: Horizon, row=None) -> float:
+    """Discounted expected profit: the employer value P_1(w0) of profit_values
+    under the worker's best response.
 
-    A Cobb-Douglas (TableEffortPolicy) worker's wage mass is carried as a
-    vector on the policy's wage grid; w0 must lie on that grid (0.1 steps by
-    default) or ValueError is raised. The policy reads only p and alpha, so a
-    caller may pass one policy for every w0 of a (p, alpha) row. Other
-    policies propagate a WageDistribution. Degenerate additive contracts
-    (w0 = 0 with p < 1, or no effort with positive evaluated consumption)
-    yield -inf.
+    row = (grid, values) hands in P_1 priced over a Cobb-Douglas policy's
+    whole wage grid, which one pass does for every w0 of a (p, alpha) row; the
+    cell is then read at grid.index(w0). A Cobb-Douglas w0 must lie on the
+    policy grid (0.1 steps by default) either way, or ValueError is raised.
+    An additive contract with w0 = 0 and p < 1 (the never-evaluated worker
+    consumes nothing) yields -inf.
     """
-    if policy is None:
-        if prefs.family is UtilityFamily.ADDITIVE and (contract.w0 <= 0.0 and contract.p < 1.0):
-            return -math.inf
-        try:
-            policy = worker_policy(contract, prefs, horizon, firm)
-        except ValueError:
-            return -math.inf
-    if isinstance(policy, TableEffortPolicy):
-        return _grid_profit(contract, firm, horizon, policy)
-    p = contract.p
-    dist = WageDistribution.point_mass(contract.w0)
-    total = 0.0
-    for t in range(1, horizon.T + 1):
-        efforts = np.asarray(policy.effort(t, dist.support), dtype=float)
-        output = firm.k * float(np.dot(efforts, dist.probs))
-        comp_eval = (np.asarray(policy.next_wage_if_evaluated(t, dist.support), dtype=float)
-                     + np.asarray(policy.bonus_if_evaluated(t, dist.support), dtype=float))
-        wage_cost = p * float(np.dot(comp_eval, dist.probs)) \
-            + (1.0 - p) * float(np.dot(dist.support, dist.probs))
-        total += firm.eta ** (t - 1) * (output - wage_cost - p * firm.c)
-        dist = step(dist, policy, p, t)
-    return total
+    if row is not None:
+        grid, values = row
+        return float(values[grid.index(contract.w0)])
+    if prefs.family is UtilityFamily.ADDITIVE and (contract.w0 <= 0.0 and contract.p < 1.0):
+        return -math.inf
+    policy = worker_policy(contract, prefs, horizon, firm)
+    return float(profit_values(policy, contract.p, firm, horizon, [contract.w0])[0])
 
 
-def _grid_profit(contract: ContractParams, firm: FirmParams, horizon: Horizon,
-                 policy: TableEffortPolicy) -> float:
-    """expected_profit with the wage mass m on the policy's wage grid: an
-    evaluation resets the wage to the effort, itself a grid point, so each
-    period moves mass p*m along the effort table's grid indices."""
-    grid, table = policy.policy.grid, policy.policy.table
-    wages = grid.wages
-    m = np.zeros(len(wages))
-    m[grid.index(contract.w0)] = 1.0
-    nxt = grid.index(table)
-    alpha, p = policy.contract.alpha, contract.p
-    total = 0.0
+def profit_values(policy: WagePolicy, p: float, firm: FirmParams, horizon: Horizon,
+                  wages) -> np.ndarray:
+    """Employer value P_1 at each starting wage, by backward recursion:
+
+        P_{T+1} = 0,
+        P_t(w) = pi_t(w) + eta*[(1-p)*P_{t+1}(w) + p*P_{t+1}(x_t(w))],
+        pi_t(w) = k*e_t(w) - p*(x_t(w) + bonus_t(w)) - (1-p)*w - p*c.
+
+    A forward pass collects the wages reachable in each period, as exact
+    floats with no merging, and keeps each state's period profit and
+    successor indices; the backward pass calls the policy no further. Every
+    operation is elementwise per state, so a wage's value does not depend on
+    the other wages priced with it.
+    """
+    wages = np.asarray(wages, dtype=float)
+    states, periods = np.unique(wages), []
     for t in range(1, horizon.T + 1):
-        e = table[t - 1]
-        comp_eval = e + alpha * (e - wages)
-        output = firm.k * float(np.dot(e, m))
-        wage_cost = p * float(np.dot(comp_eval, m)) + (1.0 - p) * float(np.dot(wages, m))
-        total += firm.eta ** (t - 1) * (output - wage_cost - p * firm.c)
-        m = (1.0 - p) * m + np.bincount(nxt[t - 1], weights=p * m, minlength=len(m))
-    return total
+        e = np.asarray(policy.effort(t, states), dtype=float)
+        x = np.asarray(policy.next_wage_if_evaluated(t, states), dtype=float)
+        comp = x + np.asarray(policy.bonus_if_evaluated(t, states), dtype=float)
+        pi = firm.k * e - (p * comp + (1.0 - p) * states + p * firm.c)
+        reached = np.union1d(states, x)
+        periods.append((pi, np.searchsorted(reached, states), np.searchsorted(reached, x)))
+        states = reached
+    value = np.zeros(len(states))
+    for pi, keep, move in reversed(periods):
+        value = pi + firm.eta * ((1.0 - p) * value[keep] + p * value[move])
+    return value[np.searchsorted(np.unique(wages), wages)]
 
 
 def profit_by_history_enumeration(contract: ContractParams, firm: FirmParams,
@@ -242,7 +235,8 @@ def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
         p, alpha, w0 = 0.0, 0.0, 0.0
         flags.append("degenerate_full_share")
     else:
-        p = m * (1.0 - lam) / (lam * (1.0 - m))
+        # free monitoring (c = 0, m = 1) sends p* to +inf
+        p = m * (1.0 - lam) / (lam * (1.0 - m)) if m < 1.0 else math.inf
         if p > 1.0:
             flags.append("p_out_of_range")
             p = 1.0
@@ -333,14 +327,16 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
 
     One-period additive searches use the exact closed-form profit; other
     cases call expected_profit once per cell, in (p, alpha, w0) order.
-    Cobb-Douglas searches solve one worker policy per (p, alpha) row and pass
-    it to every w0 of the row; every w0 the search reaches, refinement
-    included, must then lie on the 0.1 policy grid, or expected_profit raises
-    ValueError and so does the search.
+    Additive cells solve their own worker policy. Cobb-Douglas searches solve
+    one worker policy per (p, alpha) row, price the row's whole wage grid
+    with one profit_values pass and hand it to every w0 of the row; every w0
+    the search reaches, refinement included, must then lie on the 0.1 policy
+    grid, or expected_profit raises ValueError and so does the search.
     """
     w0_max = _w0_max(firm, steps)
     fast = prefs.family is UtilityFamily.ADDITIVE and horizon.T == 1
     cobb_douglas = prefs.family is UtilityFamily.COBB_DOUGLAS
+    grid = DpGrid()
 
     def scan(p_vals, a_vals, w_vals):
         best = (-math.inf, None)
@@ -354,15 +350,16 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
                     if pi > best[0]:
                         best = (pi, (float(p), float(a), w))
                     continue
-                policy = None
+                row = None
                 if cobb_douglas:
                     # the Cobb-Douglas policy reads only p and alpha: one
-                    # solve serves the whole w0 row
+                    # solve and one recursion price the whole w0 row
                     policy = worker_policy(ContractParams(float(p), float(a), float(w_arr[0])),
-                                           prefs, horizon, firm)
+                                           prefs, horizon, firm, grid)
+                    row = grid, profit_values(policy, float(p), firm, horizon, grid.wages)
                 for w in w_vals:
                     contract = ContractParams(float(p), float(a), float(w))
-                    pi = expected_profit(contract, firm, prefs, horizon, policy)
+                    pi = expected_profit(contract, firm, prefs, horizon, row)
                     if pi > best[0]:
                         best = (pi, (float(p), float(a), float(w)))
         return best
@@ -503,20 +500,13 @@ class ProfileDetail:
 def _contract_profile(contract: ContractParams, firm: FirmParams, prefs: WorkerPrefs,
                       horizon: Horizon) -> ProfileDetail:
     policy = worker_policy(contract, prefs, horizon, firm)
-    dists = [WageDistribution.point_mass(contract.w0)]
-    for t in range(1, horizon.T + 1):
-        dists.append(step(dists[-1], policy, contract.p, t))
-    means, variances, outputs = [], [], []
-    for t in range(1, horizon.T + 1):
-        pre = dists[t - 1]
-        efforts = np.asarray(policy.effort(t, pre.support), dtype=float)
-        outputs.append(firm.k * float(np.dot(efforts, pre.probs)))
-        means.append(dists[t].mean())
-        variances.append(dists[t].variance())
-    means = np.array(means)
-    variances = np.array(variances)
-    outputs = np.array(outputs)
-    return ProfileDetail(means, variances, outputs, means - outputs)
+    dists = propagate(policy, contract, horizon)
+    # period t's output is read off the distribution entering period t
+    entering = [WageDistribution.point_mass(contract.w0)] + dists[:-1]
+    outputs = np.array([firm.k * float(np.dot(policy.effort(t, d.support), d.probs))
+                        for t, d in enumerate(entering, 1)])
+    series = profile(dists)
+    return ProfileDetail(series.mean, series.variance, outputs, series.mean - outputs)
 
 
 def tech_shock(firm_before: FirmParams, firm_after: FirmParams, prefs: WorkerPrefs,

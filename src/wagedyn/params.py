@@ -8,6 +8,7 @@ raises one ParamError listing every violated bound under its scenario key
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -38,8 +39,8 @@ class ContractParams:
             errors.append(f"contract.p: must be within [0, 1], got {self.p}")
         if not 0.0 <= self.alpha <= 1.0:
             errors.append(f"contract.alpha: must be within [0, 1], got {self.alpha}")
-        if not self.w0 >= 0.0:
-            errors.append(f"contract.w0: must be >= 0, got {self.w0}")
+        if not 0.0 <= self.w0 < math.inf:
+            errors.append(f"contract.w0: must be finite and >= 0, got {self.w0}")
         if errors:
             raise ParamError(errors)
 
@@ -100,12 +101,12 @@ class FirmParams:
 
     def __post_init__(self) -> None:
         errors = []
-        if not self.k > 0.0:
-            errors.append(f"firm.k: must be > 0, got {self.k}")
+        if not 0.0 < self.k < math.inf:
+            errors.append(f"firm.k: must be finite and > 0, got {self.k}")
         if not 0.0 < self.lam <= 1.0:
             errors.append(f"firm.lambda: must be inside (0, 1], got {self.lam}")
-        if not self.c >= 0.0:
-            errors.append(f"firm.c: must be >= 0, got {self.c}")
+        if not 0.0 <= self.c < math.inf:
+            errors.append(f"firm.c: must be finite and >= 0, got {self.c}")
         if not 0.0 < self.eta <= 1.0:
             errors.append(f"firm.eta: must be inside (0, 1], got {self.eta}")
         if errors:

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import (AffineEffortPolicy, AffinePolicy, ContractParams, FirmParams,
                      WorkerPrefs, optimal_effort, single_period_effort, tech_sweep)
@@ -234,9 +234,9 @@ def test_one_period_profit_matches_old_scalar_and_row(data, b, k, lam, c):
         assert within_reorder_bound(n, o, bound)
 
 
-# c = 0 is left out: stationary_one_period_optimum divides by sqrt(c/k) there
 @settings(max_examples=100, deadline=None)
-@given(k=st.floats(0.1, 3.0), lam=st.floats(0.01, 1.0), c=st.floats(1e-6, 3.0))
+@given(k=st.floats(0.1, 3.0), lam=st.floats(0.01, 1.0), c=st.floats(0.0, 3.0))
+@example(k=1.5, lam=0.8, c=0.0)
 def test_tech_sweep_matches_old_effort_and_wage(k, lam, c):
     template = FirmParams(k=1.0, lam=lam, c=c, eta=0.9)
     (row,) = tech_sweep([k], template)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -78,8 +79,12 @@ def test_bundled_scenarios_validate_and_roundtrip(name):
 
 
 def run_cli(*args):
+    # the child finds the package in this checkout, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SCENARIOS.parents[1]),
+                                                      env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "wagedyn.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_cli_config_error_exit_code(tmp_path):

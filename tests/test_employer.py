@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistribution,
                      WorkerPrefs, analytic_one_period_optimum, employer,
@@ -10,7 +10,9 @@ from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistrib
                      profit_by_history_enumeration, single_period_effort,
                      stationary_grid_search, stationary_one_period_optimum,
                      tech_shock, tech_sweep)
-from wagedyn.employer import _axis, _one_period_profit, _w0_max, worker_policy
+from wagedyn.cobb_douglas import DpGrid
+from wagedyn.employer import (_axis, _one_period_profit, _w0_max, profit_values,
+                              worker_policy)
 
 PREFS = WorkerPrefs.additive(delta=0.9)
 UNIT_SCALE_FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
@@ -57,6 +59,34 @@ def test_profit_matches_history_enumeration_cobb_douglas():
     direct = expected_profit(contract, firm, prefs, Horizon(6))
     enumerated = profit_by_history_enumeration(contract, firm, prefs, Horizon(6))
     assert direct == pytest.approx(enumerated, abs=1e-12)
+
+
+def test_worker_policy_failure_propagates(monkeypatch):
+    # a failing worker solve is an error, not a -inf profit
+    def failing(*args, **kwargs):
+        raise ValueError("worker solve failed")
+
+    monkeypatch.setattr(employer, "worker_policy", failing)
+    with pytest.raises(ValueError, match="worker solve failed"):
+        expected_profit(ContractParams(0.3, 0.4, 0.5), UNIT_SCALE_FIRM, PREFS, Horizon(3))
+
+
+def test_additive_search_builds_no_distribution(monkeypatch):
+    # the profit recursion prices states directly; nothing is merged
+    calls = [0]
+    original = WageDistribution.from_pairs
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(WageDistribution, "from_pairs", staticmethod(counted))
+    firm = FirmParams(k=1.5, lam=0.8, c=0.2, eta=0.9)
+    opt = grid_search_optimum(firm, PREFS, Horizon(10), GridSteps(0.25, 0.25, 0.8),
+                              refine_rounds=0)
+    assert calls[0] == 0
+    assert opt.profit == pytest.approx(
+        profit_by_history_enumeration(opt.contract, firm, PREFS, Horizon(10)), abs=1e-12)
 
 
 def test_analytic_optimum_reference_values():
@@ -133,6 +163,20 @@ def test_stationary_rules_alpha_bound_branch():
     assert opt.contract.alpha == 1.0
     assert "alpha_at_upper_bound" in opt.flags
     assert opt.contract.p == pytest.approx(1 - 0.5 / 0.8)
+
+
+def test_stationary_rules_free_monitoring():
+    # c = 0 sends p* to +inf: p is flagged and set to 1, so alpha = 0, w0 = k
+    firm = FirmParams(k=1.5, lam=0.8, c=0.0, eta=0.9)
+    opt = stationary_one_period_optimum(firm)
+    assert "p_out_of_range" in opt.flags
+    assert opt.contract == ContractParams(1.0, 0.0, 1.5)
+    near = stationary_one_period_optimum(FirmParams(k=1.5, lam=0.8, c=1e-12, eta=0.9))
+    assert near.flags == opt.flags
+    assert (near.contract.p, near.contract.alpha, near.contract.w0) == pytest.approx(
+        (1.0, 0.0, 1.5), abs=1e-5)
+    (row,) = tech_sweep([1.5], firm)
+    assert row.contract == opt.contract
 
 
 def test_c_sweep_comparative_statics():
@@ -332,19 +376,29 @@ def profit_by_distribution_loop(contract, firm, policy, T):
 @settings(max_examples=60, deadline=None)
 @given(p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
        alpha=st.floats(0.0, 1.0), w0_step=st.integers(0, 10), T=st.integers(1, 8),
-       gamma=st.floats(0.1, 0.9), beta=st.floats(0.1, 0.9))
+       gamma=st.floats(0.1, 0.9), beta=st.floats(0.1, 0.9), cobb_douglas=st.booleans())
+@example(p=0.9, alpha=0.9, w0_step=10, T=5, gamma=0.4, beta=0.6,
+         cobb_douglas=False)  # clamped fallback
 def test_grid_profit_matches_enumeration_and_distribution_loop(p, alpha, w0_step, T,
-                                                               gamma, beta):
-    # the Cobb-Douglas profit carries its mass on the policy grid; the sums
-    # run in another order than the loop's, so equality is to 1e-12
-    prefs = WorkerPrefs.cobb_douglas(delta=0.9, gamma=gamma, beta=beta)
+                                                               gamma, beta, cobb_douglas):
+    # the recursion sums in another order than the loop and the enumeration,
+    # so equality is to 1e-12; additive draws reach both the exact affine
+    # policy and the clamped-policy numerical fallback
+    assume(cobb_douglas or w0_step > 0 or p == 1.0)  # else -inf, see degenerate test
+    prefs = (WorkerPrefs.cobb_douglas(delta=0.9, gamma=gamma, beta=beta)
+             if cobb_douglas else PREFS)
     contract = ContractParams(p, alpha, w0_step / 10)
     policy = worker_policy(contract, prefs, Horizon(T), CD_FIRM)
-    fast = expected_profit(contract, CD_FIRM, prefs, Horizon(T), policy)
-    assert fast == expected_profit(contract, CD_FIRM, prefs, Horizon(T))
+    single = expected_profit(contract, CD_FIRM, prefs, Horizon(T))
     enumerated = profit_by_history_enumeration(contract, CD_FIRM, prefs, Horizon(T), policy)
-    assert abs(fast - enumerated) <= 1e-12
-    assert abs(fast - profit_by_distribution_loop(contract, CD_FIRM, policy, T)) <= 1e-12
+    assert abs(single - enumerated) <= 1e-12
+    assert abs(single - profit_by_distribution_loop(contract, CD_FIRM, policy, T)) <= 1e-12
+    # priced inside a row of starting wages, the value is the same to the bit
+    grid = DpGrid()
+    values = profit_values(policy, p, CD_FIRM, Horizon(T), grid.wages)
+    assert values[w0_step] == single
+    if cobb_douglas:
+        assert expected_profit(contract, CD_FIRM, prefs, Horizon(T), (grid, values)) == single
 
 
 def test_grid_profit_rejects_off_grid_w0():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from wagedyn import (ContractParams, DomainError, FirmParams, Horizon, WorkerPrefs,
                      bonus, consumption, deserved_wage, period_utility, production,
                      wage_update)
+from wagedyn.config import ConfigError, validate_config
 from wagedyn.params import ParamError
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -27,7 +29,7 @@ def test_every_violated_bound_listed_once():
         ContractParams(1.3, -2.0, -0.4)
     assert err.value.errors == ["contract.p: must be within [0, 1], got 1.3",
                                 "contract.alpha: must be within [0, 1], got -2.0",
-                                "contract.w0: must be >= 0, got -0.4"]
+                                "contract.w0: must be finite and >= 0, got -0.4"]
     with pytest.raises(ParamError) as err:
         FirmParams(k=0.0, lam=1.5, c=-1.0, eta=0.0)
     assert [e.split(":")[0] for e in err.value.errors] == [
@@ -51,6 +53,25 @@ def test_prefs_validation():
         # family-inappropriate parameter
         WorkerPrefs(family=WorkerPrefs.additive(delta=0.9).family, delta=0.9,
                     b=1.0, gamma=0.3)
+
+
+def test_non_finite_params_rejected(tmp_path):
+    with pytest.raises(ParamError) as err:
+        ContractParams(1.0, 0.5, math.inf)
+    assert err.value.errors == ["contract.w0: must be finite and >= 0, got inf"]
+    with pytest.raises(ParamError) as err:
+        FirmParams(k=math.inf, lam=0.8, c=math.inf, eta=0.9)
+    assert err.value.errors == ["firm.k: must be finite and > 0, got inf",
+                                "firm.c: must be finite and >= 0, got inf"]
+    scenario = tmp_path / "scenario.json"  # json writes inf as Infinity
+    scenario.write_text(json.dumps({"contract": {"p": 1.0, "alpha": 0.5, "w0": math.inf},
+                                    "firm": {"k": math.inf, "lambda": 0.8, "c": math.inf,
+                                             "eta": 0.9}}))
+    with pytest.raises(ConfigError) as err:
+        validate_config(scenario)
+    assert err.value.errors == ["contract.w0: must be finite and >= 0, got inf",
+                                "firm.k: must be finite and > 0, got inf",
+                                "firm.c: must be finite and >= 0, got inf"]
 
 
 def test_firm_and_horizon_validation():
