@@ -5,7 +5,10 @@ period: mass (1-p) keeps its wage, mass p moves to the policy's evaluated
 wage. enumerate_histories() sums over all 2^T sampling histories, one period
 at a time over arrays, and must agree with propagate() exactly. simulate()
 draws paths from a counter-based generator keyed by (seed, path, period) so
-results do not depend on how the work is chunked.
+results do not depend on how the work is chunked. It carries each path as an
+integer index into the period's table of distinct wages reached, and draws
+the uniforms one chunk of at most _CHUNK_PATHS paths at a time, so its memory
+does not grow with the number of paths.
 """
 from __future__ import annotations
 
@@ -18,6 +21,8 @@ import numpy as np
 from .params import ContractParams, Horizon
 
 MERGE_TOL = 1e-9
+# paths per Monte Carlo chunk: bounds simulate's draws at 8*T*_CHUNK_PATHS bytes
+_CHUNK_PATHS = 1 << 15
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
@@ -164,15 +169,61 @@ def enumerate_histories(policy: WagePolicy, contract: ContractParams,
     return WageDistribution.from_pairs(pairs, merge_tol)
 
 
-def path_uniforms(seed: int, n_paths: int, periods: int) -> np.ndarray:
-    """Uniforms u[i, t] from a Philox counter generator.
+def chunk_uniforms(seed: int, first_path: int, n_paths: int, periods: int) -> np.ndarray:
+    """Uniforms u[i, t] of paths first_path .. first_path + n_paths - 1.
 
-    The draw for (path i, period t) sits at counter position i*periods + t, so
-    any chunking of paths reproduces the same numbers.
+    The draw for (path i, period t) sits at position i*periods + t of the
+    Philox(key=seed) stream. Each Philox counter yields four doubles, so the
+    stream is advanced by whole counters and the remainder is discarded; any
+    split of the paths therefore reproduces the same numbers.
     """
+    start = int(first_path) * int(periods)  # Philox.advance rejects numpy integers
     bitgen = np.random.Philox(key=seed)
-    u = np.random.Generator(bitgen).random((n_paths, periods))
-    return u
+    bitgen.advance(start // 4)
+    gen = np.random.Generator(bitgen)
+    gen.random(start % 4)
+    return gen.random((int(n_paths), int(periods)))
+
+
+def _chunk_counts(policy: WagePolicy, w0: float,
+                  sampled: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per period, the sorted distinct wages one chunk of paths reached and
+    how many paths hold each; sampled[t-1, i] says path i is evaluated in t.
+
+    Each path is an index into the period's wage table. In period t a path
+    moves from index i to candidate i + m (the evaluated wage of table[i]),
+    with m the table size; the candidates some path holds become the next
+    table. The policy is called once per period, on the table wages that some
+    path carries into an evaluation, and not at all when none does.
+    """
+    table = np.array([float(w0)])
+    idx = np.zeros(sampled.shape[1], dtype=np.intp)
+    out = []
+    for t, evaluated in enumerate(sampled, start=1):
+        m = len(table)
+        cand = evaluated.astype(np.intp)
+        cand *= m
+        cand += idx
+        count = np.bincount(cand, minlength=2 * m)
+        used = np.flatnonzero(count)
+        values = table[used[used < m]]
+        moved = used[used >= m] - m
+        if moved.size:
+            nxt = np.asarray(policy.next_wage_if_evaluated(t, table[moved]), dtype=float)
+            values = np.concatenate([values, nxt])
+        table, inverse = np.unique(values, return_inverse=True)
+        remap = np.zeros(2 * m, dtype=np.intp)
+        remap[used] = inverse
+        idx = remap.take(cand)
+        out.append((table, np.bincount(inverse, weights=count[used])))
+    return out
+
+
+def _add_counts(wages: np.ndarray, counts: np.ndarray, more_wages: np.ndarray,
+                more_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge two (sorted distinct wages, path counts) tables."""
+    wages, inverse = np.unique(np.concatenate([wages, more_wages]), return_inverse=True)
+    return wages, np.bincount(inverse, weights=np.concatenate([counts, more_counts]))
 
 
 def simulate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
@@ -180,33 +231,32 @@ def simulate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
              merge_tol: float = MERGE_TOL) -> list[WageDistribution]:
     """Monte Carlo sampling histories; empirical distribution per period.
 
-    Chunking (n_chunks) only splits the work; the result is identical for any
-    chunk count because the randomness is indexed by (seed, path, period).
+    The paths are split into n_chunks parts, and each part into chunks of at
+    most _CHUNK_PATHS paths. A chunk draws only its own uniforms
+    (chunk_uniforms) and carries each path as an integer index into the
+    period's sorted table of distinct wages reached (_chunk_counts); the
+    chunk's counts are then added to the running per-period totals. Memory
+    is therefore one chunk's draws (8 * T * _CHUNK_PATHS bytes) plus its
+    sampled flags and indices, whatever n_paths is. The result is identical
+    for any n_chunks because the randomness is indexed by (seed, path,
+    period).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if n_chunks < 1:
+        raise ValueError("n_chunks must be >= 1")
     T = horizon.T
-    u = path_uniforms(seed, n_paths, T)
-    counts: list[dict[float, int]] = [dict() for _ in range(T)]
-    bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)
+    totals = [(np.empty(0), np.empty(0))] * T
+    bounds = [int(b) for b in np.linspace(0, n_paths, n_chunks + 1).astype(int)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi <= lo:
-            continue
-        w = np.full(hi - lo, contract.w0, dtype=float)
-        for t in range(1, T + 1):
-            sampled = u[lo:hi, t - 1] < contract.p
-            if np.any(sampled):
-                w_next = np.asarray(policy.next_wage_if_evaluated(t, w[sampled]), dtype=float)
-                w[sampled] = w_next
-            vals, cnt = np.unique(w, return_counts=True)
-            store = counts[t - 1]
-            for v, k in zip(vals.tolist(), cnt.tolist()):
-                store[v] = store.get(v, 0) + k
-    out = []
-    for t in range(T):
-        pairs = [(v, k / n_paths) for v, k in counts[t].items()]
-        out.append(WageDistribution.from_pairs(pairs, merge_tol))
-    return out
+        for first in range(lo, hi, _CHUNK_PATHS):
+            n = min(hi, first + _CHUNK_PATHS) - first
+            sampled = np.ascontiguousarray((chunk_uniforms(seed, first, n, T) < contract.p).T)
+            counted = _chunk_counts(policy, contract.w0, sampled)
+            totals = [_add_counts(*total, *chunk) for total, chunk in zip(totals, counted)]
+    return [WageDistribution.from_pairs(list(zip(wages.tolist(), (counts / n_paths).tolist())),
+                                        merge_tol)
+            for wages, counts in totals]
 
 
 @dataclass(frozen=True)

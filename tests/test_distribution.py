@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wagedyn import (AffineEffortPolicy, ContractParams, Horizon, WageDistribution,
-                     WorkerPrefs, bracketize, enumerate_histories, profile,
-                     propagate, simulate, solve_backward_induction, solve_policy,
-                     TableEffortPolicy)
+from wagedyn import (AffineEffortPolicy, AffinePolicy, ContractParams, Horizon,
+                     WageDistribution, WorkerPrefs, bracketize, enumerate_histories,
+                     phi_series_recursive, profile, propagate, simulate,
+                     solve_backward_induction, solve_policy, TableEffortPolicy)
+from wagedyn.distribution import _CHUNK_PATHS, chunk_uniforms
 
 CONTRACT = ContractParams(0.2, 0.5, 0.4)
 PREFS = WorkerPrefs.additive(delta=0.9)
@@ -288,3 +291,122 @@ def test_enumeration_at_largest_horizon_matches_propagation():
     final = enumerate_histories(policy, CONTRACT, Horizon(T))
     assert len(final.support) == T + 1
     assert propagate(policy, CONTRACT, Horizon(T))[-1].tv_distance(final) < 1e-12
+
+
+def path_uniforms(seed: int, n_paths: int, periods: int) -> np.ndarray:
+    """Uniforms u[i, t] from a Philox counter generator.
+
+    The draw for (path i, period t) sits at counter position i*periods + t, so
+    any chunking of paths reproduces the same numbers.
+    """
+    bitgen = np.random.Philox(key=seed)
+    u = np.random.Generator(bitgen).random((n_paths, periods))
+    return u
+
+
+def simulate_reference(policy, contract, horizon, n_paths, seed, n_chunks=1,
+                       merge_tol=1e-9):
+    """Reference Monte Carlo: the whole uniform array at once, the policy called
+    on every sampled path, and a dict count of the distinct wages per period."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    T = horizon.T
+    u = path_uniforms(seed, n_paths, T)
+    counts: list[dict[float, int]] = [dict() for _ in range(T)]
+    bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi <= lo:
+            continue
+        w = np.full(hi - lo, contract.w0, dtype=float)
+        for t in range(1, T + 1):
+            sampled = u[lo:hi, t - 1] < contract.p
+            if np.any(sampled):
+                w_next = np.asarray(policy.next_wage_if_evaluated(t, w[sampled]), dtype=float)
+                w[sampled] = w_next
+            vals, cnt = np.unique(w, return_counts=True)
+            store = counts[t - 1]
+            for v, k in zip(vals.tolist(), cnt.tolist()):
+                store[v] = store.get(v, 0) + k
+    out = []
+    for t in range(T):
+        pairs = [(v, k / n_paths) for v, k in counts[t].items()]
+        out.append(WageDistribution.from_pairs(pairs, merge_tol))
+    return out
+
+
+def assert_simulate_matches_reference(policy, contract, horizon, n_paths, seed, n_chunks):
+    fast = simulate(policy, contract, horizon, n_paths, seed, n_chunks=n_chunks)
+    ref = simulate_reference(policy, contract, horizon, n_paths, seed, n_chunks)
+    assert len(fast) == len(ref) == horizon.T
+    for x, y in zip(fast, ref):
+        assert np.array_equal(x.support, y.support)
+        assert np.array_equal(x.probs, y.probs)
+
+
+def exact_additive_policy(contract, horizon):
+    return AffinePolicy(contract, PREFS.b, 1.0, phi_series_recursive(contract, PREFS, horizon))
+
+
+# three whole internal chunks and a remainder
+SEVERAL_CHUNKS = 3 * _CHUNK_PATHS + 123
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=unit_p, alpha=st.floats(0.0, 1.0),
+       w0=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), T=st.integers(1, 8),
+       n_paths=st.integers(1, 400), n_chunks=st.integers(1, 9),
+       seed=st.integers(0, 2**31 - 1))
+@example(p=0.3, alpha=0.5, w0=0.4, T=8, n_paths=SEVERAL_CHUNKS, n_chunks=1, seed=3)
+@example(p=0.6, alpha=0.2, w0=0.0, T=3, n_paths=5, n_chunks=9, seed=11)
+def test_simulate_matches_reference_additive(p, alpha, w0, T, n_paths, n_chunks, seed):
+    contract = ContractParams(p, alpha, w0)
+    horizon = Horizon(T)
+    assert_simulate_matches_reference(exact_additive_policy(contract, horizon), contract,
+                                      horizon, n_paths, seed, n_chunks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=unit_p, alpha=st.floats(0.0, 1.0), w0_step=st.integers(0, 10),
+       T=st.integers(1, 8), n_paths=st.integers(1, 400), n_chunks=st.integers(1, 9),
+       seed=st.integers(0, 2**31 - 1))
+@example(p=0.5, alpha=0.1, w0_step=4, T=8, n_paths=SEVERAL_CHUNKS, n_chunks=2, seed=3)
+@example(p=0.5, alpha=0.1, w0_step=0, T=4, n_paths=3, n_chunks=9, seed=5)
+def test_simulate_matches_reference_cobb_douglas(p, alpha, w0_step, T, n_paths, n_chunks,
+                                                 seed):
+    contract = ContractParams(p, alpha, w0_step / 10)
+    horizon = Horizon(T)
+    policy = TableEffortPolicy(solve_policy(contract, CD_PREFS, horizon))
+    assert_simulate_matches_reference(policy, contract, horizon, n_paths, seed, n_chunks)
+
+
+# T = 3 puts path k's first draw at counter start 3k, so paths 0..3 start at
+# 0, 3, 2 and 1 mod 4
+@pytest.mark.parametrize("first", [0, 1, 2, 3, np.int64(5), np.int64(6), np.int64(7),
+                                   np.int64(8)])
+def test_chunk_uniforms_equal_full_array_slice(first):
+    full = path_uniforms(42, 40, 3)
+    n = 40 - int(first)
+    assert np.array_equal(chunk_uniforms(42, first, n, 3), full[int(first):])
+    assert np.array_equal(chunk_uniforms(42, first, np.int64(2), np.int64(3)),
+                          full[int(first):int(first) + 2])
+
+
+@pytest.mark.parametrize("n_chunks", [0, -1])
+def test_simulate_rejects_fewer_than_one_chunk(n_chunks):
+    policy = additive_policy(Horizon(3))
+    with pytest.raises(ValueError, match="n_chunks must be >= 1"):
+        simulate(policy, CONTRACT, Horizon(3), 100, seed=1, n_chunks=n_chunks)
+
+
+def test_simulate_memory_stays_below_half_the_draw_array():
+    n_paths, T = 200_000, 20
+    bound = 8 * n_paths * T // 2  # 16 MB: half of the full float64 draw array
+    horizon = Horizon(T)
+    policy = exact_additive_policy(CONTRACT, horizon)
+    tracemalloc.start()
+    try:
+        simulate(policy, CONTRACT, horizon, n_paths, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
