@@ -1,14 +1,17 @@
 """Exact wage-distribution propagation, history enumeration, and Monte Carlo.
 
-Distributions are finite-support. propagate() applies one evaluation round per
-period: mass (1-p) keeps its wage, mass p moves to the policy's evaluated
-wage. enumerate_histories() sums over all 2^T sampling histories, one period
-at a time over arrays, and must agree with propagate() exactly. simulate()
-draws paths from a counter-based generator keyed by (seed, path, period) so
-results do not depend on how the work is chunked. It carries each path as an
-integer index into the period's table of distinct wages reached, and draws
-the uniforms one chunk of at most _CHUNK_PATHS paths at a time, so its memory
-does not grow with the number of paths.
+Distributions are finite-support, and one merge rule (_clusters, _merge)
+builds every one of them: sorted wages at most MERGE_TOL apart are one point,
+at their mass-weighted mean. tv_distance() compares clusters of the same rule.
+propagate() applies one evaluation round per period: mass (1-p) keeps its
+wage, mass p moves to the policy's evaluated wage. enumerate_histories() sums
+over all 2^T sampling histories, one period at a time over arrays, and must
+agree with propagate() exactly. simulate() draws paths from a counter-based
+generator keyed by (seed, path, period) so results do not depend on how the
+work is chunked. It carries each path as an integer index into the period's
+table of distinct wages reached, and draws the uniforms one chunk of at most
+_CHUNK_PATHS paths at a time, so its memory does not grow with the number of
+paths.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from .params import ContractParams, Horizon
 MERGE_TOL = 1e-9
 # paths per Monte Carlo chunk: bounds simulate's draws at 8*T*_CHUNK_PATHS bytes
 _CHUNK_PATHS = 1 << 15
-_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 class WagePolicy(Protocol):
@@ -48,49 +50,25 @@ class WageDistribution:
         object.__setattr__(self, "probs", probs)
         if support.shape != probs.shape or support.ndim != 1:
             raise ValueError("support and probs must be 1-d arrays of equal length")
-        if np.any(probs < -1e-15):
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= 1e-12:  # also rejects NaN and inf masses
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        if probs.min() < -1e-15:
             raise ValueError("negative probability mass")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
-        if np.any(np.diff(support) <= 0):
-            raise ValueError("support must be strictly increasing")
+        # an increasing support is finite when its ends are; NaN fails every test
+        if not ((support[1:] > support[:-1]).all()
+                and -math.inf < support[0] and support[-1] < math.inf):
+            raise ValueError("support must be finite and strictly increasing")
 
     @staticmethod
     def point_mass(wage: float) -> "WageDistribution":
         return WageDistribution(np.array([float(wage)]), np.array([1.0]))
 
     @staticmethod
-    def from_pairs(pairs: Sequence[tuple[float, float]],
-                   merge_tol: float = MERGE_TOL) -> "WageDistribution":
-        """Build from (wage, prob) pairs, merging near-identical wages.
-
-        Pairs without mass (a probability that underflowed to 0) are dropped:
-        they carry no probability and would divide by zero in a merge. When the
-        merged mass is subnormal, the products wage * mass keep too few digits
-        to be averaged, so the representative moves toward the new wage by the
-        mass share instead; it stays between the wages it merges.
-        """
-        pairs = sorted(pairs)
-        merged: list[list[float]] = []
-        for w, m in pairs:
-            if m == 0.0:
-                continue
-            if merged and w - merged[-1][0] <= merge_tol:
-                total = merged[-1][1] + m
-                # mass-weighted representative keeps merging order-independent
-                if total < _SMALLEST_NORMAL:
-                    merged[-1][0] += (w - merged[-1][0]) * (m / total)
-                else:
-                    merged[-1][0] = (merged[-1][0] * merged[-1][1] + w * m) / total
-                merged[-1][1] = total
-            else:
-                merged.append([w, m])
-        support = np.array([w for w, _ in merged])
-        probs = np.array([m for _, m in merged])
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"pairs carry total mass {total}, expected 1")
-        return WageDistribution(support, probs / total)
+    def from_pairs(pairs: Sequence[tuple[float, float]]) -> "WageDistribution":
+        """Build from (wage, prob) pairs, merged by the merge rule (_merge)."""
+        wages, masses = np.array(pairs, dtype=float).reshape(len(pairs), 2).T
+        return _merge(wages, masses)
 
     def mean(self) -> float:
         return float(np.dot(self.support, self.probs))
@@ -99,74 +77,92 @@ class WageDistribution:
         m = self.mean()
         return float(np.dot((self.support - m) ** 2, self.probs))
 
-    def tv_distance(self, other: "WageDistribution", tol: float = MERGE_TOL) -> float:
-        """Total variation distance, clustering support points within tol."""
-        wages = np.unique(np.concatenate([self.support, other.support]))
-        centers = []
-        for w in wages:
-            if not centers or w - centers[-1] > tol:
-                centers.append(float(w))
-        total = 0.0
-        for w in centers:
-            a = float(self.probs[np.abs(self.support - w) <= tol].sum())
-            b = float(other.probs[np.abs(other.support - w) <= tol].sum())
-            total += abs(a - b)
-        return 0.5 * total
+    def tv_distance(self, other: "WageDistribution") -> float:
+        """Total variation distance: half the summed absolute mass difference
+        over the clusters of the union of both supports (_clusters)."""
+        _, masses, new = _clusters(np.concatenate([self.support, other.support]),
+                                   np.concatenate([self.probs, -other.probs]))
+        return 0.5 * float(np.abs(np.add.reduceat(masses, new.nonzero()[0])).sum())
+
+
+def _clusters(wages: np.ndarray,
+              masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The merge rule's clusters. Massless pairs are dropped; the rest are
+    sorted by wage, then mass, so the pairs' order does not matter, and a gap
+    of at most MERGE_TOL between consecutive wages joins a cluster. Returns
+    the sorted wages and masses and a flag set where each cluster starts."""
+    keep = masses != 0.0
+    wages, masses = wages[keep], masses[keep]
+    order = np.lexsort((masses, wages))
+    wages, masses = wages[order], masses[order]
+    if wages.size and not -math.inf < wages[0] <= wages[-1] < math.inf:
+        raise ValueError("wages must be finite")
+    new = np.empty(wages.size, dtype=bool)
+    new[:1] = True
+    np.greater(wages[1:] - wages[:-1], MERGE_TOL, out=new[1:])
+    return wages, masses, new
+
+
+def _merge(wages: np.ndarray, masses: np.ndarray) -> WageDistribution:
+    """Distribution of (wage, mass) columns: a cluster (_clusters) keeps its
+    total mass at wage lo + sum((w - lo) * m) / sum(m), capped at its highest
+    wage, where lo is its lowest. Repeated wages stay exact, and each point
+    stays inside its cluster even for subnormal masses."""
+    wages, masses, new = _clusters(wages, masses)
+    start = new.nonzero()[0]
+    mass = np.add.reduceat(masses, start)
+    total = float(mass.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"pairs carry total mass {total}, expected 1")
+    lo = np.maximum.accumulate(np.where(new, wages, -math.inf))  # lo of each pair's cluster
+    offset = np.add.reduceat((wages - lo) * masses, start)
+    support = np.minimum(lo[start] + offset / mass, np.maximum.reduceat(wages, start))
+    return WageDistribution(support, mass / total)
 
 
 def propagate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
-              initial: WageDistribution | None = None,
-              merge_tol: float = MERGE_TOL) -> list[WageDistribution]:
+              initial: WageDistribution | None = None) -> list[WageDistribution]:
     """End-of-period distributions P_1..P_T starting from a point mass at w0."""
     if initial is None:
         initial = WageDistribution.point_mass(contract.w0)
     dists = []
     current = initial
     for t in range(1, horizon.T + 1):
-        current = step(current, policy, contract.p, t, merge_tol)
+        current = step(current, policy, contract.p, t)
         dists.append(current)
     return dists
 
 
-def step(dist: WageDistribution, policy: WagePolicy, p: float, t: int,
-         merge_tol: float = MERGE_TOL) -> WageDistribution:
+def step(dist: WageDistribution, policy: WagePolicy, p: float, t: int) -> WageDistribution:
     """One evaluation round in period t: mass 1-p keeps its wage, mass p moves
     to the policy's evaluated wage."""
     nxt = np.asarray(policy.next_wage_if_evaluated(t, dist.support), dtype=float)
-    pairs: list[tuple[float, float]] = []
-    if p < 1.0:
-        pairs.extend(zip(dist.support.tolist(), (dist.probs * (1.0 - p)).tolist()))
-    if p > 0.0:
-        pairs.extend(zip(np.atleast_1d(nxt).tolist(), (dist.probs * p).tolist()))
-    return WageDistribution.from_pairs(pairs, merge_tol)
+    return _merge(np.concatenate([dist.support, nxt]),
+                  np.concatenate([dist.probs * (1.0 - p), dist.probs * p]))
 
 
 def enumerate_histories(policy: WagePolicy, contract: ContractParams,
-                        horizon: Horizon, initial_wage: float | None = None,
-                        merge_tol: float = MERGE_TOL) -> WageDistribution:
+                        horizon: Horizon) -> WageDistribution:
     """Exact final-period distribution by summing over all sampling histories.
 
     The 2^T histories are walked level by level: each period appends the
     sampled branch after the unsampled one, so a history's final index is its
     mask (bit t-1 set when evaluated in period t). The policy is called once
     per period on the whole level, and not at all when p = 0; histories whose
-    probability is 0 are dropped.
+    probability is 0 are dropped by the merge.
     """
     T = horizon.T
     if T > 20:
         raise ValueError(f"history enumeration refuses T > 20 (got {T})")
     p = contract.p
-    w0 = contract.w0 if initial_wage is None else initial_wage
-    wages = np.array([float(w0)])
+    wages = np.array([float(contract.w0)])
     probs = np.array([1.0])
     for t in range(1, T + 1):
         sampled = wages if p == 0.0 else np.asarray(
             policy.next_wage_if_evaluated(t, wages), dtype=float)
         wages = np.concatenate([wages, sampled])
         probs = np.concatenate([probs * (1.0 - p), probs * p])
-    keep = probs > 0.0
-    pairs = list(zip(wages[keep].tolist(), probs[keep].tolist()))
-    return WageDistribution.from_pairs(pairs, merge_tol)
+    return _merge(wages, probs)
 
 
 def chunk_uniforms(seed: int, first_path: int, n_paths: int, periods: int) -> np.ndarray:
@@ -227,8 +223,7 @@ def _add_counts(wages: np.ndarray, counts: np.ndarray, more_wages: np.ndarray,
 
 
 def simulate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
-             n_paths: int, seed: int, n_chunks: int = 1,
-             merge_tol: float = MERGE_TOL) -> list[WageDistribution]:
+             n_paths: int, seed: int, n_chunks: int = 1) -> list[WageDistribution]:
     """Monte Carlo sampling histories; empirical distribution per period.
 
     The paths are split into n_chunks parts, and each part into chunks of at
@@ -254,9 +249,7 @@ def simulate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
             sampled = np.ascontiguousarray((chunk_uniforms(seed, first, n, T) < contract.p).T)
             counted = _chunk_counts(policy, contract.w0, sampled)
             totals = [_add_counts(*total, *chunk) for total, chunk in zip(totals, counted)]
-    return [WageDistribution.from_pairs(list(zip(wages.tolist(), (counts / n_paths).tolist())),
-                                        merge_tol)
-            for wages, counts in totals]
+    return [_merge(wages, counts / n_paths) for wages, counts in totals]
 
 
 @dataclass(frozen=True)

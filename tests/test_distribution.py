@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from wagedyn import (AffineEffortPolicy, AffinePolicy, ContractParams, Horizon,
                      WageDistribution, WorkerPrefs, bracketize, enumerate_histories,
                      phi_series_recursive, profile, propagate, simulate,
                      solve_backward_induction, solve_policy, TableEffortPolicy)
-from wagedyn.distribution import _CHUNK_PATHS, chunk_uniforms
+from wagedyn.distribution import MERGE_TOL, _CHUNK_PATHS, chunk_uniforms
 
 CONTRACT = ContractParams(0.2, 0.5, 0.4)
 PREFS = WorkerPrefs.additive(delta=0.9)
@@ -56,6 +57,147 @@ def test_from_pairs_merged_wage_stays_between_merged_wages():
                                      (1.2, tiny), (1.2 + 1e-12, tiny)])
     assert d.support.tolist() == pytest.approx([0.5, 0.7, 1.2], abs=1e-11)
     assert np.all(np.diff(d.support) > 0)
+
+
+@pytest.mark.parametrize("support, probs", [([0.3], [math.nan]), ([math.nan], [1.0]),
+                                            ([0.3, math.inf], [0.5, 0.5]),
+                                            ([-math.inf, 0.3], [0.5, 0.5]),
+                                            ([0.3], [math.inf])])
+def test_distribution_rejects_non_finite_values(support, probs):
+    with pytest.raises(ValueError):
+        WageDistribution(np.array(support), np.array(probs))
+
+
+@pytest.mark.parametrize("pairs", [[(math.nan, 1.0)], [(0.3, math.nan)], [(math.inf, 1.0)],
+                                   [(0.3, 0.5), (math.inf, 0.25), (math.inf, 0.25)]])
+def test_from_pairs_rejects_non_finite_values(pairs):
+    with pytest.raises(ValueError):
+        WageDistribution.from_pairs(pairs)
+
+
+@pytest.mark.parametrize("pairs", [[], [(0.3, 0.0)], [(0.3, 0.0), (0.3 + 1e-12, 0.0)]])
+def test_from_pairs_without_mass_reports_total(pairs):
+    with pytest.raises(ValueError, match=r"^pairs carry total mass 0\.0, expected 1$"):
+        WageDistribution.from_pairs(pairs)
+
+
+def test_tv_counts_each_point_once_in_a_chain():
+    # a + 0.6e-9 is within MERGE_TOL of both a and a + 1.2e-9, which are not
+    # within it of each other: the chain is one point, so the distance is 0
+    a = 0.5
+    two = WageDistribution(np.array([a, a + 1.2e-9]), np.array([0.5, 0.5]))
+    one = WageDistribution.point_mass(a + 0.6e-9)
+    assert two.tv_distance(one) == 0.0
+    assert one.tv_distance(two) == 0.0
+
+
+def merge_reference(pairs):
+    """The merge rule, one pair at a time: pairs sorted by (wage, mass) without
+    the massless ones, a gap of at most MERGE_TOL joining a cluster, and a
+    cluster's wage lo + sum((w - lo) * m) / sum(m), capped at its highest wage.
+    Returns the clusters, the support and the normalised probabilities."""
+    clusters = []
+    for w, m in sorted(pair for pair in pairs if pair[1] != 0.0):
+        if clusters and w - clusters[-1][-1][0] <= MERGE_TOL:
+            clusters[-1].append((w, m))
+        else:
+            clusters.append([(w, m)])
+    support, masses = [], []
+    for cluster in clusters:
+        lo, hi = cluster[0][0], cluster[-1][0]
+        mass = offset = 0.0
+        for w, m in cluster:
+            mass += m
+            offset += (w - lo) * m
+        support.append(min(lo + offset / mass, hi))
+        masses.append(mass)
+    total = sum(masses)
+    return clusters, np.array(support), np.array(masses) / total
+
+
+def tv_distance_greedy(a, b):
+    """The earlier TV rule: greedy centres over the union of the supports, each
+    summing the mass of either distribution within MERGE_TOL of it."""
+    wages = np.unique(np.concatenate([a.support, b.support]))
+    centers = []
+    for w in wages:
+        if not centers or w - centers[-1] > MERGE_TOL:
+            centers.append(float(w))
+    total = 0.0
+    for w in centers:
+        pa = float(a.probs[np.abs(a.support - w) <= MERGE_TOL].sum())
+        pb = float(b.probs[np.abs(b.support - w) <= MERGE_TOL].sum())
+        total += abs(pa - pb)
+    return 0.5 * total
+
+
+# steps of 0.4e-9 from a few bases: equal wages, chains within MERGE_TOL and gaps above it
+near_wages = st.builds(lambda base, k: base + k * 4e-10,
+                       st.sampled_from([0.0, 0.3, 0.7, 1.2]), st.integers(0, 6))
+weights = st.one_of(st.floats(1e-3, 1.0), st.just(0.0), st.just(5e-324))
+
+
+@st.composite
+def pair_lists(draw, max_size=40):
+    wages = draw(st.lists(near_wages, min_size=1, max_size=max_size))
+    # the first pair carries a normal mass, so the total can be scaled to 1
+    mass = [draw(st.floats(1e-3, 1.0))] + draw(st.lists(weights, min_size=len(wages) - 1,
+                                                         max_size=len(wages) - 1))
+    total = sum(mass)
+    return [(w, m / total) for w, m in zip(wages, mass)]
+
+
+EPS = float(np.finfo(float).eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=pair_lists(), seed=st.integers(0, 2**32 - 1))
+def test_from_pairs_follows_merge_rule(pairs, seed):
+    d = WageDistribution.from_pairs(pairs)
+    clusters, support, probs = merge_reference(pairs)
+    assert len(d.support) == len(clusters)
+    # numpy's reduceat sums a cluster in another order than the loop above;
+    # k positive terms in any two orders differ by at most 2(k-1) eps relative
+    tol = 4 * len(pairs) * EPS
+    np.testing.assert_allclose(d.probs, probs, rtol=tol, atol=0)
+    np.testing.assert_allclose(d.support, support, rtol=tol, atol=0)
+    for w, cluster in zip(d.support, clusters):
+        wages = [cw for cw, _ in cluster]
+        assert wages[0] <= w <= wages[-1]
+        if wages[0] == wages[-1]:
+            assert w == wages[0]  # repeated wages stay exact
+    assert np.all(d.support[1:] > d.support[:-1])
+    shuffled = [pairs[i] for i in np.random.default_rng(seed).permutation(len(pairs))]
+    e = WageDistribution.from_pairs(shuffled)
+    assert np.array_equal(d.support, e.support) and np.array_equal(d.probs, e.probs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=pair_lists(), b=pair_lists())
+def test_tv_distance_symmetric_and_bounded(a, b):
+    da, db = WageDistribution.from_pairs(a), WageDistribution.from_pairs(b)
+    assert da.tv_distance(da) == 0.0
+    tv = da.tv_distance(db)
+    # cluster sums are rounded in an order that depends on the argument order
+    assert tv == pytest.approx(db.tv_distance(da), abs=4 * EPS)
+    # each distribution's probabilities sum to 1 up to rounding
+    assert 0.0 <= tv <= 1.0 + 4 * EPS
+
+
+@st.composite
+def separated_distributions(draw):
+    idx = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
+    mass = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(idx), max_size=len(idx)))
+    support = np.sort(np.array(idx) * 0.025)
+    return WageDistribution(support, np.array(mass) / sum(mass))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=separated_distributions(), b=separated_distributions())
+def test_tv_distance_matches_greedy_rule_when_gaps_exceed_tolerance(a, b):
+    union = np.unique(np.concatenate([a.support, b.support]))
+    assert np.all(np.diff(union) > MERGE_TOL)
+    assert a.tv_distance(b) == pytest.approx(tv_distance_greedy(a, b), abs=1e-15)
 
 
 def test_two_period_history_probabilities():
@@ -304,8 +446,7 @@ def path_uniforms(seed: int, n_paths: int, periods: int) -> np.ndarray:
     return u
 
 
-def simulate_reference(policy, contract, horizon, n_paths, seed, n_chunks=1,
-                       merge_tol=1e-9):
+def simulate_reference(policy, contract, horizon, n_paths, seed, n_chunks=1):
     """Reference Monte Carlo: the whole uniform array at once, the policy called
     on every sampled path, and a dict count of the distinct wages per period."""
     if n_paths < 1:
@@ -330,7 +471,7 @@ def simulate_reference(policy, contract, horizon, n_paths, seed, n_chunks=1,
     out = []
     for t in range(T):
         pairs = [(v, k / n_paths) for v, k in counts[t].items()]
-        out.append(WageDistribution.from_pairs(pairs, merge_tol))
+        out.append(WageDistribution.from_pairs(pairs))
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistribution,
-                     WorkerPrefs, analytic_one_period_optimum, employer,
+                     WorkerPrefs, analytic_one_period_optimum, distribution, employer,
                      expected_profit, grid_search_optimum,
                      profit_by_history_enumeration, single_period_effort,
                      stationary_grid_search, stationary_one_period_optimum,
@@ -74,13 +74,13 @@ def test_worker_policy_failure_propagates(monkeypatch):
 def test_additive_search_builds_no_distribution(monkeypatch):
     # the profit recursion prices states directly; nothing is merged
     calls = [0]
-    original = WageDistribution.from_pairs
+    original = distribution._merge
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(WageDistribution, "from_pairs", staticmethod(counted))
+    monkeypatch.setattr(distribution, "_merge", counted)
     firm = FirmParams(k=1.5, lam=0.8, c=0.2, eta=0.9)
     opt = grid_search_optimum(firm, PREFS, Horizon(10), GridSteps(0.25, 0.25, 0.8),
                               refine_rounds=0)
