@@ -2,12 +2,14 @@
 
 The evaluated-wage coefficients phi_t are fitted from a numerical
 backward induction on a wage grid (value iteration with linear interpolation
-of continuation values). The golden-section argmax per grid state, which
-validates the affine policy, is built only when AdditiveSolution.raw_effort is
-first read; only the criterion 4 check and the tests read it. Two independent
-cross-checks exist: an exact recursion derived from the log-linear structure
-of the value function, and the literal closed-sum formula retained as a
-diagnostic (it is known to violate the terminal normalization phi_T = 1).
+of continuation values). The grid must be a strictly increasing np.linspace:
+the interpolation finds a wage's cell arithmetically instead of by a sorted
+search. The golden-section argmax per grid state, which validates the affine
+policy, is built only when AdditiveSolution.raw_effort is first read; only the
+criterion 4 check and the tests read it. Two independent cross-checks exist:
+an exact recursion derived from the log-linear structure of the value
+function, and the literal closed-sum formula retained as a diagnostic (it is
+known to violate the terminal normalization phi_T = 1).
 
 Key structural facts used throughout: with wage scale s and bonus rate alpha,
 the evaluated consumption is x = s*(1+alpha)*e - alpha*w, the first-order
@@ -178,8 +180,9 @@ class AdditiveSolution:
         table = np.zeros((T, n))
         for t in range(T, 0, -1):
             V_next = self.value[t] if t < T else np.zeros(n)
-            objective = _period_objective(c, self.prefs, s, grid, log_grid, V_next)
-            table[t - 1], _ = golden_max_vec(objective, lo, hi, tol=self.effort_tolerance)
+            table[t - 1], _ = golden_max_vec(
+                _period_objective(c, self.prefs, s, grid, log_grid, V_next), lo, hi,
+                tol=self.effort_tolerance)
         return table
 
     @property
@@ -188,16 +191,49 @@ class AdditiveSolution:
 
 
 def _interp_guarded(x: np.ndarray | float, grid: np.ndarray, values: np.ndarray):
-    """Linear interpolation that propagates -inf instead of producing NaN."""
-    x = np.asarray(x, dtype=float)
-    idx = np.clip(np.searchsorted(grid, x) - 1, 0, len(grid) - 2)
-    x0, x1 = grid[idx], grid[idx + 1]
-    v0, v1 = values[idx], values[idx + 1]
+    """Linear interpolation on a uniform grid that propagates -inf instead of
+    producing NaN: _uniform_interpolant for a single use."""
+    return _uniform_interpolant(grid, values)(x)
+
+
+def _uniform_interpolant(grid: np.ndarray,
+                         values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> values linearly interpolated at x; -inf where either end of x's
+    cell is -inf.
+
+    grid must be a strictly increasing np.linspace (solve_backward_induction
+    checks this), so the cell is found arithmetically, much as DpGrid.index
+    finds a wage's index: i = int((x - g0)/h) clipped to [0, n-2], then one
+    step down where grid[i] >= x and one step up where grid[i+1] < x. That is
+    the cell clip(searchsorted(grid, x) - 1, 0, n-2), so x outside the grid
+    extrapolates from the end cells. The gaps, value differences and -inf
+    mask are computed once per grid and value row.
+    """
+    n = len(grid)
+    g0 = grid[0]
+    h = (grid[-1] - g0) / (n - 1)
+    x0 = grid[:-1]
+    gaps = grid[1:] - x0
+    v0 = values[:-1]
     with np.errstate(invalid="ignore"):
-        frac = np.where(x1 > x0, (x - x0) / (x1 - x0), 0.0)
-        out = v0 + frac * (v1 - v0)
-    bad = np.isneginf(v0) | np.isneginf(v1)
-    return np.where(bad, NEG_INF, out)
+        diffs = values[1:] - v0
+    bad = np.isneginf(v0) | np.isneginf(values[1:])
+    # cell i's ends for the corrections, with no step below cell 0 or above
+    # cell n-2
+    ends = grid.copy()
+    ends[0], ends[-1] = -math.inf, math.inf
+    lower, upper = ends[:-1], ends[1:]
+
+    def interp(x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip((x - g0) / h, 0, n - 2).astype(np.intp)
+        i -= lower.take(i) >= x
+        i += upper.take(i) < x
+        with np.errstate(invalid="ignore"):
+            out = v0.take(i) + (x - x0.take(i)) / gaps.take(i) * diffs.take(i)
+        return np.where(bad.take(i), NEG_INF, out)
+
+    return interp
 
 
 def _interp_guarded_float(x: float, grid: list[float], values: list[float]) -> float:
@@ -211,6 +247,13 @@ def _interp_guarded_float(x: float, grid: list[float], values: list[float]) -> f
     return v0 + frac * (v1 - v0)
 
 
+def _check_uniform_grid(grid: np.ndarray) -> None:
+    if (grid.ndim != 1 or len(grid) < 2 or not np.all(grid[1:] > grid[:-1])
+            or not np.array_equal(grid, np.linspace(grid[0], grid[-1], len(grid)))):
+        raise ValueError("wage_grid must be a strictly increasing np.linspace "
+                         "of at least 2 points")
+
+
 def _log_grid(grid: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.where(grid > 0.0, np.log(np.maximum(grid, 1e-300)), NEG_INF)
@@ -222,21 +265,28 @@ def _period_objective(contract: ContractParams, prefs: WorkerPrefs, s: float,
     """Period objective in effort, one problem per grid wage:
         p*ln(x) + (1-p)*ln(w) - b*e + delta*[p*V(x) + (1-p)*V(w)],
     with x = s*(1+alpha)*e - alpha*w and V the next period's value V_next.
+
+    What does not depend on e is computed once: the interpolant of V_next and
+    the never-evaluated term (1-p)*(ln w + delta*V(w)), which is left out at
+    p = 1 (where it would be 0*(-inf)).
     """
     p, alpha = contract.p, contract.alpha
     b, delta = prefs.b, prefs.delta
+    slope, shift = s * (1.0 + alpha), alpha * grid
+    cont = _uniform_interpolant(grid, V_next) if p > 0.0 else None
+    never = (1.0 - p) * (log_grid + delta * V_next) if p < 1.0 else None
 
     def objective(e: np.ndarray) -> np.ndarray:
-        x = s * (1.0 + alpha) * e - alpha * grid
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_x = np.where(x > 0.0, np.log(np.maximum(x, 1e-300)), NEG_INF)
-        cont_eval = _interp_guarded(np.clip(x, grid[0], grid[-1]), grid, V_next)
-        cont_eval = np.where(x > 0.0, cont_eval, NEG_INF)
         out = -b * e
-        if p > 0.0:
+        if cont is not None:
+            x = slope * e - shift
+            pos = x > 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_x = np.where(pos, np.log(np.maximum(x, 1e-300)), NEG_INF)
+            cont_eval = np.where(pos, cont(np.clip(x, grid[0], grid[-1])), NEG_INF)
             out = out + p * (log_x + delta * cont_eval)
-        if p < 1.0:
-            out = out + (1.0 - p) * (log_grid + delta * V_next)
+        if never is not None:
+            out = out + never
         return out
 
     return objective
@@ -261,7 +311,10 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
     s*(1+alpha)*(p/b)*phi.
 
     Raises DomainError for contracts whose never-evaluated branch has zero
-    consumption (w0 = 0 with p < 1 is degenerate for log utility).
+    consumption (w0 = 0 with p < 1 is degenerate for log utility), and
+    ValueError for a wage_grid that is not a strictly increasing
+    np.linspace of at least 2 points (the interpolation finds cells
+    arithmetically; see _uniform_interpolant).
     """
     _require_additive(prefs)
     p, alpha, b = contract.p, contract.alpha, prefs.b
@@ -273,6 +326,7 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
         raise DomainError("w0 = 0 with p < 1 gives zero consumption when never evaluated")
     T = horizon.T
     grid = default_wage_grid(contract, s) if wage_grid is None else np.asarray(wage_grid, float)
+    _check_uniform_grid(grid)
     n = len(grid)
     cap = s * (1.0 + alpha)  # maximal evaluated consumption at w = 0
     log_grid = _log_grid(grid)
@@ -297,7 +351,7 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
                     return 1.0
                 return p / x + delta * p * dV - b / ((1.0 + alpha) * s)
 
-            x_star = bisect_root(g, max(grid_list[1] if n > 1 else 1e-9, 1e-12), cap)
+            x_star = bisect_root(g, max(grid_list[1], 1e-12), cap)
             e_pol = np.clip((x_star + alpha * grid) / ((1.0 + alpha) * s), 0.0, 1.0)
         else:
             x_star = 0.0

@@ -325,7 +325,9 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
     lexicographically by (p, alpha, w0) ascending; optional local refinement
     halves the steps around the incumbent.
 
-    One-period additive searches use the exact closed-form profit; other
+    One-period additive searches use the exact closed-form profit, one
+    (alpha, w0) slab per p: the slab's first maximum is its smallest cell,
+    and a later p replaces the incumbent only on a strict improvement. Other
     cases call expected_profit once per cell, in (p, alpha, w0) order.
     Additive cells solve their own worker policy. Cobb-Douglas searches solve
     one worker policy per (p, alpha) row, price the row's whole wage grid
@@ -341,15 +343,17 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
     def scan(p_vals, a_vals, w_vals):
         best = (-math.inf, None)
         w_arr = np.asarray(w_vals, dtype=float)
+        if fast:
+            a_col = np.asarray(a_vals, dtype=float)[:, None]
+            for p in p_vals:
+                slab = _one_period_profit(float(p), a_col, w_arr, firm, b=prefs.b)
+                # first max in (alpha, w0) order = smallest cell on ties
+                i, j = np.unravel_index(int(np.argmax(slab)), slab.shape)
+                if slab[i, j] > best[0]:
+                    best = (float(slab[i, j]), (float(p), float(a_col[i, 0]), float(w_arr[j])))
+            return best
         for p in p_vals:
             for a in a_vals:
-                if fast:
-                    row = _one_period_profit(float(p), float(a), w_arr, firm, b=prefs.b)
-                    i = int(np.argmax(row))  # first max = smallest w0 on ties
-                    pi, w = float(row[i]), float(w_arr[i])
-                    if pi > best[0]:
-                        best = (pi, (float(p), float(a), w))
-                    continue
                 row = None
                 if cobb_douglas:
                     # the Cobb-Douglas policy reads only p and alpha: one

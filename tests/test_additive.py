@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import additive
 from wagedyn import (AffineEffortPolicy, ContractParams, DomainError, Horizon,
@@ -281,6 +281,149 @@ def test_float_interpolation_matches_array_interpolation(values, cap, data):
     assert got.hex() == expected.hex()
 
 
+def interp_guarded_searchsorted(x, grid, values):
+    """Reference: the sorted-search _interp_guarded that the arithmetic cell
+    lookup replaced."""
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(grid, x) - 1, 0, len(grid) - 2)
+    x0, x1 = grid[idx], grid[idx + 1]
+    v0, v1 = values[idx], values[idx + 1]
+    with np.errstate(invalid="ignore"):
+        frac = np.where(x1 > x0, (x - x0) / (x1 - x0), 0.0)
+        out = v0 + frac * (v1 - v0)
+    bad = np.isneginf(v0) | np.isneginf(v1)
+    return np.where(bad, -math.inf, out)
+
+
+def period_objective_reference(contract, prefs, s, grid, log_grid, V_next):
+    """Reference: the period objective as it was before its per-period terms
+    were precomputed, interpolating by sorted search."""
+    p, alpha = contract.p, contract.alpha
+    b, delta = prefs.b, prefs.delta
+
+    def objective(e):
+        x = s * (1.0 + alpha) * e - alpha * grid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_x = np.where(x > 0.0, np.log(np.maximum(x, 1e-300)), -math.inf)
+        cont_eval = interp_guarded_searchsorted(np.clip(x, grid[0], grid[-1]), grid, V_next)
+        cont_eval = np.where(x > 0.0, cont_eval, -math.inf)
+        out = -b * e
+        if p > 0.0:
+            out = out + p * (log_x + delta * cont_eval)
+        if p < 1.0:
+            out = out + (1.0 - p) * (log_grid + delta * V_next)
+        return out
+
+    return objective
+
+
+def oracle_tables_reference(sol):
+    """(raw_effort, value) rebuilt in one backward pass from
+    period_objective_reference, the affine policy from sol.evaluated_wage and
+    the golden-section bracket of AdditiveSolution.raw_effort. The value
+    table is only reproducible when evaluated_wage is the fitted one (p = 0
+    or a p whose fitted phi is finite)."""
+    c, prefs, s, grid = sol.contract, sol.prefs, sol.wage_scale, sol.wage_grid
+    T, n = sol.value.shape
+    log_grid = additive._log_grid(grid)
+    if c.p > 0.0:
+        lo = np.minimum(c.alpha * grid / ((1.0 + c.alpha) * s) + 1e-12, 1.0)
+    else:
+        lo = np.zeros(n)
+    raw, value = np.zeros((T, n)), np.zeros((T, n))
+    V_next = np.zeros(n)
+    for t in range(T, 0, -1):
+        objective = period_objective_reference(c, prefs, s, grid, log_grid, V_next)
+        raw[t - 1], _ = golden_max_vec(objective, lo, np.ones(n), tol=sol.effort_tolerance)
+        if c.p > 0.0:
+            e_pol = np.clip((sol.evaluated_wage[t - 1] + c.alpha * grid)
+                            / ((1.0 + c.alpha) * s), 0.0, 1.0)
+        else:
+            e_pol = np.zeros(n)
+        value[t - 1] = V_next = objective(e_pol)
+    return raw, value
+
+
+def hex_list(a):
+    return [v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 20001), cap=st.floats(0.1, 3.0),
+       start=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), seed=st.integers(0, 2 ** 32 - 1),
+       neg_inf_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       extra=st.lists(st.floats(-6.0, 9.0), max_size=8))
+@example(n=15001, cap=1.5, start=0.0, seed=0, neg_inf_share=0.0, extra=[])  # fig3_2 grid
+@example(n=20001, cap=3.0, start=0.0, seed=1, neg_inf_share=0.05, extra=[-0.0, 3.0, 1e-300])
+@example(n=2, cap=0.1, start=0.0, seed=2, neg_inf_share=0.5, extra=[0.05, -1.0, 0.2])
+# (x - g0)/h rounds down into the cell below x's: the one step up is needed
+@example(n=3978, cap=1.6987090442367048, start=-1.304845125090036, seed=3,
+         neg_inf_share=0.0, extra=[-0.1639721411432826])
+def test_uniform_lookup_matches_sorted_search(n, cap, start, seed, neg_inf_share, extra):
+    # the arithmetic cell lookup must give the sorted search's bits: at grid
+    # points, at their float neighbours, between points, outside the grid and
+    # beside -inf cells; a grid starting at 0 never needs the step up, so
+    # other starts are drawn too
+    grid = np.linspace(start, start + cap, n)
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-50.0, 50.0, n)
+    values[rng.random(n) < neg_inf_share] = -math.inf
+    at = grid[rng.integers(0, n, 64)]
+    inner = rng.integers(0, n - 1, 64)
+    between = np.concatenate([(grid[inner] + grid[inner + 1]) / 2.0,
+                              grid[inner] + rng.random(64) * (grid[inner + 1] - grid[inner])])
+    outside = np.concatenate([rng.uniform(grid[0] - cap, grid[0], 8),
+                              rng.uniform(grid[-1], grid[-1] + cap, 8)])
+    x = np.concatenate([grid[[0, -1]], at, np.nextafter(at, -math.inf),
+                        np.nextafter(at, math.inf), between, outside, extra])
+    got = _interp_guarded(x, grid, values)
+    assert hex_list(got) == hex_list(interp_guarded_searchsorted(x, grid, values))
+    for xi in x[:: max(1, len(x) // 16)]:  # scalar input reads the same cell
+        assert float(_interp_guarded(xi, grid, values)).hex() == float(
+            interp_guarded_searchsorted(xi, grid, values)).hex()
+
+
+@pytest.mark.parametrize("grid", [
+    np.array([0.0]), np.array([]), np.geomspace(0.01, 1.5, 50),
+    np.linspace(1.5, 0.0, 50), np.full(4, 0.5), np.linspace(0.0, 1.5, 50)[::2].repeat(2),
+    np.array([0.0, 0.5, 1.0 + 1e-12, 1.5]), np.linspace(0.0, 1.5, 12).reshape(3, 4),
+    np.array([0.0, math.nan, 1.5])])
+def test_non_uniform_wage_grid_rejected(grid):
+    with pytest.raises(ValueError, match="strictly increasing np.linspace"):
+        solve_backward_induction(FIG32["contract"], FIG32["prefs"], Horizon(2),
+                                 wage_grid=grid)
+
+
+def test_uniform_wage_grid_accepted_as_list():
+    grid = np.linspace(0.0, 1.5, 7)
+    sol = solve_backward_induction(FIG32["contract"], FIG32["prefs"], Horizon(2),
+                                   wage_grid=grid.tolist())
+    assert np.array_equal(sol.wage_grid, grid)
+
+
+def test_oracle_tables_match_reference_objective_fig32(fig32_solution):
+    raw, value = oracle_tables_reference(fig32_solution)
+    assert np.array_equal(fig32_solution.value, value)
+    assert np.array_equal(fig32_solution.raw_effort, raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1.0)),
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), w0=st.floats(0.05, 2.0),
+       delta=st.floats(0.05, 0.99), b=st.floats(0.5, 2.0), s=st.floats(0.5, 1.5),
+       T=st.integers(1, 4), n=st.integers(2, 80), cap=st.floats(0.1, 3.0))
+def test_oracle_tables_match_reference_objective(p, alpha, w0, delta, b, s, T, n, cap):
+    # p >= 1e-3 keeps the fitted phi finite, so evaluated_wage is the bisected
+    # one that the value table was built from (a subnormal p replaces it by
+    # the recursion's, test_subnormal_p_takes_phi_from_recursion)
+    sol = solve_backward_induction(ContractParams(p, alpha, w0),
+                                   WorkerPrefs.additive(delta=delta, b=b), Horizon(T),
+                                   wage_grid=np.linspace(0.0, cap, n), wage_scale=s)
+    raw, value = oracle_tables_reference(sol)
+    assert np.array_equal(sol.value, value)
+    assert np.array_equal(sol.raw_effort, raw)
+
+
 def test_oracle_table_is_built_only_when_read(monkeypatch):
     calls = []
 
@@ -298,17 +441,7 @@ def test_oracle_table_is_built_only_when_read(monkeypatch):
     assert sol.raw_effort is table  # cached after the first read
     assert len(calls) == horizon.T
 
-    # rebuild value and table inline, the way one backward pass computes both
-    s, alpha = sol.wage_scale, contract.alpha
-    log_grid = additive._log_grid(grid)
-    lo = np.minimum(alpha * grid / ((1.0 + alpha) * s) + 1e-12, 1.0)
-    V_next = np.zeros(len(grid))
-    for t in range(horizon.T, 0, -1):
-        objective = additive._period_objective(contract, prefs, s, grid, log_grid, V_next)
-        e_raw, _ = golden_max_vec(objective, lo, np.ones(len(grid)),
-                                  tol=sol.effort_tolerance)
-        assert np.array_equal(table[t - 1], e_raw)
-        e_pol = np.clip((sol.evaluated_wage[t - 1] + alpha * grid) / ((1.0 + alpha) * s),
-                        0.0, 1.0)
-        V_next = objective(e_pol)
-        assert np.array_equal(sol.value[t - 1], V_next)
+    # the table and the values match one backward pass of the reference objective
+    raw, value = oracle_tables_reference(sol)
+    assert np.array_equal(table, raw)
+    assert np.array_equal(sol.value, value)

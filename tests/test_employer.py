@@ -266,6 +266,99 @@ def test_stationary_grid_search_warning_free():
     assert cell.w0 > 0.0
 
 
+def one_period_search_reference(firm, prefs, steps, refine_rounds):
+    """Reference one-period additive search: one _one_period_profit row per
+    (p, alpha), the first max of each row, and the incumbent replaced only on
+    a strict improvement; returns an OptimalContract like grid_search_optimum."""
+    w0_max = _w0_max(firm, steps)
+
+    def scan(p_vals, a_vals, w_vals):
+        best = (-math.inf, None)
+        w_arr = np.asarray(w_vals, dtype=float)
+        for p in p_vals:
+            for a in a_vals:
+                row = _one_period_profit(float(p), float(a), w_arr, firm, b=prefs.b)
+                i = int(np.argmax(row))
+                if float(row[i]) > best[0]:
+                    best = (float(row[i]), (float(p), float(a), float(w_arr[i])))
+        return best
+
+    best_profit, best_cell = scan(_axis(0.0, 1.0, steps.p_step),
+                                  _axis(0.0, 1.0, steps.alpha_step),
+                                  _axis(0.0, w0_max, steps.w0_step))
+    h = np.array([steps.p_step, steps.alpha_step, steps.w0_step])
+    for _ in range(refine_rounds):
+        h = h / 2.0
+        p0, a0, w0 = best_cell
+        profit, cell = scan(np.unique(np.clip(p0 + h[0] * np.arange(-3, 4), 0.0, 1.0)),
+                            np.unique(np.clip(a0 + h[1] * np.arange(-3, 4), 0.0, 1.0)),
+                            np.unique(np.clip(w0 + h[2] * np.arange(-3, 4), 0.0, w0_max)))
+        if profit > best_profit:
+            best_profit, best_cell = profit, cell
+    flags = tuple(f"{name}_at_bound" for name, val, hi in
+                  zip(("p", "alpha", "w0"), best_cell, (1.0, 1.0, w0_max)) if val in (0.0, hi))
+    return employer.OptimalContract(ContractParams(*best_cell), best_profit,
+                                     employer.SolveMethod.GRID_SEARCH, flags)
+
+
+def assert_same_optimum(got, want):
+    assert (got.contract.p, got.contract.alpha, got.contract.w0) == (
+        want.contract.p, want.contract.alpha, want.contract.w0)
+    assert got.profit == want.profit
+    assert got.flags == want.flags
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.floats(0.05, 5.0), lam=st.floats(0.05, 1.0), c=st.floats(0.0, 3.0),
+       b=st.floats(0.5, 2.0), p_step=st.floats(0.05, 1.0), alpha_step=st.floats(0.05, 1.0),
+       w0_step=st.floats(0.05, 1.0), w0_max=st.one_of(st.none(), st.floats(0.1, 3.0)),
+       refine_rounds=st.integers(0, 2))
+@example(k=0.5, lam=0.5, c=0.375, b=0.5, p_step=0.25, alpha_step=0.5, w0_step=0.5,
+         w0_max=None, refine_rounds=2)  # ties across p
+def test_one_period_search_matches_per_row_scan(k, lam, c, b, p_step, alpha_step, w0_step,
+                                                w0_max, refine_rounds):
+    # a box whose every cell has -inf profit has no incumbent; both searches
+    # then fail in the same way
+    firm = FirmParams(k=k, lam=lam, c=c, eta=0.9)
+    prefs = WorkerPrefs.additive(delta=0.9, b=b)
+    steps = GridSteps(p_step, alpha_step, w0_step, w0_max)
+    try:
+        want = one_period_search_reference(firm, prefs, steps, refine_rounds)
+    except TypeError:
+        with pytest.raises(TypeError):
+            grid_search_optimum(firm, prefs, Horizon(1), steps, refine_rounds)
+        return
+    assert_same_optimum(grid_search_optimum(firm, prefs, Horizon(1), steps, refine_rounds),
+                        want)
+
+
+@pytest.mark.parametrize("firm, b, steps, tied_p", [
+    # monitoring this costly never pays: at p = 0 the profit -w0 does not
+    # depend on alpha, so every alpha of the p = 0 slab ties
+    (FirmParams(k=1.2, lam=1 / 1.2, c=50.0, eta=0.9), 1.0, GridSteps(0.05, 0.05, 0.05),
+     [0.0]),
+    # the best profit, exactly 0.0, is reached at four values of p
+    (FirmParams(k=0.5, lam=0.5, c=0.375, eta=0.9), 0.5, GridSteps(0.25, 0.5, 0.5),
+     [0.25, 0.5, 0.75, 1.0])])
+def test_one_period_search_ties_go_to_smallest_cell(firm, b, steps, tied_p):
+    prefs = WorkerPrefs.additive(delta=0.9, b=b)
+    a_col = _axis(0.0, 1.0, steps.alpha_step)[:, None]
+    w_vals = _axis(0.0, _w0_max(firm, steps), steps.w0_step)
+    slabs = {float(p): _one_period_profit(float(p), a_col, w_vals, firm, b=b)
+             for p in _axis(0.0, 1.0, steps.p_step)}
+    best = max(slab.max() for slab in slabs.values())
+    assert [p for p, slab in slabs.items() if slab.max() == best] == tied_p
+    assert sum(int(np.sum(slab == best)) for slab in slabs.values()) > 1
+    i, j = np.argwhere(slabs[tied_p[0]] == best)[0]
+    for rounds in (0, 1, 2):
+        opt = grid_search_optimum(firm, prefs, Horizon(1), steps, refine_rounds=rounds)
+        assert_same_optimum(opt, one_period_search_reference(firm, prefs, steps, rounds))
+        if rounds == 0:
+            assert (opt.contract.p, opt.contract.alpha, opt.contract.w0) == (
+                tied_p[0], a_col[i, 0], w_vals[j])
+
+
 def test_grid_search_deterministic():
     a = grid_search_optimum(UNIT_SCALE_FIRM, PREFS, Horizon(1),
                             GridSteps(0.05, 0.05, 0.05), refine_rounds=1)
