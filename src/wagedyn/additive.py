@@ -6,10 +6,14 @@ of continuation values). The grid must be a strictly increasing np.linspace:
 the interpolation finds a wage's cell arithmetically instead of by a sorted
 search. The golden-section argmax per grid state, which validates the affine
 policy, is built only when AdditiveSolution.raw_effort is first read; only the
-criterion 4 check and the tests read it. Two independent cross-checks exist:
-an exact recursion derived from the log-linear structure of the value
-function, and the literal closed-sum formula retained as a diagnostic (it is
-known to violate the terminal normalization phi_T = 1).
+criterion 4 check and the tests read it. Two exact solutions exist: a
+recursion derived from the log-linear structure of the value function
+(phi_series_recursive), which holds while the affine policy never clamps on
+reachable states, and an envelope recursion on the value function's slope
+(envelope_evaluated_wages), which holds in every regime; the employer's
+worker solve uses them and never the grid. The literal closed-sum formula is
+retained as a diagnostic (it is known to violate the terminal normalization
+phi_T = 1).
 
 Key structural facts used throughout: with wage scale s and bonus rate alpha,
 the evaluated consumption is x = s*(1+alpha)*e - alpha*w, the first-order
@@ -94,6 +98,62 @@ def phi_series_recursive(contract: ContractParams, prefs: WorkerPrefs,
     return phi
 
 
+def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
+                             horizon: Horizon, wage_scale: float = 1.0) -> np.ndarray:
+    """Exact evaluated wages x*_1..x*_T in every regime, clamped or not, by an
+    envelope recursion on the value function's slope.
+
+    With S = s*(1+alpha), the best response is e_t(w) = min((x*_t + alpha*w)/S, 1).
+    x*_t is the root of
+
+        g_t(x) = p/x + delta*p*V'_{t+1}(x) - b/S
+
+    on (0, S], clipped to S, where V'_{T+1} = 0 and, by the envelope theorem,
+
+        V'_t(w) = (1-p)*[1/w + delta*V'_{t+1}(w)] - b*alpha/S
+                  when x*_t + alpha*w <= S (interior), else
+        V'_t(w) = (1-p)*[1/w + delta*V'_{t+1}(w)] - p*alpha*[1/y + delta*V'_{t+1}(y)]
+                  with y = S - alpha*w (full effort), and -inf when y <= 0.
+
+    The period objective is jointly concave in (e, w), so every V_t is concave,
+    g_t decreases and its root is unique. Everything is closed form except
+    that scalar root per period, found by golden.bisect_root. V'_t(w) reads
+    V'_{t+1} only at w and y(w), so one evaluation of g_t visits the chain x,
+    y(x), y(y(x)), ...; memoised per evaluation, it costs O(T^2).
+
+    Where no evaluated wage clamps, the roots equal S*(p/b)*phi from
+    phi_series_recursive to rounding. Requires p > 0.
+    """
+    _require_additive(prefs)
+    p, alpha, b, delta = contract.p, contract.alpha, prefs.b, prefs.delta
+    if not p > 0.0:
+        raise ValueError("the envelope recursion needs p > 0")
+    S = wage_scale * (1.0 + alpha)
+    T = horizon.T
+    x_star = [0.0] * (T + 1)  # x_star[t] for t = 1..T, filled backwards
+
+    def slope(t: int, w: float, memo: dict) -> float:
+        """V'_t(w), memoised by (t, w) within one evaluation of g."""
+        if t > T:
+            return 0.0
+        key = (t, w)
+        if key not in memo:
+            d = (1.0 - p) * (1.0 / w + delta * slope(t + 1, w, memo)) if p < 1.0 else 0.0
+            if x_star[t] + alpha * w <= S:
+                d -= b * alpha / S
+            else:
+                y = S - alpha * w
+                d = -math.inf if y <= 0.0 else \
+                    d - p * alpha * (1.0 / y + delta * slope(t + 1, y, memo))
+            memo[key] = d
+        return memo[key]
+
+    for t in range(T, 0, -1):
+        x_star[t] = bisect_root(
+            lambda x: p / x + delta * p * slope(t + 1, x, {}) - b / S, 1e-12 * S, S)
+    return np.array(x_star[1:])
+
+
 def phi_series_closed_sum(contract: ContractParams, prefs: WorkerPrefs,
                           horizon: Horizon) -> np.ndarray:
     """Literal closed-sum phi variant, kept as a diagnostic only.
@@ -133,16 +193,15 @@ def deterministic_path(contract: ContractParams, efforts: list[float],
 # numerical backward-induction oracle
 
 
-def default_wage_grid(contract: ContractParams, wage_scale: float = 1.0,
-                      n_points: int = 15001) -> np.ndarray:
-    """Grid on [0, max(1.5, cap)] where cap covers every attainable wage.
+def default_wage_grid(contract: ContractParams, wage_scale: float = 1.0) -> np.ndarray:
+    """15001 points on [0, max(1.5, cap)] where cap covers every attainable wage.
 
-    The default density keeps the linear-interpolation bias of the fitted
-    optimum below ~2e-5 in effort, so the returned policy is stationary for
-    the true objective to about 1e-4.
+    This density keeps the linear-interpolation bias of the fitted optimum
+    below ~2e-5 in effort, so the returned policy is stationary for the true
+    objective to about 1e-4.
     """
     cap = max(1.5, wage_scale * (1.0 + contract.alpha), contract.w0 * 1.01)
-    return np.linspace(0.0, cap, n_points)
+    return np.linspace(0.0, cap, 15001)
 
 
 @dataclass(frozen=True)
@@ -301,7 +360,9 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
     Per period, the objective (see _period_objective) is shared by every grid
     wage through x = s*(1+alpha)*e - alpha*w. The fitted evaluated wage W_t
     comes from bisecting its first-order condition in x, and
-    phi_t = W_t * b / (p*(1+alpha)*s). The value table follows the affine
+    phi_t = W_t * b / (p*(1+alpha)*s). Where the numerical slope of V_{t+1}
+    is infinite, the condition takes its sign; a NaN slope (both ends -inf)
+    reads as too high a wage. The value table follows the affine
     policy from W_t, clamped to [0, 1]; the golden-section argmax per state
     (raw_effort) is built from it only when read.
 
@@ -347,8 +408,14 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
                 dV = (_interp_guarded_float(min(x + h, grid_list[-1]), grid_list, V_list)
                       - _interp_guarded_float(max(x - h, grid_list[0]), grid_list, V_list)) \
                     / (2 * h)
-                if not math.isfinite(dV):
-                    return 1.0
+                if math.isnan(dV):
+                    # both ends -inf: x is too high a wage
+                    return -1.0
+                if math.isinf(dV):
+                    # +inf where V(x - h) is -inf (the low end: V(0) = -inf),
+                    # -inf where V(x + h) is -inf (the top at alpha = 1,
+                    # where full effort leaves no evaluated consumption)
+                    return math.copysign(1.0, dV)
                 return p / x + delta * p * dV - b / ((1.0 + alpha) * s)
 
             x_star = bisect_root(g, max(grid_list[1], 1e-12), cap)
@@ -426,6 +493,29 @@ class AffinePolicy:
 
     def bonus_if_evaluated(self, t: int, prev_wage):
         return np.zeros_like(np.asarray(prev_wage, dtype=float))
+
+
+def dead_corner(alpha, w, wage_scale: float):
+    """True where not even full effort yields a positive evaluated wage,
+    s(1+alpha) - alpha*w <= 0. An evaluation then leaves the worker with
+    nothing whatever the effort, so the worker idles: e = 0 and x = 0.
+    Broadcasts over alpha and w."""
+    return wage_scale * (1.0 + alpha) - alpha * w <= 0.0
+
+
+class ExactAffinePolicy(AffinePolicy):
+    """The additive worker's best response for the employer: AffinePolicy,
+    except that the worker idles in the dead corner (see dead_corner), as in
+    the one-period response. Only a starting wage w0 >= s(1+alpha)/alpha lies
+    there: every evaluated wage is below it. AffinePolicy itself keeps full
+    effort there, as the fitted policies of the reader's path do."""
+
+    def effort(self, t: int, prev_wage):
+        e = super().effort(t, prev_wage)
+        dead = dead_corner(self.contract.alpha, np.asarray(prev_wage, dtype=float),
+                           self.wage_scale)
+        # [()] turns a 0-d result back into a scalar, as AffinePolicy returns
+        return np.where(dead, 0.0, e)[()]
 
 
 class AffineEffortPolicy(AffinePolicy):

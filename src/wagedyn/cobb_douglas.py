@@ -58,15 +58,25 @@ class DpGrid:
         return _read_only(np.round(np.linspace(0.0, 1.0, n + 1), 12))
 
     def index(self, wages) -> np.ndarray:
-        """Wage-grid indices of wages (any shape); a wage more than 1e-9 from
-        every grid point raises ValueError naming the first such wage."""
-        w = np.asarray(wages, dtype=float)
-        idx = np.rint(np.clip(w / self.wage_step, 0, len(self.wages) - 1)).astype(np.intp)
-        off = np.abs(w - self.wages[idx]) > 1e-9
-        if np.any(off):
-            raise ValueError(f"wage {float(w[off].flat[0])!r} is not on the policy grid "
-                             f"(step {self.wage_step})")
-        return idx
+        """Wage-grid indices of wages (any shape), by grid_index."""
+        return grid_index(self.wages, wages, f"the policy grid (step {self.wage_step})")
+
+
+def grid_index(points: np.ndarray, wages, grid: str = "the policy grid") -> np.ndarray:
+    """Indices of wages (any shape) in the increasing array points: each
+    wage's nearest point, the lower one on a tie. A wage more than 1e-9 from
+    every point raises ValueError naming the first such wage and the grid.
+
+    The one wage-to-index lookup: DpGrid.index and the employer's priced
+    profit rows (employer.expected_profit) both use it.
+    """
+    w = np.asarray(wages, dtype=float)
+    # the midpoints split the line into each point's nearest region
+    idx = (0.5 * (points[:-1] + points[1:])).searchsorted(w)
+    on = np.abs(w - points.take(idx)) <= 1e-9  # NaN is on no grid
+    if not on.all():
+        raise ValueError(f"wage {float(w[~on].flat[0])!r} is not on {grid}")
+    return idx
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -6,6 +6,13 @@ monitoring cost p*c, discounted by eta. Compensation is the worker's total
 compensation: the wage alone under the additive scheme, wage plus nonrecurrent
 bonus under the Cobb-Douglas scheme.
 
+The worker's best response (worker_policy) depends on (p, alpha) alone in
+both families, so a multi-period grid search solves it once per (p, alpha)
+row and prices the row's starting wages with one profit_values pass. The
+additive response is exact in every regime: the phi recursion while no
+evaluated wage clamps, otherwise the envelope recursion of
+additive.envelope_evaluated_wages; no wage grid is solved.
+
 A structural warning, verified numerically and by hand: the one-period rules
 (alpha*, p*, w0*) are the unique interior stationary point of the profit
 function, but that point is a saddle. The profit is linear in w0 at fixed
@@ -27,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import (AffineEffortPolicy, AffinePolicy, default_wage_grid,
-                       phi_series_recursive, solve_backward_induction)
-from .cobb_douglas import DpGrid, TableEffortPolicy, solve_policy
+from .additive import (ExactAffinePolicy, dead_corner, envelope_evaluated_wages,
+                       phi_series_recursive)
+from .cobb_douglas import DpGrid, TableEffortPolicy, grid_index, solve_policy
 from .distribution import WageDistribution, WagePolicy, profile, propagate
 from .model import affine_effort
 from .params import ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs
@@ -57,23 +64,25 @@ class OptimalContract:
 
 
 def _additive_response(contract: ContractParams, prefs: WorkerPrefs,
-                       horizon: Horizon, wage_scale: float):
-    """Effort policy for the additive worker; exact recursion when the affine
-    policy never clamps on reachable states, numerical DP otherwise."""
+                       horizon: Horizon, wage_scale: float) -> ExactAffinePolicy:
+    """The additive worker's exact best response, which depends on (p, alpha)
+    alone: the first-order condition pins each period's evaluated wage x*_t
+    whatever the previous wage, so w0 is never read.
+
+    When no evaluated wage x_j = s(1+alpha)(p/b)phi_j clamps the affine
+    effort in any period, phi is phi_series_recursive's. Otherwise x*_t comes
+    from the envelope recursion (additive.envelope_evaluated_wages) and
+    phi_t = x*_t*b/(p*s(1+alpha)). Either way the policy is exact; no grid
+    is solved.
+    """
     p, alpha, b = contract.p, contract.alpha, prefs.b
     s = wage_scale
     phi = phi_series_recursive(contract, prefs, horizon)
     A = alpha / (1.0 + alpha)
-    # reachable wages: w0 plus the per-period evaluated wages
-    wages = [contract.w0] + [(p / b) * (1.0 + alpha) * s * ph for ph in phi]
-    unclamped = all(0.0 <= (p / b) * ph + A * w / s <= 1.0
-                    for ph in phi for w in wages)
-    if unclamped:
-        return AffinePolicy(contract, b, s, phi)
-    sol = solve_backward_induction(contract, prefs, horizon,
-                                   wage_grid=default_wage_grid(contract, s, n_points=241),
-                                   wage_scale=s)
-    return AffineEffortPolicy(sol)
+    wages = [(p / b) * (1.0 + alpha) * s * ph for ph in phi]
+    if not all(0.0 <= (p / b) * ph + A * w / s <= 1.0 for ph in phi for w in wages):
+        phi = envelope_evaluated_wages(contract, prefs, horizon, s) * b / (p * (1.0 + alpha) * s)
+    return ExactAffinePolicy(contract, b, s, phi)
 
 
 def worker_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
@@ -90,18 +99,20 @@ def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPre
     """Discounted expected profit: the employer value P_1(w0) of profit_values
     under the worker's best response.
 
-    row = (grid, values) hands in P_1 priced over a Cobb-Douglas policy's
-    whole wage grid, which one pass does for every w0 of a (p, alpha) row; the
-    cell is then read at grid.index(w0). A Cobb-Douglas w0 must lie on the
-    policy grid (0.1 steps by default) either way, or ValueError is raised.
-    An additive contract with w0 = 0 and p < 1 (the never-evaluated worker
-    consumes nothing) yields -inf.
+    row = (wages, values) hands in P_1 priced by one profit_values pass at
+    the increasing starting wages `wages` under the policy of the contract's
+    (p, alpha): a Cobb-Douglas policy's whole wage grid, or an additive
+    search's w0 axis. The cell is then values[grid_index(wages, w0)]; a w0
+    off those wages raises ValueError. A Cobb-Douglas w0 must lie on the
+    policy grid (0.1 steps by default) either way. An additive contract with
+    w0 = 0 and p < 1 (the never-evaluated worker consumes nothing) yields
+    -inf, row or not.
     """
-    if row is not None:
-        grid, values = row
-        return float(values[grid.index(contract.w0)])
     if prefs.family is UtilityFamily.ADDITIVE and (contract.w0 <= 0.0 and contract.p < 1.0):
         return -math.inf
+    if row is not None:
+        wages, values = row
+        return float(values[grid_index(wages, contract.w0)])
     policy = worker_policy(contract, prefs, horizon, firm)
     return float(profit_values(policy, contract.p, firm, horizon, [contract.w0])[0])
 
@@ -263,8 +274,9 @@ def _one_period_response(p: float, alpha, w0, s: float, b: float = 1.0):
     """One-period additive worker's effort e and evaluated wage x.
 
     e is the affine rule with phi = 1 and x = max(s(1+alpha)e - alpha*w0, 0).
-    Both are 0 when p = 0, and when not even full effort yields a positive
-    evaluated consumption (then there is no reason to work). alpha and w0
+    Both are 0 when p = 0, and in the dead corner (additive.dead_corner),
+    where not even full effort yields a positive evaluated consumption, by
+    the rule the multi-period exact policy also follows. alpha and w0
     broadcast against each other; scalar input gives Python floats.
     """
     alpha = np.asarray(alpha, dtype=float)
@@ -274,7 +286,7 @@ def _one_period_response(p: float, alpha, w0, s: float, b: float = 1.0):
     else:
         e = affine_effort(p, alpha, w0, b=b, s=s)
         x = np.maximum(s * (1.0 + alpha) * e - alpha * w0, 0.0)
-        dead = s * (1.0 + alpha) - alpha * w0 <= 0.0
+        dead = dead_corner(alpha, w0, s)
         e = np.where(dead, 0.0, e)
         x = np.where(dead, 0.0, x)
     if e.ndim == 0:
@@ -328,12 +340,15 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
     One-period additive searches use the exact closed-form profit, one
     (alpha, w0) slab per p: the slab's first maximum is its smallest cell,
     and a later p replaces the incumbent only on a strict improvement. Other
-    cases call expected_profit once per cell, in (p, alpha, w0) order.
-    Additive cells solve their own worker policy. Cobb-Douglas searches solve
-    one worker policy per (p, alpha) row, price the row's whole wage grid
-    with one profit_values pass and hand it to every w0 of the row; every w0
-    the search reaches, refinement included, must then lie on the 0.1 policy
-    grid, or expected_profit raises ValueError and so does the search.
+    searches solve one worker policy per (p, alpha) row, because neither
+    family's policy reads w0, and price the row with one profit_values pass:
+    an additive row at the scan's w0 axis, a Cobb-Douglas row at the policy's
+    whole wage grid. They then call expected_profit once per cell, in
+    (p, alpha, w0) order, handing it the row. Every w0 a Cobb-Douglas search
+    reaches, refinement included, must lie on the 0.1 policy grid, or
+    expected_profit raises ValueError and so does the search.
+
+    Raises ValueError when no cell of the box has a finite profit.
     """
     w0_max = _w0_max(firm, steps)
     fast = prefs.family is UtilityFamily.ADDITIVE and horizon.T == 1
@@ -352,15 +367,12 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
                 if slab[i, j] > best[0]:
                     best = (float(slab[i, j]), (float(p), float(a_col[i, 0]), float(w_arr[j])))
             return best
+        wages = grid.wages if cobb_douglas else w_arr
         for p in p_vals:
             for a in a_vals:
-                row = None
-                if cobb_douglas:
-                    # the Cobb-Douglas policy reads only p and alpha: one
-                    # solve and one recursion price the whole w0 row
-                    policy = worker_policy(ContractParams(float(p), float(a), float(w_arr[0])),
-                                           prefs, horizon, firm, grid)
-                    row = grid, profit_values(policy, float(p), firm, horizon, grid.wages)
+                policy = worker_policy(ContractParams(float(p), float(a), float(w_arr[0])),
+                                       prefs, horizon, firm, grid)
+                row = wages, profit_values(policy, float(p), firm, horizon, wages)
                 for w in w_vals:
                     contract = ContractParams(float(p), float(a), float(w))
                     pi = expected_profit(contract, firm, prefs, horizon, row)
@@ -372,6 +384,11 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
     a_vals = _axis(0.0, 1.0, steps.alpha_step)
     w_vals = _axis(0.0, w0_max, steps.w0_step)
     best_profit, best_cell = scan(p_vals, a_vals, w_vals)
+    if best_cell is None:
+        raise ValueError(
+            f"no contract in the box p in [0, 1] step {steps.p_step}, alpha in [0, 1] "
+            f"step {steps.alpha_step}, w0 in [0, {w0_max}] step {steps.w0_step} "
+            f"has a finite profit")
 
     h = np.array([steps.p_step, steps.alpha_step, steps.w0_step])
     for _ in range(refine_rounds):

@@ -245,6 +245,18 @@ def test_profile_shape_matches_classic_pattern(fig32_solution):
     assert means[-1] < max(means)
 
 
+def test_alpha_one_fit_matches_recursion():
+    # at alpha = 1 the default grid's top wage s(1+alpha) leaves no evaluated
+    # consumption under full effort, so V_{t+1} is -inf in the top cell; the
+    # first-order-condition bisection must read that -inf slope as too high a
+    # wage instead of answering full effort (phi = 5.0 at every t < T)
+    contract = ContractParams(0.2, 1.0, 0.4)
+    prefs = WorkerPrefs.additive(delta=0.9)
+    sol = solve_backward_induction(contract, prefs, Horizon(10))
+    exact = phi_series_recursive(contract, prefs, Horizon(10))
+    assert np.max(np.abs(sol.phi - exact)) <= 2e-4
+
+
 def test_subnormal_p_takes_phi_from_recursion():
     # p * (1+alpha) * s is subnormal, so the fitted phi = W*b/(p(1+alpha)s)
     # overflows; phi and the evaluated wage come from the exact recursion

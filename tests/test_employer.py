@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistribution,
                      WorkerPrefs, analytic_one_period_optimum, distribution, employer,
-                     expected_profit, grid_search_optimum,
+                     expected_profit, grid_search_optimum, phi_series_recursive,
                      profit_by_history_enumeration, single_period_effort,
                      stationary_grid_search, stationary_one_period_optimum,
                      tech_shock, tech_sweep)
@@ -318,15 +318,15 @@ def assert_same_optimum(got, want):
          w0_max=None, refine_rounds=2)  # ties across p
 def test_one_period_search_matches_per_row_scan(k, lam, c, b, p_step, alpha_step, w0_step,
                                                 w0_max, refine_rounds):
-    # a box whose every cell has -inf profit has no incumbent; both searches
-    # then fail in the same way
+    # a box whose every cell has -inf profit has no incumbent: the reference
+    # then fails unpacking it, and the search raises a ValueError naming the box
     firm = FirmParams(k=k, lam=lam, c=c, eta=0.9)
     prefs = WorkerPrefs.additive(delta=0.9, b=b)
     steps = GridSteps(p_step, alpha_step, w0_step, w0_max)
     try:
         want = one_period_search_reference(firm, prefs, steps, refine_rounds)
     except TypeError:
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="no contract in the box"):
             grid_search_optimum(firm, prefs, Horizon(1), steps, refine_rounds)
         return
     assert_same_optimum(grid_search_optimum(firm, prefs, Horizon(1), steps, refine_rounds),
@@ -425,11 +425,11 @@ def profit_per_mask(contract, firm, policy, T):
 @given(p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
        alpha=st.floats(0.0, 1.0), w0_step=st.integers(1, 10), T=st.integers(1, 7),
        cobb_douglas=st.booleans())
-@example(p=0.9, alpha=0.9, w0_step=10, T=5, cobb_douglas=False)  # clamped fallback
+@example(p=0.9, alpha=0.9, w0_step=10, T=5, cobb_douglas=False)  # clamped: envelope x*
 def test_level_wise_profit_enumeration_matches_per_mask(p, alpha, w0_step, T,
                                                         cobb_douglas):
-    # w0 on the Cobb-Douglas grid; additive draws reach both the exact affine
-    # policy and the clamped-policy numerical fallback
+    # w0 on the Cobb-Douglas grid; additive draws reach both the phi recursion
+    # and, where an evaluated wage clamps, the envelope recursion
     firm = FirmParams(k=1.4, lam=0.8, c=0.1, eta=0.92)
     prefs = (WorkerPrefs.cobb_douglas(delta=0.9, gamma=0.4, beta=0.6)
              if cobb_douglas else PREFS)
@@ -471,12 +471,12 @@ def profit_by_distribution_loop(contract, firm, policy, T):
        alpha=st.floats(0.0, 1.0), w0_step=st.integers(0, 10), T=st.integers(1, 8),
        gamma=st.floats(0.1, 0.9), beta=st.floats(0.1, 0.9), cobb_douglas=st.booleans())
 @example(p=0.9, alpha=0.9, w0_step=10, T=5, gamma=0.4, beta=0.6,
-         cobb_douglas=False)  # clamped fallback
+         cobb_douglas=False)  # clamped: envelope x*
 def test_grid_profit_matches_enumeration_and_distribution_loop(p, alpha, w0_step, T,
                                                                gamma, beta, cobb_douglas):
     # the recursion sums in another order than the loop and the enumeration,
-    # so equality is to 1e-12; additive draws reach both the exact affine
-    # policy and the clamped-policy numerical fallback
+    # so equality is to 1e-12; additive draws reach both the phi recursion
+    # and, where an evaluated wage clamps, the envelope recursion
     assume(cobb_douglas or w0_step > 0 or p == 1.0)  # else -inf, see degenerate test
     prefs = (WorkerPrefs.cobb_douglas(delta=0.9, gamma=gamma, beta=beta)
              if cobb_douglas else PREFS)
@@ -491,7 +491,8 @@ def test_grid_profit_matches_enumeration_and_distribution_loop(p, alpha, w0_step
     values = profit_values(policy, p, CD_FIRM, Horizon(T), grid.wages)
     assert values[w0_step] == single
     if cobb_douglas:
-        assert expected_profit(contract, CD_FIRM, prefs, Horizon(T), (grid, values)) == single
+        assert expected_profit(contract, CD_FIRM, prefs, Horizon(T),
+                               (grid.wages, values)) == single
 
 
 def test_grid_profit_rejects_off_grid_w0():
@@ -501,7 +502,8 @@ def test_grid_profit_rejects_off_grid_w0():
 
 def per_cell_search(firm, prefs, horizon, steps, refine_rounds):
     """Reference grid search: one expected_profit call per cell, each solving a
-    fresh worker policy; returns ((p, alpha, w0), profit)."""
+    fresh worker policy and pricing its own w0; returns an OptimalContract like
+    grid_search_optimum."""
     w0_max = _w0_max(firm, steps)
 
     def scan(p_vals, a_vals, w_vals):
@@ -527,7 +529,10 @@ def per_cell_search(firm, prefs, horizon, steps, refine_rounds):
                      np.unique(np.clip(w0 + h[2] * np.arange(-3, 4), 0.0, w0_max)))
         if found[0] > best[0]:
             best = found
-    return best[1], best[0]
+    flags = tuple(f"{name}_at_bound" for name, val, hi in
+                  zip(("p", "alpha", "w0"), best[1], (1.0, 1.0, w0_max)) if val in (0.0, hi))
+    return employer.OptimalContract(ContractParams(*best[1]), best[0],
+                                     employer.SolveMethod.GRID_SEARCH, flags)
 
 
 @pytest.fixture
@@ -549,9 +554,7 @@ def test_cobb_douglas_search_matches_per_cell_scan(profit_calls):
     steps, horizon = GridSteps(0.2, 0.2, 0.4, w0_max=0.8), Horizon(4)
     opt = grid_search_optimum(CD_FIRM, CD_PREFS, horizon, steps, refine_rounds=1)
     search_calls = profit_calls[0]
-    cell, profit = per_cell_search(CD_FIRM, CD_PREFS, horizon, steps, 1)
-    assert (opt.contract.p, opt.contract.alpha, opt.contract.w0) == cell
-    assert opt.profit == profit
+    assert_same_optimum(opt, per_cell_search(CD_FIRM, CD_PREFS, horizon, steps, 1))
     assert search_calls == profit_calls[0] - search_calls
 
 
@@ -580,3 +583,77 @@ def test_off_grid_search_raises_at_the_per_cell_scans_cell(profit_calls):
         per_cell_search(CD_FIRM, CD_PREFS, horizon, steps, 1)
     assert search_calls == profit_calls[0] - search_calls
     assert search_calls > 5 * 5 * 3  # it fails in the refinement, past the coarse grid
+
+
+def test_additive_search_matches_per_cell_scan(monkeypatch, profit_calls):
+    # T = 10 at wage scale 1.2, as the benchmark's additive search: some rows
+    # clamp along their evaluated wages and take the envelope recursion
+    envelope_rows = [0]
+    original = employer.envelope_evaluated_wages
+
+    def counted(*args, **kwargs):
+        envelope_rows[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(employer, "envelope_evaluated_wages", counted)
+    steps, horizon = GridSteps(0.25, 0.25, 0.5), Horizon(10)
+    opt = grid_search_optimum(CD_FIRM, PREFS, horizon, steps, refine_rounds=1)
+    search_calls, search_envelopes = profit_calls[0], envelope_rows[0]
+    assert search_envelopes > 0
+    assert_same_optimum(opt, per_cell_search(CD_FIRM, PREFS, horizon, steps, 1))
+    assert search_calls == profit_calls[0] - search_calls
+    assert opt.profit == pytest.approx(
+        profit_by_history_enumeration(opt.contract, CD_FIRM, PREFS, horizon), abs=1e-12)
+
+
+def test_additive_search_solves_one_exact_policy_per_row(monkeypatch, profit_calls):
+    from wagedyn import additive
+
+    grid_solves, solves = [0], [0]
+
+    def no_grid_solve(*args, **kwargs):
+        grid_solves[0] += 1
+        raise AssertionError("the employer search solved a grid")
+
+    original = employer.worker_policy
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(additive, "solve_backward_induction", no_grid_solve)
+    monkeypatch.setattr(employer, "worker_policy", counted)
+    grid_search_optimum(CD_FIRM, PREFS, Horizon(10), GridSteps(0.25, 0.25, 0.5),
+                        refine_rounds=0)
+    assert grid_solves[0] == 0
+    assert solves[0] == 5 * 5
+    assert profit_calls[0] == 5 * 5 * 5  # w0 in 0, 0.5, ..., 2.0
+
+
+def today_rule_unclamped(contract, s, phi, b=1.0):
+    """The affine policy never clamps at w0 or at any evaluated wage."""
+    p, alpha = contract.p, contract.alpha
+    wages = [contract.w0] + [(p / b) * (1.0 + alpha) * s * ph for ph in phi]
+    return all(0.0 <= (p / b) * ph + alpha / (1.0 + alpha) * w / s <= 1.0
+               for ph in phi for w in wages)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.0, 1.0), alpha=st.floats(0.0, 1.0), w0=st.floats(0.0, 2.0),
+       T=st.integers(1, 12))
+@example(p=0.2, alpha=0.5, w0=0.4, T=10)  # fig3_2's contract
+def test_unclamped_contract_takes_phi_recursion_bit_for_bit(p, alpha, w0, T):
+    contract = ContractParams(p, alpha, w0)
+    phi = phi_series_recursive(contract, PREFS, Horizon(T))
+    assume(today_rule_unclamped(contract, CD_FIRM.wage_scale, phi))
+    policy = worker_policy(contract, PREFS, Horizon(T), CD_FIRM)
+    assert policy.phi.tobytes() == phi.tobytes()
+
+
+def test_search_without_finite_profit_names_the_box():
+    firm = FirmParams(k=1.0, lam=0.05, c=0.1, eta=0.9)
+    for T in (1, 3):
+        # the w0 axis is [0] and p never reaches 1: every cell is -inf
+        with pytest.raises(ValueError, match=r"no contract in the box .* w0 in \[0, 0.1\]"):
+            grid_search_optimum(firm, PREFS, Horizon(T), GridSteps(0.3, 0.3, 0.5),
+                                refine_rounds=0)
