@@ -8,10 +8,13 @@ wage, mass p moves to the policy's evaluated wage. enumerate_histories() sums
 over all 2^T sampling histories, one period at a time over arrays, and must
 agree with propagate() exactly. simulate() draws paths from a counter-based
 generator keyed by (seed, path, period) so results do not depend on how the
-work is chunked. It carries each path as an integer index into the period's
-table of distinct wages reached, and draws the uniforms one chunk of at most
-_CHUNK_PATHS paths at a time, so its memory does not grow with the number of
-paths.
+work is chunked. It draws each period's evaluation flag as a raw Philox word
+below an integer limit, packed 8 periods to a byte, and carries each path as
+an integer index into the period's table of distinct wages reached, walked
+one byte of periods per pass over the distinct (index, byte) combinations.
+The paths go one chunk of at most _CHUNK_PATHS at a time, and their words one
+block of _DRAW_PATHS paths at a time, so its memory does not grow with the
+number of paths.
 """
 from __future__ import annotations
 
@@ -24,8 +27,10 @@ import numpy as np
 from .params import ContractParams, Horizon
 
 MERGE_TOL = 1e-9
-# paths per Monte Carlo chunk: bounds simulate's draws at 8*T*_CHUNK_PATHS bytes
-_CHUNK_PATHS = 1 << 15
+# paths per Monte Carlo chunk: bounds its packed flags, indices and keys
+_CHUNK_PATHS = 1 << 17
+# paths per block of raw Philox words: bounds the draws at 8*T*_DRAW_PATHS bytes
+_DRAW_PATHS = 1 << 12
 
 
 class WagePolicy(Protocol):
@@ -165,53 +170,93 @@ def enumerate_histories(policy: WagePolicy, contract: ContractParams,
     return _merge(wages, probs)
 
 
-def chunk_uniforms(seed: int, first_path: int, n_paths: int, periods: int) -> np.ndarray:
-    """Uniforms u[i, t] of paths first_path .. first_path + n_paths - 1.
+def chunk_flags(seed: int, first_path: int, n_paths: int, periods: int,
+                p: float) -> np.ndarray:
+    """Evaluation flags u[i, t] < p of paths first_path .. first_path + n_paths - 1,
+    packed 8 periods to a byte (np.packbits(..., axis=1, bitorder="little")).
 
-    The draw for (path i, period t) sits at position i*periods + t of the
-    Philox(key=seed) stream. Each Philox counter yields four doubles, so the
+    The draw for (path i, period t) is word i*periods + t of the
+    Philox(key=seed) stream. Each Philox counter yields four words, so the
     stream is advanced by whole counters and the remainder is discarded; any
-    split of the paths therefore reproduces the same numbers.
+    split of the paths therefore reproduces the same flags. numpy's uniform
+    of a word r is (r >> 11) * 2^-53, so u < p exactly when r is below the
+    limit ceil(p * 2^53) << 11, and the words are compared as drawn, in
+    blocks of _DRAW_PATHS paths.
     """
-    start = int(first_path) * int(periods)  # Philox.advance rejects numpy integers
+    n, T = int(n_paths), int(periods)
+    nbytes = -(-T // 8)
+    flags = np.empty((n, nbytes), dtype=np.uint8)
+    limit = math.ceil(float(p) * 2.0**53)
+    if limit == 2**53:  # p = 1: the limit 2^64 does not fit in a word
+        flags[:] = np.packbits(np.ones(T, dtype=bool), bitorder="little")
+        return flags
+    limit = np.uint64(limit << 11)
+    start = int(first_path) * T  # Philox.advance rejects numpy integers
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(start // 4)
-    gen = np.random.Generator(bitgen)
-    gen.random(start % 4)
-    return gen.random((int(n_paths), int(periods)))
+    bitgen.random_raw(start % 4)
+    # rows padded with zero flags to whole bytes, so one flat packbits packs them
+    below = np.zeros((min(n, _DRAW_PATHS), 8 * nbytes), dtype=bool)
+    for lo in range(0, n, _DRAW_PATHS):
+        k = min(n - lo, _DRAW_PATHS)
+        np.less(bitgen.random_raw(k * T).reshape(k, T), limit, out=below[:k, :T])
+        flags[lo:lo + k] = np.packbits(below[:k], bitorder="little").reshape(k, nbytes)
+    return flags
 
 
-def _chunk_counts(policy: WagePolicy, w0: float,
-                  sampled: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _chunk_counts(policy: WagePolicy, w0: float, flags: np.ndarray,
+                  periods: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per period, the sorted distinct wages one chunk of paths reached and
-    how many paths hold each; sampled[t-1, i] says path i is evaluated in t.
+    how many paths hold each; flags are chunk_flags' packed evaluation bits.
 
     Each path is an index into the period's wage table. In period t a path
     moves from index i to candidate i + m (the evaluated wage of table[i]),
     with m the table size; the candidates some path holds become the next
     table. The policy is called once per period, on the table wages that some
     path carries into an evaluation, and not at all when none does.
+
+    The paths are walked one byte of periods at a time: the distinct
+    (index, byte) combinations and their path counts take the per-period rule
+    in place of the paths, and each path then moves to its combination's
+    index at the end of the byte.
     """
     table = np.array([float(w0)])
-    idx = np.zeros(sampled.shape[1], dtype=np.intp)
+    idx = np.zeros(len(flags), dtype=np.intp)
     out = []
-    for t, evaluated in enumerate(sampled, start=1):
-        m = len(table)
-        cand = evaluated.astype(np.intp)
-        cand *= m
-        cand += idx
-        count = np.bincount(cand, minlength=2 * m)
-        used = np.flatnonzero(count)
-        values = table[used[used < m]]
-        moved = used[used >= m] - m
-        if moved.size:
-            nxt = np.asarray(policy.next_wage_if_evaluated(t, table[moved]), dtype=float)
-            values = np.concatenate([values, nxt])
-        table, inverse = np.unique(values, return_inverse=True)
-        remap = np.zeros(2 * m, dtype=np.intp)
-        remap[used] = inverse
-        idx = remap.take(cand)
-        out.append((table, np.bincount(inverse, weights=count[used])))
+    for b in range(flags.shape[1]):
+        key = idx  # scaled in place: idx is replaced at the end of the byte
+        key *= 256
+        key += flags[:, b]
+        if len(table) * 256 <= len(key):
+            end = np.bincount(key)  # counts now, each slot's end index later
+            combo = np.flatnonzero(end)
+            weight = end[combo]
+        else:  # many distinct wages: sort the keys rather than count every slot
+            end = None
+            combo, at, weight = np.unique(key, return_inverse=True, return_counts=True)
+        state, byte = np.divmod(combo, 256)
+        for t in range(8 * b + 1, min(8 * b + 8, periods) + 1):
+            m = len(table)
+            cand = (byte >> (t - 1 - 8 * b)) & 1
+            cand *= m
+            cand += state
+            count = np.bincount(cand, weights=weight, minlength=2 * m)
+            used = np.flatnonzero(count)
+            values = table[used[used < m]]
+            moved = used[used >= m] - m
+            if moved.size:
+                nxt = np.asarray(policy.next_wage_if_evaluated(t, table[moved]), dtype=float)
+                values = np.concatenate([values, nxt])
+            table, inverse = np.unique(values, return_inverse=True)
+            remap = np.zeros(2 * m, dtype=np.intp)
+            remap[used] = inverse
+            state = remap.take(cand)
+            out.append((table, np.bincount(inverse, weights=count[used])))
+        if end is None:
+            idx = state.take(at)
+        else:
+            end[combo] = state
+            idx = end.take(key)
     return out
 
 
@@ -227,14 +272,15 @@ def simulate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
     """Monte Carlo sampling histories; empirical distribution per period.
 
     The paths are split into n_chunks parts, and each part into chunks of at
-    most _CHUNK_PATHS paths. A chunk draws only its own uniforms
-    (chunk_uniforms) and carries each path as an integer index into the
-    period's sorted table of distinct wages reached (_chunk_counts); the
-    chunk's counts are then added to the running per-period totals. Memory
-    is therefore one chunk's draws (8 * T * _CHUNK_PATHS bytes) plus its
-    sampled flags and indices, whatever n_paths is. The result is identical
-    for any n_chunks because the randomness is indexed by (seed, path,
-    period).
+    most _CHUNK_PATHS paths. A chunk draws only its own evaluation flags,
+    packed 8 periods to a byte (chunk_flags), and carries each path as an
+    integer index into the period's sorted table of distinct wages reached,
+    walked one byte of periods per pass (_chunk_counts); the chunk's counts
+    are then added to the running per-period totals. Memory is therefore one
+    block of draws (8 * T * _DRAW_PATHS bytes) plus a chunk's packed flags,
+    indices and keys (about (16 + ceil(T/8)) * _CHUNK_PATHS bytes), whatever
+    n_paths is. The result is identical for any n_chunks because the
+    randomness is indexed by (seed, path, period).
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -246,8 +292,8 @@ def simulate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         for first in range(lo, hi, _CHUNK_PATHS):
             n = min(hi, first + _CHUNK_PATHS) - first
-            sampled = np.ascontiguousarray((chunk_uniforms(seed, first, n, T) < contract.p).T)
-            counted = _chunk_counts(policy, contract.w0, sampled)
+            flags = chunk_flags(seed, first, n, T, contract.p)
+            counted = _chunk_counts(policy, contract.w0, flags, T)
             totals = [_add_counts(*total, *chunk) for total, chunk in zip(totals, counted)]
     return [_merge(wages, counts / n_paths) for wages, counts in totals]
 

@@ -79,8 +79,12 @@ def _additive_response(contract: ContractParams, prefs: WorkerPrefs,
     s = wage_scale
     phi = phi_series_recursive(contract, prefs, horizon)
     A = alpha / (1.0 + alpha)
-    wages = [(p / b) * (1.0 + alpha) * s * ph for ph in phi]
-    if not all(0.0 <= (p / b) * ph + A * w / s <= 1.0 for ph in phi for w in wages):
+    # effort in period t at evaluated wage j; an inf or NaN (p/b overflowing)
+    # fails the check silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        wages = (p / b) * (1.0 + alpha) * s * phi
+        effort = (p / b) * phi[:, None] + A * wages[None, :] / s
+    if not ((0.0 <= effort) & (effort <= 1.0)).all():
         phi = envelope_evaluated_wages(contract, prefs, horizon, s) * b / (p * (1.0 + alpha) * s)
     return ExactAffinePolicy(contract, b, s, phi)
 

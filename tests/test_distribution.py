@@ -9,7 +9,8 @@ from wagedyn import (AffineEffortPolicy, AffinePolicy, ContractParams, Horizon,
                      WageDistribution, WorkerPrefs, bracketize, enumerate_histories,
                      phi_series_recursive, profile, propagate, simulate,
                      solve_backward_induction, solve_policy, TableEffortPolicy)
-from wagedyn.distribution import MERGE_TOL, _CHUNK_PATHS, chunk_uniforms
+from wagedyn import distribution
+from wagedyn.distribution import MERGE_TOL, _CHUNK_PATHS, _DRAW_PATHS, chunk_flags
 
 CONTRACT = ContractParams(0.2, 0.5, 0.4)
 PREFS = WorkerPrefs.additive(delta=0.9)
@@ -446,6 +447,23 @@ def path_uniforms(seed: int, n_paths: int, periods: int) -> np.ndarray:
     return u
 
 
+def chunk_uniforms(seed: int, first_path: int, n_paths: int, periods: int) -> np.ndarray:
+    """Uniforms u[i, t] of paths first_path .. first_path + n_paths - 1, as
+    simulate drew them before it compared raw words (chunk_flags).
+
+    The draw for (path i, period t) sits at position i*periods + t of the
+    Philox(key=seed) stream. Each Philox counter yields four doubles, so the
+    stream is advanced by whole counters and the remainder is discarded; any
+    split of the paths therefore reproduces the same numbers.
+    """
+    start = int(first_path) * int(periods)  # Philox.advance rejects numpy integers
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(start // 4)
+    gen = np.random.Generator(bitgen)
+    gen.random(start % 4)
+    return gen.random((int(n_paths), int(periods)))
+
+
 def simulate_reference(policy, contract, horizon, n_paths, seed, n_chunks=1):
     """Reference Monte Carlo: the whole uniform array at once, the policy called
     on every sampled path, and a dict count of the distinct wages per period."""
@@ -494,11 +512,14 @@ SEVERAL_CHUNKS = 3 * _CHUNK_PATHS + 123
 
 @settings(max_examples=40, deadline=None)
 @given(p=unit_p, alpha=st.floats(0.0, 1.0),
-       w0=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), T=st.integers(1, 8),
+       w0=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), T=st.integers(1, 20),
        n_paths=st.integers(1, 400), n_chunks=st.integers(1, 9),
        seed=st.integers(0, 2**31 - 1))
 @example(p=0.3, alpha=0.5, w0=0.4, T=8, n_paths=SEVERAL_CHUNKS, n_chunks=1, seed=3)
 @example(p=0.6, alpha=0.2, w0=0.0, T=3, n_paths=5, n_chunks=9, seed=11)
+# the walk crosses one and two bytes of periods
+@example(p=0.4, alpha=0.3, w0=0.2, T=9, n_paths=300, n_chunks=2, seed=7)
+@example(p=0.5, alpha=0.8, w0=0.5, T=17, n_paths=400, n_chunks=1, seed=19)
 def test_simulate_matches_reference_additive(p, alpha, w0, T, n_paths, n_chunks, seed):
     contract = ContractParams(p, alpha, w0)
     horizon = Horizon(T)
@@ -508,16 +529,69 @@ def test_simulate_matches_reference_additive(p, alpha, w0, T, n_paths, n_chunks,
 
 @settings(max_examples=40, deadline=None)
 @given(p=unit_p, alpha=st.floats(0.0, 1.0), w0_step=st.integers(0, 10),
-       T=st.integers(1, 8), n_paths=st.integers(1, 400), n_chunks=st.integers(1, 9),
+       T=st.integers(1, 20), n_paths=st.integers(1, 400), n_chunks=st.integers(1, 9),
        seed=st.integers(0, 2**31 - 1))
 @example(p=0.5, alpha=0.1, w0_step=4, T=8, n_paths=SEVERAL_CHUNKS, n_chunks=2, seed=3)
 @example(p=0.5, alpha=0.1, w0_step=0, T=4, n_paths=3, n_chunks=9, seed=5)
+# the walk crosses one and two bytes of periods
+@example(p=0.3, alpha=0.6, w0_step=2, T=9, n_paths=350, n_chunks=3, seed=13)
+@example(p=0.7, alpha=0.4, w0_step=7, T=17, n_paths=260, n_chunks=1, seed=23)
 def test_simulate_matches_reference_cobb_douglas(p, alpha, w0_step, T, n_paths, n_chunks,
                                                  seed):
     contract = ContractParams(p, alpha, w0_step / 10)
     horizon = Horizon(T)
     policy = TableEffortPolicy(solve_policy(contract, CD_PREFS, horizon))
     assert_simulate_matches_reference(policy, contract, horizon, n_paths, seed, n_chunks)
+
+
+# chunks of 5 paths drawn in blocks of 3 put chunk and block edges at every
+# offset within a Philox counter and count their (index, byte) combinations
+# by sorting; chunks of 13335 paths count them with bincount past the first byte
+@pytest.mark.parametrize("family, T, chunk_paths, draw_paths, n_paths",
+                         [("additive", 17, 5, 3, 203), ("cobb_douglas", 17, 5, 3, 203),
+                          ("additive", 9, 5, 3, 203), ("cobb_douglas", 20, 5, 3, 203),
+                          ("additive", 17, 20000, 1000, 40007),
+                          ("cobb_douglas", 20, 20000, 1000, 40007)])
+def test_simulate_matches_reference_in_small_chunks_and_blocks(monkeypatch, family, T,
+                                                               chunk_paths, draw_paths,
+                                                               n_paths):
+    monkeypatch.setattr(distribution, "_CHUNK_PATHS", chunk_paths)
+    monkeypatch.setattr(distribution, "_DRAW_PATHS", draw_paths)
+    horizon = Horizon(T)
+    if family == "additive":
+        contract = ContractParams(0.4, 0.5, 0.3)
+        policy = exact_additive_policy(contract, horizon)
+    else:
+        contract = ContractParams(0.5, 0.3, 0.4)
+        policy = TableEffortPolicy(solve_policy(contract, CD_PREFS, horizon))
+    assert_simulate_matches_reference(policy, contract, horizon, n_paths, seed=9, n_chunks=3)
+
+
+@st.composite
+def flag_blocks(draw):
+    """(p, first_path, n_paths, T) with first_path * T % 4 drawn over 0..3
+    (as far as T allows) and n_paths not a whole number of draw blocks."""
+    T = draw(st.one_of(st.sampled_from([7, 8, 9, 16, 17]), st.integers(1, 20)))
+    residue = draw(st.integers(0, 3))
+    offset = next((j for j in range(4) if j * T % 4 == residue), residue)
+    first = 4 * draw(st.integers(0, 3 * _DRAW_PATHS)) + offset
+    n_paths = draw(st.integers(1, 2 * _DRAW_PATHS + 100).filter(lambda n: n % _DRAW_PATHS))
+    p = draw(st.one_of(st.sampled_from([0.0, 5e-324, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0]),
+                       st.floats(0.0, 1.0)))
+    return p, first, n_paths, T
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=flag_blocks(), seed=st.integers(0, 2**31 - 1))
+@example(case=(0.3, 3, 2 * _DRAW_PATHS + 5, 17), seed=1)
+@example(case=(1 - 2.0**-53, 1, 3, 9), seed=2)
+def test_chunk_flags_pack_the_uniforms_below_p(case, seed):
+    p, first, n_paths, T = case
+    expected = np.packbits(chunk_uniforms(seed, first, n_paths, T) < p, axis=1,
+                           bitorder="little")
+    flags = chunk_flags(seed, first, n_paths, T, p)
+    assert flags.dtype == np.uint8 and flags.shape == (n_paths, -(-T // 8))
+    assert np.array_equal(flags, expected)
 
 
 # T = 3 puts path k's first draw at counter start 3k, so paths 0..3 start at
@@ -551,3 +625,18 @@ def test_simulate_memory_stays_below_half_the_draw_array():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_simulate_memory_does_not_grow_with_paths():
+    T = 20
+    horizon = Horizon(T)
+    policy = exact_additive_policy(CONTRACT, horizon)
+    peaks = []
+    for n_paths in (200_000, 800_000):
+        tracemalloc.start()
+        try:
+            simulate(policy, CONTRACT, horizon, n_paths, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]

@@ -11,8 +11,9 @@ from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistrib
                      stationary_grid_search, stationary_one_period_optimum,
                      tech_shock, tech_sweep)
 from wagedyn.cobb_douglas import DpGrid
-from wagedyn.employer import (_axis, _one_period_profit, _w0_max, profit_values,
-                              worker_policy)
+from wagedyn.additive import envelope_evaluated_wages
+from wagedyn.employer import (_additive_response, _axis, _one_period_profit, _w0_max,
+                              profit_values, worker_policy)
 
 PREFS = WorkerPrefs.additive(delta=0.9)
 UNIT_SCALE_FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
@@ -648,6 +649,39 @@ def test_unclamped_contract_takes_phi_recursion_bit_for_bit(p, alpha, w0, T):
     assume(today_rule_unclamped(contract, CD_FIRM.wage_scale, phi))
     policy = worker_policy(contract, PREFS, Horizon(T), CD_FIRM)
     assert policy.phi.tobytes() == phi.tobytes()
+
+
+def clamps_reference(contract, b, s, phi):
+    """_additive_response's clamp check as it was: a generator over every
+    (period, evaluated wage) pair, true when some affine effort leaves [0, 1]."""
+    p, alpha = contract.p, contract.alpha
+    A = alpha / (1.0 + alpha)
+    wages = [(p / b) * (1.0 + alpha) * s * ph for ph in phi]
+    return not all(0.0 <= (p / b) * ph + A * w / s <= 1.0 for ph in phi for w in wages)
+
+
+@pytest.mark.parametrize("p, alpha, T, clamped", [(0.9, 1.0, 5, True), (0.75, 0.6, 12, True),
+                                                  (0.1, 1.0, 6, False), (0.2, 0.5, 10, False)])
+def test_clamp_examples_take_both_branches(p, alpha, T, clamped):
+    contract = ContractParams(p, alpha, 0.5)
+    phi = phi_series_recursive(contract, PREFS, Horizon(T))
+    assert clamps_reference(contract, PREFS.b, 1.2, phi) is clamped
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.0, 1.0), alpha=st.floats(0.0, 1.0), T=st.integers(1, 12),
+       b=st.sampled_from([0.5, 1.0, 2.0]), s=st.floats(0.3, 2.0))
+@example(p=0.9, alpha=1.0, T=5, b=1.0, s=1.2)   # clamped
+@example(p=0.75, alpha=0.6, T=12, b=1.0, s=1.2)  # clamped
+@example(p=0.1, alpha=1.0, T=6, b=1.0, s=1.2)   # alpha = 1, unclamped
+def test_broadcast_clamp_check_takes_the_generator_branch(p, alpha, T, b, s):
+    contract = ContractParams(p, alpha, 0.5)
+    prefs = WorkerPrefs.additive(delta=0.9, b=b)
+    horizon = Horizon(T)
+    phi = phi_series_recursive(contract, prefs, horizon)
+    if clamps_reference(contract, b, s, phi):
+        phi = envelope_evaluated_wages(contract, prefs, horizon, s) * b / (p * (1.0 + alpha) * s)
+    assert _additive_response(contract, prefs, horizon, s).phi.tobytes() == phi.tobytes()
 
 
 def test_search_without_finite_profit_names_the_box():
