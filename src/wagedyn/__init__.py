@@ -5,10 +5,9 @@ dynamics, and employer contract optimization, with reproduction checks for the
 published tables at desk scale.
 """
 from .additive import (AdditiveSolution, AffineEffortPolicy, AffinePolicy,
-                       deterministic_path, phi_series_recursive,
+                       best_response, deterministic_path, phi_series_recursive,
                        single_period_effort, single_period_variance,
-                       single_period_wage_pair, solve_backward_induction,
-                       wage_support)
+                       solve_backward_induction, wage_support)
 from .cobb_douglas import (DpGrid, EffortPolicy, TableEffortPolicy,
                            always_sampled_path, policy_monotonicity_report,
                            solve_policy)

@@ -1,19 +1,22 @@
 """Multi-period worker problem under log-additive utility.
 
-The evaluated-wage coefficients phi_t are fitted from a numerical
-backward induction on a wage grid (value iteration with linear interpolation
-of continuation values). The grid must be a strictly increasing np.linspace:
+The worker's best response (best_response) is exact in every regime and is
+the one additive policy the package runs: an AffinePolicy whose evaluated-wage
+coefficients phi_t come from a recursion derived from the log-linear structure
+of the value function (phi_series_recursive), which holds while the affine
+policy never clamps on reachable states, and otherwise from an envelope
+recursion on the value function's slope (envelope_evaluated_wages), which
+holds in every regime. No wage grid is solved for it.
+
+A numerical backward induction on a wage grid (solve_backward_induction:
+value iteration with linear interpolation of continuation values) fits phi
+independently; it is the oracle of the criterion 4 check and of the tests,
+and nothing else runs it. The grid must be a strictly increasing np.linspace:
 the interpolation finds a wage's cell arithmetically instead of by a sorted
 search. The golden-section argmax per grid state, which validates the affine
-policy, is built only when AdditiveSolution.raw_effort is first read; only the
-criterion 4 check and the tests read it. Two exact solutions exist: a
-recursion derived from the log-linear structure of the value function
-(phi_series_recursive), which holds while the affine policy never clamps on
-reachable states, and an envelope recursion on the value function's slope
-(envelope_evaluated_wages), which holds in every regime; the employer's
-worker solve uses them and never the grid. The literal closed-sum formula is
-retained as a diagnostic (it is known to violate the terminal normalization
-phi_T = 1).
+policy, is built only when AdditiveSolution.raw_effort is first read. The
+literal closed-sum formula is retained as a diagnostic (it is known to
+violate the terminal normalization phi_T = 1).
 
 Key structural facts used throughout: with wage scale s and bonus rate alpha,
 the evaluated consumption is x = s*(1+alpha)*e - alpha*w, the first-order
@@ -51,25 +54,6 @@ def single_period_effort(contract: ContractParams, b: float = 1.0,
                          wage_scale: float = 1.0) -> float:
     """One-period optimal effort, clamped to [0, 1]."""
     return float(affine_effort(contract.p, contract.alpha, contract.w0, b=b, s=wage_scale))
-
-
-@dataclass(frozen=True)
-class SinglePeriodWage:
-    not_evaluated: float
-    evaluated: float
-    exceeds_max: bool  # evaluated wage above the maximal attainable one
-
-
-def single_period_wage_pair(contract: ContractParams, b: float = 1.0,
-                            wage_scale: float = 1.0) -> SinglePeriodWage:
-    """One-period wage outcomes: (w0 if unsampled, p*(1+alpha)*s/b if sampled).
-
-    The evaluated value is the unclamped first-order-condition wage; the flag
-    marks contracts where it exceeds what maximal effort can deliver.
-    """
-    w_eval = contract.p * (1.0 + contract.alpha) * wage_scale / b
-    cap = wage_scale * (1.0 + contract.alpha)
-    return SinglePeriodWage(contract.w0, w_eval, w_eval > cap)
 
 
 def single_period_variance(contract: ContractParams, b: float = 1.0,
@@ -190,6 +174,115 @@ def deterministic_path(contract: ContractParams, efforts: list[float],
 
 
 # ---------------------------------------------------------------------------
+# the exact best response
+
+
+def require_base_consumption(contract: ContractParams) -> None:
+    """Raise DomainError when the never-evaluated worker consumes nothing:
+    w0 = 0 with p < 1 is degenerate for log utility."""
+    if contract.w0 <= 0.0 and contract.p < 1.0:
+        raise DomainError("w0 = 0 with p < 1 gives zero consumption when never evaluated")
+
+
+def dead_corner(alpha, w, wage_scale: float):
+    """True where not even full effort yields a positive evaluated wage,
+    s(1+alpha) - alpha*w <= 0. An evaluation then leaves the worker with
+    nothing whatever the effort, so the worker idles: e = 0 and x = 0.
+    Broadcasts over alpha and w."""
+    return wage_scale * (1.0 + alpha) - alpha * w <= 0.0
+
+
+class AffinePolicy:
+    """The additive worker's affine effort policy for the distribution engine.
+
+    Period t (1..len(phi)) exerts model.affine_effort(p, alpha, w, phi[t-1],
+    b, wage_scale) at previous wage w. The worker exerts no effort when p = 0
+    (never evaluated, effort is pure disutility) and in the dead corner (see
+    dead_corner), as in the one-period response; only a starting wage
+    w0 >= s(1+alpha)/alpha lies there, because every evaluated wage is below
+    it. An evaluation folds the bonus into the wage state, so the evaluated
+    next wage is max(s(1+alpha)e - alpha*w, 0) and the bonus is zero.
+    """
+
+    def __init__(self, contract: ContractParams, b: float, wage_scale: float, phi):
+        self.contract = contract
+        self.b = b
+        self.wage_scale = wage_scale
+        self.phi = np.asarray(phi, dtype=float)
+
+    @property
+    def evaluated_wages(self) -> np.ndarray:
+        """x_t = s(1+alpha)(p/b)phi_t, the wage an evaluation in period t
+        sets wherever the policy does not clamp."""
+        c = self.contract
+        return self.wage_scale * (1.0 + c.alpha) * (c.p / self.b) * self.phi
+
+    def effort(self, t: int, prev_wage):
+        if not 1 <= t <= len(self.phi):
+            raise ValueError(f"period {t} outside 1..{len(self.phi)}")
+        c = self.contract
+        w = np.asarray(prev_wage, dtype=float)
+        if c.p == 0.0:
+            return np.zeros_like(w)
+        e = affine_effort(c.p, c.alpha, w, self.phi[t - 1], self.b, self.wage_scale)
+        # [()] turns a 0-d result back into a scalar
+        return np.where(dead_corner(c.alpha, w, self.wage_scale), 0.0, e)[()]
+
+    def next_wage_if_evaluated(self, t: int, prev_wage):
+        c = self.contract
+        w = np.asarray(prev_wage, dtype=float)
+        e = self.effort(t, prev_wage)
+        return np.maximum(self.wage_scale * (1.0 + c.alpha) * e - c.alpha * w, 0.0)
+
+    def bonus_if_evaluated(self, t: int, prev_wage):
+        return np.zeros_like(np.asarray(prev_wage, dtype=float))
+
+
+def best_response(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
+                  wage_scale: float = 1.0) -> AffinePolicy:
+    """The additive worker's exact best response, which depends on (p, alpha)
+    alone: the first-order condition pins each period's evaluated wage x*_t
+    whatever the previous wage, so w0 is never read.
+
+    When no evaluated wage x_j = s(1+alpha)(p/b)phi_j clamps the affine
+    effort in any period, phi is phi_series_recursive's. Otherwise x*_t comes
+    from the envelope recursion (envelope_evaluated_wages) and
+    phi_t = x*_t*b/(p*s(1+alpha)). Either way the policy is exact; no grid
+    is solved.
+    """
+    p, alpha, b = contract.p, contract.alpha, prefs.b
+    s = wage_scale
+    phi = phi_series_recursive(contract, prefs, horizon)
+    A = alpha / (1.0 + alpha)
+    # effort in period t at evaluated wage j; an inf or NaN (p/b overflowing)
+    # fails the check silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        wages = (p / b) * (1.0 + alpha) * s * phi
+        effort = (p / b) * phi[:, None] + A * wages[None, :] / s
+    if not ((0.0 <= effort) & (effort <= 1.0)).all():
+        phi = envelope_evaluated_wages(contract, prefs, horizon, s) * b / (p * (1.0 + alpha) * s)
+    return AffinePolicy(contract, b, s, phi)
+
+
+def wage_support(policy: AffinePolicy) -> list[tuple[float, int, float]]:
+    """Support of the final-period wage distribution under an affine policy
+    as (wage, last evaluation, prob).
+
+    Last evaluation 0 means never evaluated, at w0; an evaluation last in
+    period t leaves the policy's evaluated wage x_t (AffinePolicy.
+    evaluated_wages), which holds while the policy does not clamp on the
+    reached wages. Probabilities are the geometric partition (1-p)^T and
+    p*(1-p)^(T-t).
+    """
+    c = policy.contract
+    p, T = c.p, len(policy.phi)
+    rows = [(c.w0, 0, (1.0 - p) ** T)]
+    for t, x in enumerate(policy.evaluated_wages.tolist(), 1):
+        rows.append((x, t, p * (1.0 - p) ** (T - t)))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # numerical backward-induction oracle
 
 
@@ -206,13 +299,13 @@ def default_wage_grid(contract: ContractParams, wage_scale: float = 1.0) -> np.n
 
 @dataclass(frozen=True)
 class AdditiveSolution:
-    """Backward-induction result with fitted closed-form coefficients.
+    """Backward-induction result with fitted closed-form coefficients: the
+    grid oracle against which the criterion 4 check and the tests hold the
+    affine policy; the package's own policy is best_response's.
 
-    phi[t-1] and evaluated_wage[t-1] refer to period t; AffineEffortPolicy
-    turns them into the affine effort policy. raw_effort, the per-grid-point
-    golden-section argmax that validates the affine fit, is built from the
-    stored value table on first read; only the criterion 4 check and the
-    tests read it.
+    phi[t-1] and evaluated_wage[t-1] refer to period t. raw_effort, the
+    per-grid-point golden-section argmax that validates the affine fit, is
+    built from the stored value table on first read.
     """
 
     contract: ContractParams
@@ -247,12 +340,6 @@ class AdditiveSolution:
     @property
     def phi_weakly_decreasing(self) -> bool:
         return bool(np.all(np.diff(self.phi) <= 1e-9))
-
-
-def _interp_guarded(x: np.ndarray | float, grid: np.ndarray, values: np.ndarray):
-    """Linear interpolation on a uniform grid that propagates -inf instead of
-    producing NaN: _uniform_interpolant for a single use."""
-    return _uniform_interpolant(grid, values)(x)
 
 
 def _uniform_interpolant(grid: np.ndarray,
@@ -296,7 +383,7 @@ def _uniform_interpolant(grid: np.ndarray,
 
 
 def _interp_guarded_float(x: float, grid: list[float], values: list[float]) -> float:
-    """_interp_guarded on Python floats: the same index and arithmetic."""
+    """_uniform_interpolant on Python floats: the same cell and arithmetic."""
     i = min(max(bisect.bisect_left(grid, x) - 1, 0), len(grid) - 2)
     x0, x1 = grid[i], grid[i + 1]
     v0, v1 = values[i], values[i + 1]
@@ -383,8 +470,7 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
     s = wage_scale
     if s <= 0.0:
         raise ValueError("wage_scale must be positive")
-    if contract.w0 <= 0.0 and p < 1.0:
-        raise DomainError("w0 = 0 with p < 1 gives zero consumption when never evaluated")
+    require_base_consumption(contract)
     T = horizon.T
     grid = default_wage_grid(contract, s) if wage_grid is None else np.asarray(wage_grid, float)
     _check_uniform_grid(grid)
@@ -441,85 +527,12 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
                             effort_tolerance=effort_tolerance)
 
 
-def wage_support(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
-                 wage_scale: float = 1.0,
-                 solution: AdditiveSolution | None = None) -> list[tuple[float, int, float]]:
-    """Support of the period-T wage distribution as (wage, last evaluation, prob).
-
-    Last evaluation 0 means never evaluated. Probabilities are the geometric
-    partition (1-p)^T and p*(1-p)^(T-t).
-    """
-    _require_additive(prefs)
-    p = contract.p
-    T = horizon.T
-    if solution is None:
-        solution = solve_backward_induction(contract, prefs, horizon, wage_scale=wage_scale)
-    rows = [(contract.w0, 0, (1.0 - p) ** T)]
-    for t in range(1, T + 1):
-        rows.append((float(solution.evaluated_wage[t - 1]), t, p * (1.0 - p) ** (T - t)))
-    return rows
-
-
-class AffinePolicy:
-    """The additive worker's affine effort policy for the distribution engine.
-
-    Period t (1..len(phi)) exerts model.affine_effort(p, alpha, w, phi[t-1],
-    b, wage_scale) at previous wage w, and no effort when p = 0 (never
-    evaluated, effort is pure disutility). An evaluation folds the bonus into
-    the wage state, so the evaluated next wage is max(s(1+alpha)e - alpha*w, 0)
-    and the bonus is zero.
-    """
-
-    def __init__(self, contract: ContractParams, b: float, wage_scale: float, phi):
-        self.contract = contract
-        self.b = b
-        self.wage_scale = wage_scale
-        self.phi = np.asarray(phi, dtype=float)
-
-    def effort(self, t: int, prev_wage):
-        if not 1 <= t <= len(self.phi):
-            raise ValueError(f"period {t} outside 1..{len(self.phi)}")
-        c = self.contract
-        w = np.asarray(prev_wage, dtype=float)
-        if c.p == 0.0:
-            return np.zeros_like(w)
-        return affine_effort(c.p, c.alpha, w, self.phi[t - 1], self.b, self.wage_scale)
-
-    def next_wage_if_evaluated(self, t: int, prev_wage):
-        c = self.contract
-        w = np.asarray(prev_wage, dtype=float)
-        e = self.effort(t, prev_wage)
-        return np.maximum(self.wage_scale * (1.0 + c.alpha) * e - c.alpha * w, 0.0)
-
-    def bonus_if_evaluated(self, t: int, prev_wage):
-        return np.zeros_like(np.asarray(prev_wage, dtype=float))
-
-
-def dead_corner(alpha, w, wage_scale: float):
-    """True where not even full effort yields a positive evaluated wage,
-    s(1+alpha) - alpha*w <= 0. An evaluation then leaves the worker with
-    nothing whatever the effort, so the worker idles: e = 0 and x = 0.
-    Broadcasts over alpha and w."""
-    return wage_scale * (1.0 + alpha) - alpha * w <= 0.0
-
-
-class ExactAffinePolicy(AffinePolicy):
-    """The additive worker's best response for the employer: AffinePolicy,
-    except that the worker idles in the dead corner (see dead_corner), as in
-    the one-period response. Only a starting wage w0 >= s(1+alpha)/alpha lies
-    there: every evaluated wage is below it. AffinePolicy itself keeps full
-    effort there, as the fitted policies of the reader's path do."""
-
-    def effort(self, t: int, prev_wage):
-        e = super().effort(t, prev_wage)
-        dead = dead_corner(self.contract.alpha, np.asarray(prev_wage, dtype=float),
-                           self.wage_scale)
-        # [()] turns a 0-d result back into a scalar, as AffinePolicy returns
-        return np.where(dead, 0.0, e)[()]
-
-
 class AffineEffortPolicy(AffinePolicy):
-    """AffinePolicy with the phi fitted by a numerical backward induction."""
+    """AffinePolicy with the phi fitted by the numerical backward induction.
+
+    No package run path builds it; the benchmark's tracer and its
+    distributions check import it by name, so it stays until the benchmark
+    reads the package's own trace (ROADMAP item 5 step B)."""
 
     def __init__(self, solution: AdditiveSolution):
         super().__init__(solution.contract, solution.prefs.b, solution.wage_scale,

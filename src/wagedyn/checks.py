@@ -224,8 +224,8 @@ def check_single_period() -> CriterionResult:
     e_search = statics.optimal_effort_search(contract, prefs, tol=1e-10)
     out.add("effort_matches_search_1e-6", abs(e_formula - e_search) <= 1e-6,
             f"formula {e_formula!r} vs search {e_search!r}")
-    sol = additive.solve_backward_induction(contract, prefs, Horizon(1))
-    dist = propagate(additive.AffineEffortPolicy(sol), contract, Horizon(1))[0]
+    dist = propagate(additive.best_response(contract, prefs, Horizon(1)), contract,
+                     Horizon(1))[0]
     var_formula = additive.single_period_variance(contract, prefs.b)
     out.add("variance_matches_distribution_1e-12",
             abs(dist.variance() - var_formula) <= 1e-12,
@@ -251,8 +251,7 @@ def check_distribution_engine() -> CriterionResult:
     support_ok = True
     for T in (1, 4, 8, 12):
         horizon = Horizon(T)
-        sol = additive.solve_backward_induction(contract, prefs, horizon)
-        pol = additive.AffineEffortPolicy(sol)
+        pol = additive.best_response(contract, prefs, horizon)
         dists = propagate(pol, contract, horizon)
         final = enumerate_histories(pol, contract, horizon)
         worst_tv = max(worst_tv, dists[-1].tv_distance(final))
@@ -275,8 +274,7 @@ def check_distribution_engine() -> CriterionResult:
     out.add("additive_support_size_t_plus_1", support_ok, "")
 
     horizon = scenario.horizon
-    sol = additive.solve_backward_induction(contract, prefs, horizon)
-    pol = additive.AffineEffortPolicy(sol)
+    pol = additive.best_response(contract, prefs, horizon)
     exact = propagate(pol, contract, horizon)
     sim = simulate(pol, contract, horizon, scenario.n_paths, scenario.seed)
     tv_by_period = [e.tv_distance(s) for e, s in zip(exact, sim)]
@@ -447,9 +445,7 @@ def check_determinism(runners: Mapping[str, Callable], workdir: Path | None = No
 
     out = CriterionResult(10, "determinism")
     scenario = load_scenario("fig3_2")
-    sol = additive.solve_backward_induction(scenario.contract, scenario.prefs,
-                                            scenario.horizon)
-    pol = additive.AffineEffortPolicy(sol)
+    pol = additive.best_response(scenario.contract, scenario.prefs, scenario.horizon)
     sim1 = simulate(pol, scenario.contract, scenario.horizon, 20000, scenario.seed,
                     n_chunks=1)
     sim8 = simulate(pol, scenario.contract, scenario.horizon, 20000, scenario.seed,

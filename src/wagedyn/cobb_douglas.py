@@ -102,10 +102,7 @@ class EffortPolicy:
     def effort(self, t: int, prev_wage: float) -> float:
         if not 1 <= t <= self.horizon.T:
             raise ValueError(f"period {t} outside 1..{self.horizon.T}")
-        return float(self.table[t - 1, self._index(prev_wage)])
-
-    def _index(self, wage: float) -> int:
-        return int(self.grid.index(wage))
+        return float(self.table[t - 1, int(self.grid.index(prev_wage))])
 
 
 def solve_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
@@ -193,7 +190,7 @@ def policy_monotonicity_report(policy: EffortPolicy,
     rows = [float(x) for x in policy.grid.wages if x >= min_row - 1e-12]
     over_t = []
     for x in rows:
-        i = policy._index(x)
+        i = int(policy.grid.index(x))
         over_t.append(bool(np.all(np.diff(tab[:, i]) <= 1e-12)))
     return MonotonicityReport(in_wage, over_t, rows)
 

@@ -306,9 +306,6 @@ class ProfileSeries:
     variance: np.ndarray
     std_over_mean: np.ndarray  # NaN where the mean is 0
 
-    def __len__(self) -> int:
-        return len(self.mean)
-
 
 def profile(distributions: Sequence[WageDistribution]) -> ProfileSeries:
     means = np.array([d.mean() for d in distributions])

@@ -9,9 +9,9 @@ bonus under the Cobb-Douglas scheme.
 The worker's best response (worker_policy) depends on (p, alpha) alone in
 both families, so a multi-period grid search solves it once per (p, alpha)
 row and prices the row's starting wages with one profit_values pass. The
-additive response is exact in every regime: the phi recursion while no
-evaluated wage clamps, otherwise the envelope recursion of
-additive.envelope_evaluated_wages; no wage grid is solved.
+additive response is additive.best_response, exact in every regime: the phi
+recursion while no evaluated wage clamps, otherwise the envelope recursion;
+no wage grid is solved.
 
 A structural warning, verified numerically and by hand: the one-period rules
 (alpha*, p*, w0*) are the unique interior stationary point of the profit
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import (ExactAffinePolicy, dead_corner, envelope_evaluated_wages,
-                       phi_series_recursive)
+from .additive import best_response, dead_corner
 from .cobb_douglas import DpGrid, TableEffortPolicy, grid_index, solve_policy
 from .distribution import WageDistribution, WagePolicy, profile, propagate
 from .model import affine_effort
@@ -63,37 +62,11 @@ class OptimalContract:
 # worker best response and profit
 
 
-def _additive_response(contract: ContractParams, prefs: WorkerPrefs,
-                       horizon: Horizon, wage_scale: float) -> ExactAffinePolicy:
-    """The additive worker's exact best response, which depends on (p, alpha)
-    alone: the first-order condition pins each period's evaluated wage x*_t
-    whatever the previous wage, so w0 is never read.
-
-    When no evaluated wage x_j = s(1+alpha)(p/b)phi_j clamps the affine
-    effort in any period, phi is phi_series_recursive's. Otherwise x*_t comes
-    from the envelope recursion (additive.envelope_evaluated_wages) and
-    phi_t = x*_t*b/(p*s(1+alpha)). Either way the policy is exact; no grid
-    is solved.
-    """
-    p, alpha, b = contract.p, contract.alpha, prefs.b
-    s = wage_scale
-    phi = phi_series_recursive(contract, prefs, horizon)
-    A = alpha / (1.0 + alpha)
-    # effort in period t at evaluated wage j; an inf or NaN (p/b overflowing)
-    # fails the check silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        wages = (p / b) * (1.0 + alpha) * s * phi
-        effort = (p / b) * phi[:, None] + A * wages[None, :] / s
-    if not ((0.0 <= effort) & (effort <= 1.0)).all():
-        phi = envelope_evaluated_wages(contract, prefs, horizon, s) * b / (p * (1.0 + alpha) * s)
-    return ExactAffinePolicy(contract, b, s, phi)
-
-
 def worker_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
                   firm: FirmParams, cd_grid: DpGrid | None = None):
     """Best-response policy for either utility family under wage scale lam*k."""
     if prefs.family is UtilityFamily.ADDITIVE:
-        return _additive_response(contract, prefs, horizon, firm.wage_scale)
+        return best_response(contract, prefs, horizon, firm.wage_scale)
     grid = cd_grid or DpGrid()
     return TableEffortPolicy(solve_policy(contract, prefs, horizon, grid))
 

@@ -78,8 +78,10 @@ def _jsonify(value: Any) -> Any:
 
 
 def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:
-    """Additive solution, final-period support, exact and simulated profiles;
-    optional deterministic path and one-period variance surface."""
+    """Additive best response (exact phi), final-period support, exact and
+    simulated profiles; optional deterministic path and one-period variance
+    surface. Raises DomainError, after echoing the scenario, for w0 = 0 with
+    p < 1."""
     outdir.mkdir(parents=True, exist_ok=True)
     _echo(scenario, outdir)
     contract, prefs, horizon = scenario.contract, scenario.prefs, scenario.horizon
@@ -87,19 +89,19 @@ def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both
         raise ValueError("additive-profile needs contract, prefs and horizon sections")
     out: dict[str, Any] = {}
 
-    solution = additive.solve_backward_induction(contract, prefs, horizon)
-    policy = additive.AffineEffortPolicy(solution)
+    additive.require_base_consumption(contract)
+    policy = additive.best_response(contract, prefs, horizon)
     dists = propagate(policy, contract, horizon)
     prof = profile(dists)
-    support = additive.wage_support(contract, prefs, horizon, solution=solution)
+    support = additive.wage_support(policy)
     sim = simulate(policy, contract, horizon, scenario.n_paths, scenario.seed)
-    out.update(solution=solution, distributions=dists, profile=prof, support=support,
+    out.update(policy=policy, distributions=dists, profile=prof, support=support,
                simulated=sim)
 
     if fmt_kind in ("csv", "both"):
         write_csv(outdir / "solution.csv",
                   ["t", "phi", "evaluated_wage", "effort_at_w0"],
-                  [[t + 1, solution.phi[t], solution.evaluated_wage[t],
+                  [[t + 1, policy.phi[t], policy.evaluated_wages[t],
                     float(policy.effort(t + 1, contract.w0))]
                    for t in range(horizon.T)])
         write_csv(outdir / "support.csv",
@@ -118,7 +120,7 @@ def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both
                    for w, pr in zip(d.support, d.probs)])
     if fmt_kind in ("json", "both"):
         write_json(outdir / "solution.json", _jsonify({
-            "phi": solution.phi, "evaluated_wage": solution.evaluated_wage,
+            "phi": policy.phi, "evaluated_wage": policy.evaluated_wages,
             "support": [{"wage": w, "last_evaluated_period": t, "probability": p}
                         for (w, t, p) in support],
             "profile": {"mean": prof.mean, "variance": prof.variance,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import additive
 from wagedyn import (AffineEffortPolicy, ContractParams, DomainError, Horizon,
-                     WorkerPrefs, deterministic_path, phi_series_recursive,
-                     propagate, single_period_effort, single_period_variance,
-                     single_period_wage_pair, solve_backward_induction,
-                     wage_support)
-from wagedyn.additive import _interp_guarded, _interp_guarded_float, phi_series_closed_sum
+                     WorkerPrefs, best_response, deterministic_path,
+                     phi_series_recursive, propagate, single_period_effort,
+                     single_period_variance, solve_backward_induction, wage_support)
+from wagedyn.additive import (_interp_guarded_float, _uniform_interpolant,
+                              phi_series_closed_sum)
 from wagedyn.golden import golden_max_vec
 
 FIG32 = dict(contract=ContractParams(0.2, 0.5, 0.4),
@@ -59,6 +60,23 @@ def test_single_period_effort_corners():
     assert single_period_effort(ContractParams(1.0, 1.0, 1.0)) == 1.0
 
 
+@dataclass(frozen=True)
+class SinglePeriodWage:
+    not_evaluated: float
+    evaluated: float
+    exceeds_max: bool  # evaluated wage above the maximal attainable one
+
+
+def single_period_wage_pair(contract, b=1.0, wage_scale=1.0):
+    """Reference: the one-period wage outcomes (w0 if unsampled,
+    p*(1+alpha)*s/b if sampled) as the package once returned them. The
+    evaluated value is the unclamped first-order-condition wage; the flag
+    marks contracts where it exceeds what maximal effort can deliver."""
+    w_eval = contract.p * (1.0 + contract.alpha) * wage_scale / b
+    cap = wage_scale * (1.0 + contract.alpha)
+    return SinglePeriodWage(contract.w0, w_eval, w_eval > cap)
+
+
 def test_single_period_wage_pair():
     pair = single_period_wage_pair(ContractParams(0.2, 0.5, 0.4))
     assert pair.not_evaluated == 0.4
@@ -70,6 +88,20 @@ def test_single_period_wage_pair():
     assert pair.evaluated == pytest.approx(2.0)
     assert not pair.exceeds_max  # equals the cap exactly
     assert single_period_wage_pair(ContractParams(1.0, 1.0, 0.4), b=0.9).exceeds_max
+    # the T = 1 support of the best response holds the pair's wages, and the
+    # cap where the pair's evaluated wage exceeds it
+    for contract, b in ((ContractParams(0.2, 0.5, 0.4), 1.0),
+                        (ContractParams(0.0, 0.3, 0.4), 1.0),
+                        (ContractParams(1.0, 1.0, 0.4), 1.0),
+                        (ContractParams(1.0, 1.0, 0.4), 0.9)):
+        pair = single_period_wage_pair(contract, b)
+        prefs = WorkerPrefs.additive(delta=0.9, b=b)
+        (w_never, _, _), (w_eval, _, _) = wage_support(best_response(contract, prefs,
+                                                                     Horizon(1)))
+        assert w_never == pair.not_evaluated
+        cap = 1.0 + contract.alpha
+        assert w_eval == pytest.approx(cap if pair.exceeds_max else pair.evaluated,
+                                       abs=1e-12)
 
 
 def test_single_period_variance():
@@ -196,9 +228,9 @@ def test_closed_sum_variant_violates_terminal_normalization():
     assert exact[-1] == 1.0
 
 
-def test_wage_support_structure(fig32_solution):
-    support = wage_support(FIG32["contract"], FIG32["prefs"], FIG32["horizon"],
-                           solution=fig32_solution)
+def test_wage_support_structure():
+    support = wage_support(best_response(FIG32["contract"], FIG32["prefs"],
+                                         FIG32["horizon"]))
     assert len(support) == 11
     assert sum(p for (_, _, p) in support) == pytest.approx(1.0, abs=1e-12)
     w_last, t_last, p_last = support[-1]
@@ -210,7 +242,7 @@ def test_wage_support_structure(fig32_solution):
 
 def test_wage_support_T1_matches_pair():
     contract = ContractParams(0.2, 0.5, 0.4)
-    support = wage_support(contract, FIG32["prefs"], Horizon(1))
+    support = wage_support(best_response(contract, FIG32["prefs"], Horizon(1)))
     assert len(support) == 2
     assert support[0][0] == pytest.approx(0.4)
     assert support[1][0] == pytest.approx(0.3, abs=1e-9)
@@ -281,21 +313,22 @@ grid_values = st.lists(st.one_of(st.floats(-50.0, 50.0), st.just(-math.inf)),
 @given(values=grid_values, cap=st.floats(0.1, 3.0), data=st.data())
 def test_float_interpolation_matches_array_interpolation(values, cap, data):
     # the first-order condition interpolates on Python floats; it must agree
-    # bit for bit with _interp_guarded, at the grid ends and beside -inf cells
+    # bit for bit with _uniform_interpolant, at the grid ends and beside -inf
+    # cells
     grid = np.linspace(0.0, cap, len(values))
     vals = np.array(values)
     i = data.draw(st.integers(0, len(values) - 2))
     x = data.draw(st.one_of(st.just(grid[0]), st.just(grid[-1]), st.just(grid[i]),
                             st.floats(grid[i], grid[i + 1]),
                             st.floats(0.0, cap)))
-    expected = float(_interp_guarded(x, grid, vals))
+    expected = float(_uniform_interpolant(grid, vals)(x))
     got = _interp_guarded_float(float(x), grid.tolist(), vals.tolist())
     assert got.hex() == expected.hex()
 
 
 def interp_guarded_searchsorted(x, grid, values):
-    """Reference: the sorted-search _interp_guarded that the arithmetic cell
-    lookup replaced."""
+    """Reference: the sorted-search interpolation that the arithmetic cell
+    lookup of _uniform_interpolant replaced."""
     x = np.asarray(x, dtype=float)
     idx = np.clip(np.searchsorted(grid, x) - 1, 0, len(grid) - 2)
     x0, x1 = grid[idx], grid[idx + 1]
@@ -388,10 +421,11 @@ def test_uniform_lookup_matches_sorted_search(n, cap, start, seed, neg_inf_share
                               rng.uniform(grid[-1], grid[-1] + cap, 8)])
     x = np.concatenate([grid[[0, -1]], at, np.nextafter(at, -math.inf),
                         np.nextafter(at, math.inf), between, outside, extra])
-    got = _interp_guarded(x, grid, values)
+    interp = _uniform_interpolant(grid, values)
+    got = interp(x)
     assert hex_list(got) == hex_list(interp_guarded_searchsorted(x, grid, values))
     for xi in x[:: max(1, len(x) // 16)]:  # scalar input reads the same cell
-        assert float(_interp_guarded(xi, grid, values)).hex() == float(
+        assert float(interp(xi)).hex() == float(
             interp_guarded_searchsorted(xi, grid, values)).hex()
 
 

@@ -3,10 +3,12 @@ against the spellings they replaced.
 
 Each reference below is a verbatim copy of an earlier implementation. The
 policies share the rule's operation order and must agree bit for bit (compared
-with float.hex). The one-period profit and the sweep's effort used to compute
-alpha*w0/((1+alpha)*s) where the rule computes alpha/(1+alpha)*w0/s; they are
-held to an error bound fixed from that reordering: a few roundings of the
-effort's terms, carried through the wage and profit arithmetic.
+with float.hex), except in the dead corner s(1+alpha) - alpha*w <= 0, where the
+old policies kept full effort and the policy now idles. The one-period profit
+and the sweep's effort used to compute alpha*w0/((1+alpha)*s) where the rule
+computes alpha/(1+alpha)*w0/s; they are held to an error bound fixed from that
+reordering: a few roundings of the effort's terms, carried through the wage
+and profit arithmetic.
 """
 import math
 from types import SimpleNamespace
@@ -17,9 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import (AffineEffortPolicy, AffinePolicy, ContractParams, FirmParams,
                      WorkerPrefs, optimal_effort, single_period_effort, tech_sweep)
+from wagedyn.additive import dead_corner
 from wagedyn.employer import _one_period_profit, _one_period_response
 
 EPS = np.finfo(float).eps
+ZERO = (0.0).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +189,13 @@ def test_affine_policy_matches_old_policies_bit_for_bit(data, s, b, phi):
     for new in new_policies:
         for old in old_policies:
             for w in (wages, contract.w0):
+                # in the dead corner the worker idles: e = x = bonus = 0 exactly
+                dead = np.ravel(dead_corner(contract.alpha, np.asarray(w), s)).tolist()
                 for method in ("effort", "next_wage_if_evaluated", "bonus_if_evaluated"):
-                    assert hexes(getattr(new, method)(t, w)) \
-                        == hexes(getattr(old, method)(t, w)), (method, w)
+                    got = hexes(getattr(new, method)(t, w))
+                    want = hexes(getattr(old, method)(t, w))
+                    for g, o, d in zip(got, want, dead, strict=True):
+                        assert g == (ZERO if d else o), (method, w)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wagedyn.checks import load_scenario
@@ -152,3 +153,65 @@ def test_cli_csv_format_only(tmp_path):
     assert proc.returncode == 0
     assert (out / "path.csv").exists()
     assert not (out / "path.json").exists()
+
+
+def test_cli_zero_consumption_error_writes_only_the_echo(tmp_path):
+    # w0 = 0 with p < 1: the never-evaluated worker consumes nothing
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(dict(MINIMAL, contract={"p": 0.2, "alpha": 0.5, "w0": 0.0})))
+    out = tmp_path / "out"
+    proc = run_cli("additive-profile", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: w0 = 0 with p < 1 gives zero consumption "
+                           "when never evaluated\n")
+    assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
+
+
+# ---------------------------------------------------------------------------
+# the reader's path runs the exact best response, never the grid oracle
+
+
+def _phi_column(path):
+    lines = path.read_text().splitlines()
+    column = lines[0].split(",").index("phi")
+    return [line.split(",")[column] for line in lines[1:]]
+
+
+def test_additive_profile_emits_the_exact_phi(tmp_path, capsys):
+    from wagedyn.additive import envelope_evaluated_wages, phi_series_recursive
+    from wagedyn.cli import main
+
+    for name in ("fig3_2", "fig3_1"):
+        sc = load_scenario(name)
+        out = tmp_path / name
+        assert main(["additive-profile", "--config", str(SCENARIOS / f"{name}.json"),
+                     "--out", str(out)]) == 0
+        c, prefs, horizon = sc.contract, sc.prefs, sc.horizon
+        recursion = phi_series_recursive(c, prefs, horizon)
+        if name == "fig3_2":
+            expected = recursion
+        else:
+            # p = 1: the evaluated wages clamp the affine effort, so phi is the
+            # envelope recursion's, away from the unclamped recursion
+            expected = envelope_evaluated_wages(c, prefs, horizon) * prefs.b \
+                / (c.p * (1.0 + c.alpha))
+            assert np.max(np.abs(expected - recursion)) > 1e-2
+        assert _phi_column(out / "solution.csv") == [repr(float(v)) for v in expected]
+
+
+def test_grid_oracle_runs_only_for_criterion_4(tmp_path, monkeypatch, capsys):
+    from wagedyn import additive
+    from wagedyn.cli import main
+
+    calls = []
+    original = additive.solve_backward_induction
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(additive, "solve_backward_induction", counted)
+    assert main(["additive-profile", "--out", str(tmp_path / "profile")]) == 0
+    assert calls == []
+    assert main(["reproduce-all", "--out", str(tmp_path / "all")]) == 2
+    assert calls == [1]

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistribution,
-                     WorkerPrefs, analytic_one_period_optimum, distribution, employer,
-                     expected_profit, grid_search_optimum, phi_series_recursive,
+                     WorkerPrefs, additive, analytic_one_period_optimum, distribution,
+                     employer, expected_profit, grid_search_optimum, phi_series_recursive,
                      profit_by_history_enumeration, single_period_effort,
                      stationary_grid_search, stationary_one_period_optimum,
                      tech_shock, tech_sweep)
 from wagedyn.cobb_douglas import DpGrid
-from wagedyn.additive import envelope_evaluated_wages
-from wagedyn.employer import (_additive_response, _axis, _one_period_profit, _w0_max,
-                              profit_values, worker_policy)
+from wagedyn.additive import best_response, envelope_evaluated_wages
+from wagedyn.employer import (_axis, _one_period_profit, _w0_max, profit_values,
+                              worker_policy)
 
 PREFS = WorkerPrefs.additive(delta=0.9)
 UNIT_SCALE_FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
@@ -590,13 +590,13 @@ def test_additive_search_matches_per_cell_scan(monkeypatch, profit_calls):
     # T = 10 at wage scale 1.2, as the benchmark's additive search: some rows
     # clamp along their evaluated wages and take the envelope recursion
     envelope_rows = [0]
-    original = employer.envelope_evaluated_wages
+    original = additive.envelope_evaluated_wages
 
     def counted(*args, **kwargs):
         envelope_rows[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(employer, "envelope_evaluated_wages", counted)
+    monkeypatch.setattr(additive, "envelope_evaluated_wages", counted)
     steps, horizon = GridSteps(0.25, 0.25, 0.5), Horizon(10)
     opt = grid_search_optimum(CD_FIRM, PREFS, horizon, steps, refine_rounds=1)
     search_calls, search_envelopes = profit_calls[0], envelope_rows[0]
@@ -608,8 +608,6 @@ def test_additive_search_matches_per_cell_scan(monkeypatch, profit_calls):
 
 
 def test_additive_search_solves_one_exact_policy_per_row(monkeypatch, profit_calls):
-    from wagedyn import additive
-
     grid_solves, solves = [0], [0]
 
     def no_grid_solve(*args, **kwargs):
@@ -652,7 +650,7 @@ def test_unclamped_contract_takes_phi_recursion_bit_for_bit(p, alpha, w0, T):
 
 
 def clamps_reference(contract, b, s, phi):
-    """_additive_response's clamp check as it was: a generator over every
+    """best_response's clamp check as it was: a generator over every
     (period, evaluated wage) pair, true when some affine effort leaves [0, 1]."""
     p, alpha = contract.p, contract.alpha
     A = alpha / (1.0 + alpha)
@@ -681,7 +679,7 @@ def test_broadcast_clamp_check_takes_the_generator_branch(p, alpha, T, b, s):
     phi = phi_series_recursive(contract, prefs, horizon)
     if clamps_reference(contract, b, s, phi):
         phi = envelope_evaluated_wages(contract, prefs, horizon, s) * b / (p * (1.0 + alpha) * s)
-    assert _additive_response(contract, prefs, horizon, s).phi.tobytes() == phi.tobytes()
+    assert best_response(contract, prefs, horizon, s).phi.tobytes() == phi.tobytes()
 
 
 def test_search_without_finite_profit_names_the_box():
