@@ -6,8 +6,8 @@ published tables at desk scale.
 """
 from .additive import (AdditiveSolution, AffineEffortPolicy, AffinePolicy,
                        best_response, deterministic_path, phi_series_recursive,
-                       single_period_effort, single_period_variance,
-                       solve_backward_induction, wage_support)
+                       single_period_variance, solve_backward_induction,
+                       wage_support)
 from .cobb_douglas import (DpGrid, EffortPolicy, TableEffortPolicy,
                            always_sampled_path, policy_monotonicity_report,
                            solve_policy)
@@ -18,8 +18,8 @@ from .employer import (GridSteps, OptimalContract,
                        grid_search_optimum, profit_by_history_enumeration,
                        stationary_grid_search, stationary_one_period_optimum,
                        tech_shock, tech_sweep)
-from .model import (DomainError, affine_effort, bonus, consumption, deserved_wage,
-                    period_utility, production, wage_update)
+from .model import (DomainError, affine_effort, deserved_wage,
+                    require_base_consumption, wage_update, zero_base_consumption)
 from .params import (ContractParams, FirmParams, Horizon, UtilityFamily,
                      WorkerPrefs)
 from .statics import (EffortSensitivity, effort_sensitivity, foc_residual,

@@ -14,9 +14,8 @@ independently; it is the oracle of the criterion 4 check and of the tests,
 and nothing else runs it. The grid must be a strictly increasing np.linspace:
 the interpolation finds a wage's cell arithmetically instead of by a sorted
 search. The golden-section argmax per grid state, which validates the affine
-policy, is built only when AdditiveSolution.raw_effort is first read. The
-literal closed-sum formula is retained as a diagnostic (it is known to
-violate the terminal normalization phi_T = 1).
+policy, is built only when AdditiveSolution.raw_effort is first read, to
+the tolerance EFFORT_TOLERANCE.
 
 Key structural facts used throughout: with wage scale s and bonus rate alpha,
 the evaluated consumption is x = s*(1+alpha)*e - alpha*w, the first-order
@@ -26,19 +25,20 @@ is affine in w: e_t(w) = (p/b)*phi_t + (alpha/(1+alpha))*(w/s)
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .golden import bisect_root, golden_max_vec
-from .model import DomainError, affine_effort
+from .model import affine_effort, require_base_consumption
 from .params import ContractParams, Horizon, UtilityFamily, WorkerPrefs
 
 NEG_INF = float("-inf")
+# tolerance of the oracle's golden-section argmax per grid state (raw_effort)
+EFFORT_TOLERANCE = 1e-7
 
 
 def _require_additive(prefs: WorkerPrefs) -> None:
@@ -48,12 +48,6 @@ def _require_additive(prefs: WorkerPrefs) -> None:
 
 # ---------------------------------------------------------------------------
 # closed-form building blocks
-
-
-def single_period_effort(contract: ContractParams, b: float = 1.0,
-                         wage_scale: float = 1.0) -> float:
-    """One-period optimal effort, clamped to [0, 1]."""
-    return float(affine_effort(contract.p, contract.alpha, contract.w0, b=b, s=wage_scale))
 
 
 def single_period_variance(contract: ContractParams, b: float = 1.0,
@@ -138,26 +132,6 @@ def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
     return np.array(x_star[1:])
 
 
-def phi_series_closed_sum(contract: ContractParams, prefs: WorkerPrefs,
-                          horizon: Horizon) -> np.ndarray:
-    """Literal closed-sum phi variant, kept as a diagnostic only.
-
-    Reads the summation limits as sum_{s=t}^{T} (delta*(1-p))^{s-t}. Violates
-    phi_T = 1 whenever alpha*p > 0; undefined at p = 1.
-    """
-    _require_additive(prefs)
-    p, alpha, delta = contract.p, contract.alpha, prefs.delta
-    if p >= 1.0:
-        raise DomainError("closed-sum phi variant is singular at p = 1")
-    T = horizon.T
-    q = delta * (1.0 - p)
-    out = np.empty(T)
-    for t in range(1, T + 1):
-        ssum = sum(q ** j for j in range(T - t + 1))
-        out[t - 1] = ssum / (1.0 + alpha * delta * p * ssum - alpha * p / (1.0 - p))
-    return out
-
-
 def deterministic_path(contract: ContractParams, efforts: list[float],
                        wage_scale: float = 1.0) -> list[float]:
     """Wage path when the worker is evaluated every period."""
@@ -175,13 +149,6 @@ def deterministic_path(contract: ContractParams, efforts: list[float],
 
 # ---------------------------------------------------------------------------
 # the exact best response
-
-
-def require_base_consumption(contract: ContractParams) -> None:
-    """Raise DomainError when the never-evaluated worker consumes nothing:
-    w0 = 0 with p < 1 is degenerate for log utility."""
-    if contract.w0 <= 0.0 and contract.p < 1.0:
-        raise DomainError("w0 = 0 with p < 1 gives zero consumption when never evaluated")
 
 
 def dead_corner(alpha, w, wage_scale: float):
@@ -316,7 +283,6 @@ class AdditiveSolution:
     phi: np.ndarray
     evaluated_wage: np.ndarray
     value: np.ndarray           # (T, n_grid) value function per period
-    effort_tolerance: float = field(default=1e-6)
 
     @functools.cached_property
     def raw_effort(self) -> np.ndarray:
@@ -334,7 +300,7 @@ class AdditiveSolution:
             V_next = self.value[t] if t < T else np.zeros(n)
             table[t - 1], _ = golden_max_vec(
                 _period_objective(c, self.prefs, s, grid, log_grid, V_next), lo, hi,
-                tol=self.effort_tolerance)
+                tol=EFFORT_TOLERANCE)
         return table
 
     @property
@@ -380,17 +346,6 @@ def _uniform_interpolant(grid: np.ndarray,
         return np.where(bad.take(i), NEG_INF, out)
 
     return interp
-
-
-def _interp_guarded_float(x: float, grid: list[float], values: list[float]) -> float:
-    """_uniform_interpolant on Python floats: the same cell and arithmetic."""
-    i = min(max(bisect.bisect_left(grid, x) - 1, 0), len(grid) - 2)
-    x0, x1 = grid[i], grid[i + 1]
-    v0, v1 = values[i], values[i + 1]
-    if v0 == NEG_INF or v1 == NEG_INF:
-        return NEG_INF
-    frac = (x - x0) / (x1 - x0) if x1 > x0 else 0.0
-    return v0 + frac * (v1 - v0)
 
 
 def _check_uniform_grid(grid: np.ndarray) -> None:
@@ -440,13 +395,13 @@ def _period_objective(contract: ContractParams, prefs: WorkerPrefs, s: float,
 
 def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
                              horizon: Horizon, wage_grid: np.ndarray | None = None,
-                             effort_tolerance: float = 1e-6,
                              wage_scale: float = 1.0) -> AdditiveSolution:
     """Numerical Bellman solve on a wage grid.
 
     Per period, the objective (see _period_objective) is shared by every grid
     wage through x = s*(1+alpha)*e - alpha*w. The fitted evaluated wage W_t
-    comes from bisecting its first-order condition in x, and
+    comes from bisecting its first-order condition in x, which reads V_{t+1}
+    through the objective's interpolation (_uniform_interpolant), and
     phi_t = W_t * b / (p*(1+alpha)*s). Where the numerical slope of V_{t+1}
     is infinite, the condition takes its sign; a NaN slope (both ends -inf)
     reads as too high a wage. The value table follows the affine
@@ -477,7 +432,7 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
     n = len(grid)
     cap = s * (1.0 + alpha)  # maximal evaluated consumption at w = 0
     log_grid = _log_grid(grid)
-    grid_list = grid.tolist()
+    lo_x, hi_x = float(grid[0]), float(grid[-1])
 
     phi = np.zeros(T)
     evaluated_wage = np.zeros(T)
@@ -486,14 +441,12 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
 
     for t in range(T, 0, -1):
         if p > 0.0:
-            V_list = V_next.tolist()
+            V = _uniform_interpolant(grid, V_next)
 
             def g(x: float) -> float:
                 # derivative of p*ln(x) + delta*p*V(x) - b*e(x) in x
                 h = max(1e-9 * max(x, 1e-6), 1e-12)
-                dV = (_interp_guarded_float(min(x + h, grid_list[-1]), grid_list, V_list)
-                      - _interp_guarded_float(max(x - h, grid_list[0]), grid_list, V_list)) \
-                    / (2 * h)
+                dV = (float(V(min(x + h, hi_x))) - float(V(max(x - h, lo_x)))) / (2 * h)
                 if math.isnan(dV):
                     # both ends -inf: x is too high a wage
                     return -1.0
@@ -504,7 +457,7 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
                     return math.copysign(1.0, dV)
                 return p / x + delta * p * dV - b / ((1.0 + alpha) * s)
 
-            x_star = bisect_root(g, max(grid_list[1], 1e-12), cap)
+            x_star = bisect_root(g, max(float(grid[1]), 1e-12), cap)
             e_pol = np.clip((x_star + alpha * grid) / ((1.0 + alpha) * s), 0.0, 1.0)
         else:
             x_star = 0.0
@@ -523,8 +476,7 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
 
     return AdditiveSolution(contract=contract, prefs=prefs, horizon=horizon,
                             wage_scale=s, wage_grid=grid, phi=phi,
-                            evaluated_wage=evaluated_wage, value=value,
-                            effort_tolerance=effort_tolerance)
+                            evaluated_wage=evaluated_wage, value=value)
 
 
 class AffineEffortPolicy(AffinePolicy):

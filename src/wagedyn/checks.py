@@ -6,9 +6,11 @@ and the run report) fail honestly here rather than being patched over.
 """
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
 import json
 import math
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -181,8 +183,7 @@ def check_additive_oracle() -> CriterionResult:
     out = CriterionResult(4, "additive closed form vs oracle")
     scenario = load_scenario("fig3_2")
     contract, prefs, horizon = scenario.contract, scenario.prefs, scenario.horizon
-    sol = additive.solve_backward_induction(contract, prefs, horizon,
-                                            effort_tolerance=1e-7)
+    sol = additive.solve_backward_induction(contract, prefs, horizon)
     T = horizon.T
     grid = sol.wage_grid
     # states with a well-posed problem: finite value (w = 0 is degenerate under
@@ -220,7 +221,7 @@ def check_single_period() -> CriterionResult:
     out = CriterionResult(5, "single-period formulas")
     prefs = WorkerPrefs.additive(delta=0.9, b=1.0)
     contract = ContractParams(0.2, 0.5, 0.4)
-    e_formula = additive.single_period_effort(contract, prefs.b)
+    e_formula = statics.optimal_effort(contract, prefs)
     e_search = statics.optimal_effort_search(contract, prefs, tol=1e-10)
     out.add("effort_matches_search_1e-6", abs(e_formula - e_search) <= 1e-6,
             f"formula {e_formula!r} vs search {e_search!r}")
@@ -440,9 +441,8 @@ def check_statics() -> CriterionResult:
 def check_determinism(runners: Mapping[str, Callable], workdir: Path | None = None
                       ) -> CriterionResult:
     """Criterion 10: byte-identical reruns of the scenario runners (the CLI
-    passes report.RUNNERS) and chunk-invariant simulation."""
-    import tempfile
-
+    passes report.RUNNERS) and chunk-invariant simulation. Without a workdir
+    the reruns go to a temporary directory that is removed afterwards."""
     out = CriterionResult(10, "determinism")
     scenario = load_scenario("fig3_2")
     pol = additive.best_response(scenario.contract, scenario.prefs, scenario.horizon)
@@ -459,23 +459,24 @@ def check_determinism(runners: Mapping[str, Callable], workdir: Path | None = No
              ("cd-path", "table3_3"), ("cd-distribution", "table3_4"),
              ("tech-sweep", "fig4_1"), ("tech-shock", "fig4_2"),
              ("statics", "appendix1")]
-    base = Path(tempfile.mkdtemp(prefix="wagedyn-determinism-")) \
-        if workdir is None else workdir
     identical = True
     detail = ""
     n_files = 0
-    for command, scenario_name in pairs:
-        sc = load_scenario(scenario_name)
-        d1 = base / f"{scenario_name}-run1"
-        d2 = base / f"{scenario_name}-run2"
-        runners[command](sc, d1)
-        runners[command](sc, d2)
-        for f1 in sorted(d1.iterdir()):
-            n_files += 1
-            f2 = d2 / f1.name
-            if not f2.exists() or f1.read_bytes() != f2.read_bytes():
-                identical = False
-                detail = f"mismatch in {scenario_name}/{f1.name}"
+    with contextlib.ExitStack() as stack:
+        base = workdir if workdir is not None else Path(stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="wagedyn-determinism-")))
+        for command, scenario_name in pairs:
+            sc = load_scenario(scenario_name)
+            d1 = base / f"{scenario_name}-run1"
+            d2 = base / f"{scenario_name}-run2"
+            runners[command](sc, d1)
+            runners[command](sc, d2)
+            for f1 in sorted(d1.iterdir()):
+                n_files += 1
+                f2 = d2 / f1.name
+                if not f2.exists() or f1.read_bytes() != f2.read_bytes():
+                    identical = False
+                    detail = f"mismatch in {scenario_name}/{f1.name}"
     out.add("rerun_outputs_byte_identical", identical,
             detail or f"{n_files} files compared across {len(pairs)} scenarios")
     return out

@@ -37,7 +37,7 @@ import numpy as np
 from .additive import best_response, dead_corner
 from .cobb_douglas import DpGrid, TableEffortPolicy, grid_index, solve_policy
 from .distribution import WageDistribution, WagePolicy, profile, propagate
-from .model import affine_effort
+from .model import affine_effort, zero_base_consumption
 from .params import ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs
 
 
@@ -85,7 +85,8 @@ def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPre
     w0 = 0 and p < 1 (the never-evaluated worker consumes nothing) yields
     -inf, row or not.
     """
-    if prefs.family is UtilityFamily.ADDITIVE and (contract.w0 <= 0.0 and contract.p < 1.0):
+    if (prefs.family is UtilityFamily.ADDITIVE
+            and zero_base_consumption(contract.p, contract.w0)):
         return -math.inf
     if row is not None:
         wages, values = row
@@ -282,8 +283,7 @@ def _one_period_profit(p: float, alpha, w0, firm: FirmParams, b: float = 1.0):
     e, x = _one_period_response(p, alpha, w0, firm.wage_scale, b)
     w0 = np.asarray(w0, dtype=float)
     out = firm.k * e - (p * x + (1.0 - p) * w0 + p * firm.c)
-    if p < 1.0:
-        out = np.where(w0 <= 0.0, -math.inf, out)
+    out = np.where(zero_base_consumption(p, w0), -math.inf, out)
     return float(out) if np.ndim(out) == 0 else out
 
 

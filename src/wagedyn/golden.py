@@ -1,9 +1,12 @@
-"""Bounded scalar maximization by golden-section search.
+"""Bounded maximization by golden-section search, and root bisection.
 
-Deterministic iteration count from the requested tolerance; ties resolved
-toward the smaller argument. A vectorized variant evaluates a whole family of
-one-dimensional problems in lockstep (same bracket geometry per problem), so
-parallel sweeps are bit-identical to sequential ones.
+golden_max_vec is the package's one golden-section search. It runs a whole
+family of one-dimensional problems in lockstep over elementwise brackets
+(a scalar bracket is a family of one). The iteration count is deterministic,
+from the widest bracket and the requested tolerance. Each iteration keeps
+the retained interior point and evaluates one new point per problem. The
+interior optimum is compared against both endpoints, ties resolved toward
+the smaller argument.
 """
 from __future__ import annotations
 
@@ -22,80 +25,53 @@ def _n_iter(width: float, tol: float) -> int:
     return int(math.ceil(math.log(tol / width) / math.log(_INV_PHI)))
 
 
-def golden_max(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-6) -> tuple[float, float]:
-    """Maximize f on [lo, hi]; returns (argmax, value).
+def _where(cond, x, y):
+    """np.where for array conditions, a plain choice for a scalar one."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
 
-    Endpoints are compared against the interior solution, ties broken toward
-    the smaller argument.
+
+def golden_max_vec(f: Callable, lo, hi, tol: float = 1e-6):
+    """Maximize f on each bracket [lo, hi]; returns (argmax, value).
+
+    f maps candidate points to values elementwise; a scalar bracket hands it
+    Python floats and returns Python floats. Every problem runs the iteration
+    count of the widest bracket: a bracket gives the same bits alone as
+    among brackets of its own width, and a wider one adds iterations to it.
     """
-    if hi < lo:
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if np.any(hi < lo):
         raise ValueError(f"empty bracket [{lo}, {hi}]")
+    scalar = lo.ndim == hi.ndim == 0
+    if scalar:
+        lo, hi = float(lo), float(hi)
     a, b = lo, hi
-    n = _n_iter(b - a, tol)
+    n = _n_iter(float(np.max(b - a, initial=0.0)), tol)
     if n > 0:
         dist = b - a
         c = a + _INV_PHI_SQ * dist
         d = a + _INV_PHI * dist
         yc, yd = f(c), f(d)
         for _ in range(n - 1):
-            dist *= _INV_PHI
-            if yc >= yd:
-                b, d, yd = d, c, yc
-                c = a + _INV_PHI_SQ * dist
-                yc = f(c)
-            else:
-                a, c, yc = c, d, yd
-                d = a + _INV_PHI * dist
-                yd = f(d)
-        x = (a + d) / 2.0 if yc >= yd else (c + b) / 2.0
+            dist = dist * _INV_PHI
+            # left: the maximum lies in [a, d], d becomes c and a new c is
+            # placed; right: it lies in [c, b], c becomes d and a new d is placed
+            left = yc >= yd
+            a, b = _where(left, a, c), _where(left, d, b)
+            new = a + _where(left, _INV_PHI_SQ, _INV_PHI) * dist
+            y_new = f(new)
+            c, d = _where(left, new, d), _where(left, c, new)
+            yc, yd = _where(left, y_new, yd), _where(left, yc, y_new)
+        x = _where(yc >= yd, (a + d) / 2.0, (c + b) / 2.0)
     else:
         x = (a + b) / 2.0
-    # endpoint comparison, ties toward the smaller argument
-    candidates = [(lo, f(lo)), (x, f(x)), (hi, f(hi))]
-    best_x, best_y = candidates[0]
-    for cx, cy in candidates[1:]:
-        if cy > best_y or (cy == best_y and cx < best_x):
-            best_x, best_y = cx, cy
+    best_x, best_y = lo, f(lo)
+    for cx, cy in ((x, f(x)), (hi, f(hi))):
+        better = (cy > best_y) | ((cy == best_y) & (cx < best_x))
+        best_x, best_y = _where(better, cx, best_x), _where(better, cy, best_y)
+    if scalar:
+        return float(best_x), float(best_y)
     return best_x, best_y
-
-
-def golden_max_vec(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                   hi: np.ndarray, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized golden-section maximization over elementwise brackets.
-
-    f maps an array of candidate points to an array of values; every problem
-    runs the same iteration count (from the widest bracket).
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    a = lo.copy()
-    b = hi.copy()
-    n = _n_iter(float(np.max(b - a, initial=0.0)), tol)
-    dist = b - a
-    c = a + _INV_PHI_SQ * dist
-    d = a + _INV_PHI * dist
-    yc, yd = f(c), f(d)
-    for _ in range(max(n - 1, 0)):
-        dist = dist * _INV_PHI
-        left = yc >= yd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c = a + _INV_PHI_SQ * dist
-        d = a + _INV_PHI * dist
-        yc = f(c)
-        yd = f(d)
-    x = np.where(yc >= yd, (a + d) / 2.0, (c + b) / 2.0)
-    y = f(x)
-    # endpoint comparison
-    ylo, yhi = f(lo), f(hi)
-    better_hi = yhi > y
-    x = np.where(better_hi, hi, x)
-    y = np.where(better_hi, yhi, y)
-    better_lo = ylo >= y
-    x = np.where(better_lo, lo, x)
-    y = np.where(better_lo, ylo, y)
-    return x, y
 
 
 def bisect_root(g: Callable[[float], float], lo: float, hi: float,

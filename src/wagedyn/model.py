@@ -1,5 +1,5 @@
-"""Primitive model functions: the additive effort rule, wage update, bonus,
-consumption, utility, production.
+"""Primitive model functions: the additive effort rule, the wage update and
+the zero-consumption case of the additive scheme.
 
 Two compensation schemes coexist. In the additive scheme the bonus/penalty is
 folded into the wage state (the evaluated wage is max{w_hat + alpha*(w_hat -
@@ -8,15 +8,26 @@ wage itself and the bonus is a nonrecurrent payment entering consumption only.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .params import FirmParams, UtilityFamily, WorkerPrefs
+from .params import ContractParams
 
 
 class DomainError(ValueError):
     """Inputs outside the mathematical domain of an operation."""
+
+
+def zero_base_consumption(p, w0):
+    """True where the never-evaluated worker consumes nothing: w0 = 0 with
+    p < 1, which is degenerate for log utility. Broadcasts over p and w0."""
+    return (w0 <= 0.0) & (p < 1.0)
+
+
+def require_base_consumption(contract: ContractParams) -> None:
+    """Raise DomainError when the contract's never-evaluated worker consumes
+    nothing (zero_base_consumption)."""
+    if zero_base_consumption(contract.p, contract.w0):
+        raise DomainError("w0 = 0 with p < 1 gives zero consumption when never evaluated")
 
 
 def deserved_wage(effort: float, wage_scale: float = 1.0) -> float:
@@ -46,40 +57,3 @@ def wage_update(prev_wage: float, effort: float, contract, evaluated: bool,
         return prev_wage
     w_hat = deserved_wage(effort, wage_scale)
     return max(w_hat + contract.alpha * (w_hat - prev_wage), 0.0)
-
-
-def bonus(prev_wage: float, effort: float, alpha: float, evaluated: bool) -> float:
-    """Nonrecurrent bonus of the Cobb-Douglas scheme; may be negative."""
-    if not evaluated:
-        return 0.0
-    return alpha * (effort - prev_wage)
-
-
-def consumption(wage: float, bonus_amount: float) -> float:
-    """Per-period consumption: wage plus bonus. Negative totals are rejected."""
-    total = wage + bonus_amount
-    if total < 0.0:
-        raise DomainError(f"consumption would be negative: {wage} + {bonus_amount}")
-    return total
-
-
-def period_utility(consumption_value: float, effort: float, prefs: WorkerPrefs) -> float:
-    """Single-period utility.
-
-    Additive: ln(c) - b*e, undefined at c <= 0.
-    Cobb-Douglas: (1-e)^gamma * c^beta, well defined at c = 0.
-    """
-    if prefs.family is UtilityFamily.ADDITIVE:
-        if consumption_value <= 0.0:
-            raise DomainError(f"log utility undefined at consumption {consumption_value}")
-        return math.log(consumption_value) - prefs.b * effort
-    if not 0.0 <= effort <= 1.0:
-        raise DomainError(f"effort outside [0, 1]: {effort}")
-    if consumption_value < 0.0:
-        raise DomainError(f"negative consumption: {consumption_value}")
-    return (1.0 - effort) ** prefs.gamma * consumption_value ** prefs.beta
-
-
-def production(effort: float, firm: FirmParams) -> float:
-    """Per-worker output, constant returns: k * effort."""
-    return firm.k * effort

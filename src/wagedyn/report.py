@@ -22,6 +22,7 @@ from .distribution import (WageDistribution, cd_bracket_columns, profile, propag
                            simulate)
 from .employer import (GridSteps, analytic_one_period_optimum, grid_search_optimum,
                        tech_shock, tech_sweep)
+from .model import require_base_consumption
 from .params import ContractParams, FirmParams, Horizon
 from .svgchart import write_line_chart
 
@@ -89,7 +90,7 @@ def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both
         raise ValueError("additive-profile needs contract, prefs and horizon sections")
     out: dict[str, Any] = {}
 
-    additive.require_base_consumption(contract)
+    require_base_consumption(contract)
     policy = additive.best_response(contract, prefs, horizon)
     dists = propagate(policy, contract, horizon)
     prof = profile(dists)

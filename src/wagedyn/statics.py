@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .golden import golden_max
-from .model import DomainError, affine_effort
+from .golden import golden_max_vec
+from .model import DomainError, affine_effort, require_base_consumption
 from .params import ContractParams, UtilityFamily, WorkerPrefs
 
 
@@ -32,8 +32,10 @@ def optimal_effort(contract: ContractParams, prefs: WorkerPrefs,
 
 def optimal_effort_search(contract: ContractParams, prefs: WorkerPrefs,
                           wage_scale: float = 1.0, tol: float = 1e-10) -> float:
-    """Golden-section solution of the same problem, used as an oracle."""
+    """Golden-section solution of the same problem, used as an oracle.
+    Raises DomainError for w0 = 0 with p < 1 (model.require_base_consumption)."""
     _require_additive(prefs)
+    require_base_consumption(contract)
     p, alpha, w0, b = contract.p, contract.alpha, contract.w0, prefs.b
     s = wage_scale
 
@@ -45,13 +47,11 @@ def optimal_effort_search(contract: ContractParams, prefs: WorkerPrefs,
         if p > 0.0:
             val += p * math.log(x)
         if p < 1.0:
-            if w0 <= 0.0:
-                raise DomainError("w0 = 0 with p < 1 is degenerate for log utility")
             val += (1.0 - p) * math.log(w0)
         return val
 
     lo = min(alpha * w0 / ((1.0 + alpha) * s) + 1e-12, 1.0) if p > 0.0 else 0.0
-    e, _ = golden_max(objective, lo, 1.0, tol=tol)
+    e, _ = golden_max_vec(objective, lo, 1.0, tol=tol)
     return e
 
 

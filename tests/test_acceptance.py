@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import wagedyn
@@ -87,6 +88,13 @@ def test_criterion_09_comparative_statics():
 
 def test_criterion_10_determinism(tmp_path):
     _assert_criterion(checks.check_determinism(RUNNERS, tmp_path / "runners"))
+
+
+def test_criterion_10_removes_its_temporary_directory(tmp_path, monkeypatch):
+    # without a workdir the reruns go to a temporary directory, which must go
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    _assert_criterion(checks.check_determinism(RUNNERS))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_criterion_10_reproduce_all_byte_identical(tmp_path, capsys):

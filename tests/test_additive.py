@@ -7,21 +7,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import additive
 from wagedyn import (AffineEffortPolicy, ContractParams, DomainError, Horizon,
-                     WorkerPrefs, best_response, deterministic_path,
-                     phi_series_recursive, propagate, single_period_effort,
-                     single_period_variance, solve_backward_induction, wage_support)
-from wagedyn.additive import (_interp_guarded_float, _uniform_interpolant,
-                              phi_series_closed_sum)
+                     WorkerPrefs, best_response, deterministic_path, optimal_effort,
+                     phi_series_recursive, propagate, single_period_variance,
+                     solve_backward_induction, wage_support)
+from wagedyn.additive import _uniform_interpolant
 from wagedyn.golden import golden_max_vec
 
-FIG32 = dict(contract=ContractParams(0.2, 0.5, 0.4),
-             prefs=WorkerPrefs.additive(delta=0.9), horizon=Horizon(10))
+PREFS = WorkerPrefs.additive(delta=0.9)
+FIG32 = dict(contract=ContractParams(0.2, 0.5, 0.4), prefs=PREFS, horizon=Horizon(10))
 
 
 @pytest.fixture(scope="module")
 def fig32_solution():
     return solve_backward_induction(FIG32["contract"], FIG32["prefs"],
-                                    FIG32["horizon"], effort_tolerance=1e-7)
+                                    FIG32["horizon"])
 
 
 def brute_force_effort(contract, b=1.0, step=1e-5):
@@ -46,18 +45,18 @@ def brute_force_effort(contract, b=1.0, step=1e-5):
 
 def test_single_period_effort_against_brute_force():
     contract = ContractParams(0.2, 0.5, 0.4)
-    e = single_period_effort(contract)
+    e = optimal_effort(contract, PREFS)
     assert e == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert e == pytest.approx(brute_force_effort(contract), abs=1e-5)
 
 
 def test_single_period_effort_corners():
-    assert single_period_effort(ContractParams(0.0, 0.0, 0.0)) == 0.0
-    assert single_period_effort(ContractParams(1.0, 0.0, 0.0)) == 1.0
+    assert optimal_effort(ContractParams(0.0, 0.0, 0.0), PREFS) == 0.0
+    assert optimal_effort(ContractParams(1.0, 0.0, 0.0), PREFS) == 1.0
     # no bonus rate: effort equals the sampling odds regardless of the base wage
-    assert single_period_effort(ContractParams(0.3, 0.0, 0.7)) == pytest.approx(0.3)
+    assert optimal_effort(ContractParams(0.3, 0.0, 0.7), PREFS) == pytest.approx(0.3)
     # clamped above one
-    assert single_period_effort(ContractParams(1.0, 1.0, 1.0)) == 1.0
+    assert optimal_effort(ContractParams(1.0, 1.0, 1.0), PREFS) == 1.0
 
 
 @dataclass(frozen=True)
@@ -203,6 +202,22 @@ def test_never_evaluated_worker_idles():
     assert np.all(sol.raw_effort[:, interior] < 1e-5)
 
 
+def phi_series_closed_sum(contract, prefs, horizon):
+    """Reference: the literal closed-sum phi variant, which reads the summation
+    limits as sum_{s=t}^{T} (delta*(1-p))^{s-t}. It violates phi_T = 1
+    whenever alpha*p > 0 and is undefined at p = 1."""
+    p, alpha, delta = contract.p, contract.alpha, prefs.delta
+    if p >= 1.0:
+        raise DomainError("closed-sum phi variant is singular at p = 1")
+    T = horizon.T
+    q = delta * (1.0 - p)
+    out = np.empty(T)
+    for t in range(1, T + 1):
+        ssum = sum(q ** j for j in range(T - t + 1))
+        out[t - 1] = ssum / (1.0 + alpha * delta * p * ssum - alpha * p / (1.0 - p))
+    return out
+
+
 def test_always_evaluated_special_case():
     # p = 1 has no unevaluated branch; the penalty anchor makes phi sit below
     # one before the end (the oracle's phi reflects effort clamping, which the
@@ -305,27 +320,6 @@ def test_subnormal_p_takes_phi_from_recursion():
     assert np.array_equal(sol.evaluated_wage, 2.0 * contract.p * phi_exact)
 
 
-grid_values = st.lists(st.one_of(st.floats(-50.0, 50.0), st.just(-math.inf)),
-                       min_size=2, max_size=12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(values=grid_values, cap=st.floats(0.1, 3.0), data=st.data())
-def test_float_interpolation_matches_array_interpolation(values, cap, data):
-    # the first-order condition interpolates on Python floats; it must agree
-    # bit for bit with _uniform_interpolant, at the grid ends and beside -inf
-    # cells
-    grid = np.linspace(0.0, cap, len(values))
-    vals = np.array(values)
-    i = data.draw(st.integers(0, len(values) - 2))
-    x = data.draw(st.one_of(st.just(grid[0]), st.just(grid[-1]), st.just(grid[i]),
-                            st.floats(grid[i], grid[i + 1]),
-                            st.floats(0.0, cap)))
-    expected = float(_uniform_interpolant(grid, vals)(x))
-    got = _interp_guarded_float(float(x), grid.tolist(), vals.tolist())
-    assert got.hex() == expected.hex()
-
-
 def interp_guarded_searchsorted(x, grid, values):
     """Reference: the sorted-search interpolation that the arithmetic cell
     lookup of _uniform_interpolant replaced."""
@@ -379,7 +373,8 @@ def oracle_tables_reference(sol):
     V_next = np.zeros(n)
     for t in range(T, 0, -1):
         objective = period_objective_reference(c, prefs, s, grid, log_grid, V_next)
-        raw[t - 1], _ = golden_max_vec(objective, lo, np.ones(n), tol=sol.effort_tolerance)
+        raw[t - 1], _ = golden_max_vec(objective, lo, np.ones(n),
+                                       tol=additive.EFFORT_TOLERANCE)
         if c.p > 0.0:
             e_pol = np.clip((sol.evaluated_wage[t - 1] + c.alpha * grid)
                             / ((1.0 + c.alpha) * s), 0.0, 1.0)

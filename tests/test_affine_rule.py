@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import (AffineEffortPolicy, AffinePolicy, ContractParams, FirmParams,
-                     WorkerPrefs, optimal_effort, single_period_effort, tech_sweep)
+                     WorkerPrefs, optimal_effort, tech_sweep)
 from wagedyn.additive import dead_corner
 from wagedyn.employer import _one_period_profit, _one_period_response
 
@@ -203,7 +203,6 @@ def test_affine_policy_matches_old_policies_bit_for_bit(data, s, b, phi):
 def test_single_period_rules_match_old_spelling_bit_for_bit(data, s, b):
     contract = data.draw(contracts(s))
     old = old_single_period_effort(contract, b, s)
-    assert single_period_effort(contract, b, s).hex() == old.hex()
     assert optimal_effort(contract, WorkerPrefs.additive(delta=0.9, b=b), s).hex() \
         == old.hex()
 

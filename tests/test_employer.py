@@ -6,8 +6,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistribution,
                      WorkerPrefs, additive, analytic_one_period_optimum, distribution,
-                     employer, expected_profit, grid_search_optimum, phi_series_recursive,
-                     profit_by_history_enumeration, single_period_effort,
+                     employer, expected_profit, grid_search_optimum, optimal_effort,
+                     phi_series_recursive, profit_by_history_enumeration,
                      stationary_grid_search, stationary_one_period_optimum,
                      tech_shock, tech_sweep)
 from wagedyn.cobb_douglas import DpGrid
@@ -31,7 +31,7 @@ def test_one_period_profit_closed_form():
     # k e* - [p p(1+alpha) + (1-p) w0 + p c] at unit scale and b = 1
     firm = FirmParams(k=1.0, lam=1.0, c=0.15, eta=0.9)
     contract = ContractParams(0.3, 0.5, 0.2)
-    e_star = single_period_effort(contract)
+    e_star = optimal_effort(contract, PREFS)
     expected = (firm.k * e_star
                 - (0.3 * 0.3 * 1.5 + 0.7 * 0.2 + 0.3 * 0.15))
     assert expected_profit(contract, firm, PREFS, Horizon(1)) == pytest.approx(expected)

@@ -1,16 +1,59 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from wagedyn import (ContractParams, DomainError, FirmParams, Horizon, WorkerPrefs,
-                     bonus, consumption, deserved_wage, period_utility, production,
-                     wage_update)
+                     deserved_wage, optimal_effort_search, require_base_consumption,
+                     solve_backward_induction, wage_update, zero_base_consumption)
 from wagedyn.config import ConfigError, validate_config
-from wagedyn.params import ParamError
+from wagedyn.params import ParamError, UtilityFamily
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+# ---------------------------------------------------------------------------
+# references: the per-period primitives as the model module once defined them.
+# No run path called them; the solvers inline the same formulas.
+
+
+def bonus(prev_wage, effort, alpha, evaluated):
+    """Nonrecurrent bonus of the Cobb-Douglas scheme; may be negative."""
+    if not evaluated:
+        return 0.0
+    return alpha * (effort - prev_wage)
+
+
+def consumption(wage, bonus_amount):
+    """Per-period consumption: wage plus bonus. Negative totals are rejected."""
+    total = wage + bonus_amount
+    if total < 0.0:
+        raise DomainError(f"consumption would be negative: {wage} + {bonus_amount}")
+    return total
+
+
+def period_utility(consumption_value, effort, prefs):
+    """Single-period utility.
+
+    Additive: ln(c) - b*e, undefined at c <= 0.
+    Cobb-Douglas: (1-e)^gamma * c^beta, well defined at c = 0.
+    """
+    if prefs.family is UtilityFamily.ADDITIVE:
+        if consumption_value <= 0.0:
+            raise DomainError(f"log utility undefined at consumption {consumption_value}")
+        return math.log(consumption_value) - prefs.b * effort
+    if not 0.0 <= effort <= 1.0:
+        raise DomainError(f"effort outside [0, 1]: {effort}")
+    if consumption_value < 0.0:
+        raise DomainError(f"negative consumption: {consumption_value}")
+    return (1.0 - effort) ** prefs.gamma * consumption_value ** prefs.beta
+
+
+def production(effort, firm):
+    """Per-worker output, constant returns: k * effort."""
+    return firm.k * effort
 
 
 def test_contract_validation():
@@ -173,3 +216,21 @@ def test_production():
     assert production(1.0, firm) == pytest.approx(1.5)
     assert production(0.618, firm) == pytest.approx(0.927)
     assert deserved_wage(0.5, wage_scale=1.2) == pytest.approx(0.6)
+
+
+def test_zero_base_consumption_defined_once():
+    # w0 = 0 with p < 1: the never-evaluated worker consumes nothing
+    assert zero_base_consumption(0.5, 0.0)
+    assert not zero_base_consumption(1.0, 0.0)
+    assert not zero_base_consumption(0.5, 0.1)
+    assert zero_base_consumption(0.5, np.array([0.0, 0.2])).tolist() == [True, False]
+    assert zero_base_consumption(np.array([0.0, 1.0]), 0.0).tolist() == [True, False]
+    message = "w0 = 0 with p < 1 gives zero consumption when never evaluated"
+    degenerate = ContractParams(0.5, 0.5, 0.0)
+    prefs = WorkerPrefs.additive(delta=0.9)
+    for call in (lambda: require_base_consumption(degenerate),
+                 lambda: optimal_effort_search(degenerate, prefs),
+                 lambda: solve_backward_induction(degenerate, prefs, Horizon(2))):
+        with pytest.raises(DomainError, match=message):
+            call()
+    require_base_consumption(ContractParams(1.0, 0.5, 0.0))
