@@ -185,24 +185,54 @@ class AffinePolicy:
         return self.wage_scale * (1.0 + c.alpha) * (c.p / self.b) * self.phi
 
     def effort(self, t: int, prev_wage):
-        if not 1 <= t <= len(self.phi):
-            raise ValueError(f"period {t} outside 1..{len(self.phi)}")
         c = self.contract
-        w = np.asarray(prev_wage, dtype=float)
-        if c.p == 0.0:
-            return np.zeros_like(w)
-        e = affine_effort(c.p, c.alpha, w, self.phi[t - 1], self.b, self.wage_scale)
-        # [()] turns a 0-d result back into a scalar
-        return np.where(dead_corner(c.alpha, w, self.wage_scale), 0.0, e)[()]
+        return _affine_response(c.p, c.alpha, prev_wage, _phi_at(self.phi, t), self.b,
+                                self.wage_scale)[0]
 
     def next_wage_if_evaluated(self, t: int, prev_wage):
         c = self.contract
-        w = np.asarray(prev_wage, dtype=float)
-        e = self.effort(t, prev_wage)
-        return np.maximum(self.wage_scale * (1.0 + c.alpha) * e - c.alpha * w, 0.0)
+        return _affine_response(c.p, c.alpha, prev_wage, _phi_at(self.phi, t), self.b,
+                                self.wage_scale)[1]
 
     def bonus_if_evaluated(self, t: int, prev_wage):
         return np.zeros_like(np.asarray(prev_wage, dtype=float))
+
+    @staticmethod
+    def stack(policies):
+        """One response for several policies of one b and wage scale:
+        respond(t, rows, w) returns the effort, the evaluated next wage and the
+        bonus at each pair (policies[rows[i]], w[i]), each equal to the bit to
+        that policy's effort, next_wage_if_evaluated and bonus_if_evaluated at
+        w[i]. The effort is computed once for both."""
+        b, s = policies[0].b, policies[0].wage_scale
+        if any(pol.b != b or pol.wage_scale != s for pol in policies):
+            raise ValueError("stacked affine policies must share b and the wage scale")
+        p = np.array([pol.contract.p for pol in policies])
+        alpha = np.array([pol.contract.alpha for pol in policies])
+        phi = np.stack([pol.phi for pol in policies])  # raises on unequal horizons
+
+        def respond(t, rows, w):
+            e, x = _affine_response(p[rows], alpha[rows], w, _phi_at(phi, t)[rows], b, s)
+            return e, x, np.zeros_like(w)
+
+        return respond
+
+
+def _phi_at(phi: np.ndarray, t: int):
+    """phi_t, read off the last (period) axis of phi."""
+    if not 1 <= t <= phi.shape[-1]:
+        raise ValueError(f"period {t} outside 1..{phi.shape[-1]}")
+    return phi[..., t - 1]
+
+
+def _affine_response(p, alpha, w, phi_t, b, s):
+    """AffinePolicy's effort e and evaluated next wage max(s(1+alpha)e - alpha*w, 0)
+    at previous wages w, with e = 0 where p = 0 and in the dead corner. The
+    arguments broadcast; 0-d results come back as scalars."""
+    w = np.asarray(w, dtype=float)
+    e = np.where((p == 0.0) | dead_corner(alpha, w, s), 0.0,
+                 affine_effort(p, alpha, w, phi_t, b, s))
+    return e[()], np.maximum(s * (1.0 + alpha) * e - alpha * w, 0.0)[()]
 
 
 def best_response(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,

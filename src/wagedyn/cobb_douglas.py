@@ -219,3 +219,24 @@ class TableEffortPolicy:
         w = np.atleast_1d(np.asarray(prev_wage, dtype=float))
         out = self.contract.alpha * (self._efforts(t, prev_wage) - w)
         return out if np.ndim(prev_wage) else float(out[0])
+
+    @staticmethod
+    def stack(policies):
+        """One response for several policies on one grid: respond(t, rows, w)
+        returns the effort, the evaluated next wage and the bonus at each pair
+        (policies[rows[i]], w[i]), each equal to the bit to that policy's
+        effort, next_wage_if_evaluated and bonus_if_evaluated at w[i], from one
+        grid lookup of w."""
+        grid = policies[0].policy.grid
+        if any(pol.policy.grid != grid for pol in policies):
+            raise ValueError("stacked effort tables must share one grid")
+        tables = np.stack([pol.policy.table for pol in policies])  # row, period, wage
+        alpha = np.array([pol.contract.alpha for pol in policies])
+
+        def respond(t, rows, w):
+            if not 1 <= t <= tables.shape[1]:
+                raise ValueError(f"period {t} outside 1..{tables.shape[1]}")
+            e = tables[rows, t - 1, grid.index(w)]
+            return e, e, alpha[rows] * (e - w)
+
+        return respond

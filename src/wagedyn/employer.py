@@ -7,9 +7,10 @@ compensation: the wage alone under the additive scheme, wage plus nonrecurrent
 bonus under the Cobb-Douglas scheme.
 
 The worker's best response (worker_policy) depends on (p, alpha) alone in
-both families, so a multi-period grid search solves it once per (p, alpha)
-row and prices the row's starting wages with one profit_values pass. The
-additive response is additive.best_response, exact in every regime: the phi
+both families, so a multi-period grid search makes one worker solve per
+(p, alpha) row and one recursion pass per p slab: slab_profit_values prices
+the starting wages of all the slab's rows at once, over (row, wage) pairs.
+The additive response is additive.best_response, exact in every regime: the phi
 recursion while no evaluated wage clamps, otherwise the envelope recursion;
 no wage grid is solved.
 
@@ -76,10 +77,10 @@ def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPre
     """Discounted expected profit: the employer value P_1(w0) of profit_values
     under the worker's best response.
 
-    row = (wages, values) hands in P_1 priced by one profit_values pass at
-    the increasing starting wages `wages` under the policy of the contract's
-    (p, alpha): a Cobb-Douglas policy's whole wage grid, or an additive
-    search's w0 axis. The cell is then values[grid_index(wages, w0)]; a w0
+    row = (wages, values) hands in P_1 priced by profit_values or
+    slab_profit_values at the increasing starting wages `wages` under the
+    policy of the contract's (p, alpha): a Cobb-Douglas policy's whole wage
+    grid, or an additive search's w0 axis. The cell is then values[grid_index(wages, w0)]; a w0
     off those wages raises ValueError. A Cobb-Douglas w0 must lie on the
     policy grid (0.1 steps by default) either way. An additive contract with
     w0 = 0 and p < 1 (the never-evaluated worker consumes nothing) yields
@@ -97,32 +98,53 @@ def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPre
 
 def profit_values(policy: WagePolicy, p: float, firm: FirmParams, horizon: Horizon,
                   wages) -> np.ndarray:
-    """Employer value P_1 at each starting wage, by backward recursion:
+    """Employer value P_1 at each starting wage under one policy: the one-row
+    case of slab_profit_values."""
+    return slab_profit_values([policy], p, firm, horizon, wages)[0]
+
+
+def slab_profit_values(policies, p: float, firm: FirmParams, horizon: Horizon,
+                       wages) -> np.ndarray:
+    """Employer value P_1 under each policy (rows) at each starting wage
+    (columns), for policies of one type that share the evaluation rate p, by
+    backward recursion:
 
         P_{T+1} = 0,
         P_t(w) = pi_t(w) + eta*[(1-p)*P_{t+1}(w) + p*P_{t+1}(x_t(w))],
         pi_t(w) = k*e_t(w) - p*(x_t(w) + bonus_t(w)) - (1-p)*w - p*c.
 
-    A forward pass collects the wages reachable in each period, as exact
-    floats with no merging, and keeps each state's period profit and
-    successor indices; the backward pass calls the policy no further. Every
-    operation is elementwise per state, so a wage's value does not depend on
-    the other wages priced with it.
+    A forward pass collects the (row, wage) pairs reachable in each period, as
+    exact floats with no merging, and keeps each pair's period profit and
+    successor indices; the backward pass calls the policies no further. The
+    policies answer each period in one call, through the response their type
+    stacks (AffinePolicy.stack, TableEffortPolicy.stack). Every operation is
+    elementwise per pair, so a value does not depend on the other rows and
+    wages priced with it.
     """
     wages = np.asarray(wages, dtype=float)
-    states, periods = np.unique(wages), []
+    respond = type(policies[0]).stack(policies)
+    start = np.unique(wages)
+    n = len(policies)
+    rows, states = np.repeat(np.arange(n), len(start)), np.tile(start, n)
+    periods = []
     for t in range(1, horizon.T + 1):
-        e = np.asarray(policy.effort(t, states), dtype=float)
-        x = np.asarray(policy.next_wage_if_evaluated(t, states), dtype=float)
-        comp = x + np.asarray(policy.bonus_if_evaluated(t, states), dtype=float)
-        pi = firm.k * e - (p * comp + (1.0 - p) * states + p * firm.c)
-        reached = np.union1d(states, x)
-        periods.append((pi, np.searchsorted(reached, states), np.searchsorted(reached, x)))
-        states = reached
+        e, x, bonus = respond(t, rows, states)
+        pi = firm.k * e - (p * (x + bonus) + (1.0 - p) * states + p * firm.c)
+        # the reached pairs: the kept and the evaluated ones, sorted by (row,
+        # wage) and de-duplicated
+        pair_rows, pair_wages = np.concatenate([rows, rows]), np.concatenate([states, x])
+        order = np.lexsort((pair_wages, pair_rows))
+        pair_rows, pair_wages = pair_rows[order], pair_wages[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (pair_rows[1:] != pair_rows[:-1]) | (pair_wages[1:] != pair_wages[:-1])
+        reached = np.empty(len(order), dtype=np.intp)
+        reached[order] = np.cumsum(new) - 1
+        periods.append((pi, reached[:len(rows)], reached[len(rows):]))
+        rows, states = pair_rows[new], pair_wages[new]
     value = np.zeros(len(states))
     for pi, keep, move in reversed(periods):
         value = pi + firm.eta * ((1.0 - p) * value[keep] + p * value[move])
-    return value[np.searchsorted(np.unique(wages), wages)]
+    return value.reshape(n, len(start))[:, np.searchsorted(start, wages)]
 
 
 def profit_by_history_enumeration(contract: ContractParams, firm: FirmParams,
@@ -317,13 +339,15 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
     One-period additive searches use the exact closed-form profit, one
     (alpha, w0) slab per p: the slab's first maximum is its smallest cell,
     and a later p replaces the incumbent only on a strict improvement. Other
-    searches solve one worker policy per (p, alpha) row, because neither
-    family's policy reads w0, and price the row with one profit_values pass:
-    an additive row at the scan's w0 axis, a Cobb-Douglas row at the policy's
-    whole wage grid. They then call expected_profit once per cell, in
-    (p, alpha, w0) order, handing it the row. Every w0 a Cobb-Douglas search
-    reaches, refinement included, must lie on the 0.1 policy grid, or
-    expected_profit raises ValueError and so does the search.
+    searches make one worker solve per (p, alpha) row, because neither
+    family's policy reads w0, and one recursion pass per p slab
+    (slab_profit_values over the slab's rows): an additive slab at the scan's
+    w0 axis, a Cobb-Douglas slab at the policy's whole wage grid. They then
+    call expected_profit once per cell, in (p, alpha, w0) order, handing it
+    the cell's row. Every w0 a Cobb-Douglas search reaches, refinement
+    included, must lie on the 0.1 policy grid, or expected_profit raises
+    ValueError and so does the search, after the slab holding that cell is
+    solved and priced.
 
     Raises ValueError when no cell of the box has a finite profit.
     """
@@ -346,10 +370,14 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
             return best
         wages = grid.wages if cobb_douglas else w_arr
         for p in p_vals:
-            for a in a_vals:
-                policy = worker_policy(ContractParams(float(p), float(a), float(w_arr[0])),
-                                       prefs, horizon, firm, grid)
-                row = wages, profit_values(policy, float(p), firm, horizon, wages)
+            # the policies die with the call: an error raised below keeps this
+            # frame, and so the slab's values, alive in its traceback
+            slab = slab_profit_values(
+                [worker_policy(ContractParams(float(p), float(a), float(w_arr[0])),
+                               prefs, horizon, firm, grid) for a in a_vals],
+                float(p), firm, horizon, wages)
+            for a, values in zip(a_vals, slab):
+                row = wages, values
                 for w in w_vals:
                     contract = ContractParams(float(p), float(a), float(w))
                     pi = expected_profit(contract, firm, prefs, horizon, row)

@@ -13,7 +13,7 @@ from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistrib
 from wagedyn.cobb_douglas import DpGrid
 from wagedyn.additive import best_response, envelope_evaluated_wages
 from wagedyn.employer import (_axis, _one_period_profit, _w0_max, profit_values,
-                              worker_policy)
+                              slab_profit_values, worker_policy)
 
 PREFS = WorkerPrefs.additive(delta=0.9)
 UNIT_SCALE_FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
@@ -627,6 +627,96 @@ def test_additive_search_solves_one_exact_policy_per_row(monkeypatch, profit_cal
     assert grid_solves[0] == 0
     assert solves[0] == 5 * 5
     assert profit_calls[0] == 5 * 5 * 5  # w0 in 0, 0.5, ..., 2.0
+
+
+def profit_values_per_row(policy, p, firm, horizon, wages):
+    """Reference: employer.profit_values as it was before slab pricing, one
+    recursion per policy, its reachable wages kept with np.union1d and indexed
+    with two searchsorted calls per period."""
+    wages = np.asarray(wages, dtype=float)
+    states, periods = np.unique(wages), []
+    for t in range(1, horizon.T + 1):
+        e = np.asarray(policy.effort(t, states), dtype=float)
+        x = np.asarray(policy.next_wage_if_evaluated(t, states), dtype=float)
+        comp = x + np.asarray(policy.bonus_if_evaluated(t, states), dtype=float)
+        pi = firm.k * e - (p * comp + (1.0 - p) * states + p * firm.c)
+        reached = np.union1d(states, x)
+        periods.append((pi, np.searchsorted(reached, states), np.searchsorted(reached, x)))
+        states = reached
+    value = np.zeros(len(states))
+    for pi, keep, move in reversed(periods):
+        value = pi + firm.eta * ((1.0 - p) * value[keep] + p * value[move])
+    return value[np.searchsorted(np.unique(wages), wages)]
+
+
+def reached_wages(policy, T, wages):
+    """Number of distinct wages reachable from wages within T periods."""
+    states = np.unique(wages)
+    for t in range(1, T + 1):
+        states = np.union1d(states, policy.next_wage_if_evaluated(t, states))
+    return len(states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       wage_draws=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       T=st.integers(1, 8), cobb_douglas=st.booleans())
+@example(p=0.9, alphas=[0.0, 0.9, 1.0], wage_draws=[0.5], T=5,
+         cobb_douglas=False)  # clamped rows take the envelope recursion
+@example(p=0.0, alphas=[0.0, 1.0], wage_draws=[0.0, 1.0], T=8, cobb_douglas=False)
+@example(p=0.7, alphas=[0.0, 0.4], wage_draws=[0.4583], T=2,
+         cobb_douglas=False)  # row 0's largest reached wage is row 1's smallest
+@example(p=1.0, alphas=[0.5, 1.0], wage_draws=[0.0, 0.3], T=8, cobb_douglas=True)
+def test_slab_rows_equal_one_row_passes(p, alphas, wage_draws, T, cobb_douglas):
+    # a slab prices every row in one recursion over (row, wage) pairs; each
+    # row must be its one-row pass to the bit, and the per-row recursion it
+    # replaced, whatever the other rows reach
+    horizon = Horizon(T)
+    s = CD_FIRM.wage_scale
+    if cobb_douglas:
+        prefs = CD_PREFS
+        wages = DpGrid().wages[np.round(np.array(wage_draws) * 10).astype(int)]
+    else:
+        prefs = PREFS
+        # draws on [0, 2s], and for alpha >= 0.5 the row's dead-corner wage
+        # s(1+alpha)/alpha (at most 3s) and one beyond it
+        corners = [s * (1.0 + a) / a for a in alphas if a >= 0.5]
+        wages = np.array([2.0 * s * w for w in wage_draws] + corners
+                         + [1.05 * w for w in corners])
+    policies = [worker_policy(ContractParams(p, a, 0.5), prefs, horizon, CD_FIRM)
+                for a in alphas]
+    slab = slab_profit_values(policies, p, CD_FIRM, horizon, wages)
+    assert slab.shape == (len(alphas), len(wages))
+    for a, policy, row in zip(alphas, policies, slab):
+        one = profit_values(policy, p, CD_FIRM, horizon, wages)
+        assert row.tobytes() == one.tobytes()
+        assert row.tobytes() == profit_values_per_row(policy, p, CD_FIRM, horizon,
+                                                      wages).tobytes()
+        for w, value in zip(wages.tolist(), row.tolist()):
+            enumerated = profit_by_history_enumeration(ContractParams(p, a, w), CD_FIRM,
+                                                       prefs, horizon, policy)
+            assert abs(value - enumerated) <= 1e-12
+
+
+def test_slab_with_unequal_reach_matches_per_cell_scan(profit_calls):
+    # at p = 0.75 and T = 10 the alpha = 0.5..1 rows clamp and take the
+    # envelope recursion while the alpha = 0, 0.25 rows do not; the rows reach
+    # from 15 to 74 wages, all priced in one slab
+    steps, horizon = GridSteps(0.75, 0.25, 0.5), Horizon(10)
+    wages = _axis(0.0, _w0_max(CD_FIRM, steps), steps.w0_step)
+    slab = [worker_policy(ContractParams(0.75, a, 0.5), PREFS, horizon, CD_FIRM)
+            for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    phi = [phi_series_recursive(pol.contract, PREFS, horizon) for pol in slab]
+    assert [pol.phi.tobytes() != f.tobytes() for pol, f in zip(slab, phi)] == [
+        False, False, True, True, True]
+    assert len({reached_wages(pol, horizon.T, wages) for pol in slab}) == 5
+    opt = grid_search_optimum(CD_FIRM, PREFS, horizon, steps, refine_rounds=1)
+    search_calls = profit_calls[0]
+    ref = per_cell_search(CD_FIRM, PREFS, horizon, steps, 1)
+    assert_same_optimum(opt, ref)
+    assert opt.profit.hex() == ref.profit.hex()
+    assert search_calls == profit_calls[0] - search_calls
 
 
 def today_rule_unclamped(contract, s, phi, b=1.0):
