@@ -160,7 +160,7 @@ def dead_corner(alpha, w, wage_scale: float):
 
 
 class AffinePolicy:
-    """The additive worker's affine effort policy for the distribution engine.
+    """The additive worker's affine effort policy, answered through stack.
 
     Period t (1..len(phi)) exerts model.affine_effort(p, alpha, w, phi[t-1],
     b, wage_scale) at previous wage w. The worker exerts no effort when p = 0
@@ -184,26 +184,13 @@ class AffinePolicy:
         c = self.contract
         return self.wage_scale * (1.0 + c.alpha) * (c.p / self.b) * self.phi
 
-    def effort(self, t: int, prev_wage):
-        c = self.contract
-        return _affine_response(c.p, c.alpha, prev_wage, _phi_at(self.phi, t), self.b,
-                                self.wage_scale)[0]
-
-    def next_wage_if_evaluated(self, t: int, prev_wage):
-        c = self.contract
-        return _affine_response(c.p, c.alpha, prev_wage, _phi_at(self.phi, t), self.b,
-                                self.wage_scale)[1]
-
-    def bonus_if_evaluated(self, t: int, prev_wage):
-        return np.zeros_like(np.asarray(prev_wage, dtype=float))
-
     @staticmethod
     def stack(policies):
-        """One response for several policies of one b and wage scale:
-        respond(t, rows, w) returns the effort, the evaluated next wage and the
-        bonus at each pair (policies[rows[i]], w[i]), each equal to the bit to
-        that policy's effort, next_wage_if_evaluated and bonus_if_evaluated at
-        w[i]. The effort is computed once for both."""
+        """The policy type's one response, for several policies of one b and
+        wage scale: respond(t, rows, w) returns the effort, the evaluated next
+        wage and the (zero) bonus at each pair (policies[rows[i]], w[i]), with
+        the effort computed once for both (_affine_response). rows and w
+        broadcast; distribution.responder answers one policy as rows = 0."""
         b, s = policies[0].b, policies[0].wage_scale
         if any(pol.b != b or pol.wage_scale != s for pol in policies):
             raise ValueError("stacked affine policies must share b and the wage scale")
@@ -227,8 +214,10 @@ def _phi_at(phi: np.ndarray, t: int):
 
 def _affine_response(p, alpha, w, phi_t, b, s):
     """AffinePolicy's effort e and evaluated next wage max(s(1+alpha)e - alpha*w, 0)
-    at previous wages w, with e = 0 where p = 0 and in the dead corner. The
-    arguments broadcast; 0-d results come back as scalars."""
+    at previous wages w, with e = 0 where p = 0 and in the dead corner; with
+    phi_t = 1 it is the one-period worker's response, which the employer's
+    one-period profit prices. The arguments broadcast; 0-d results come back
+    as numpy scalars."""
     w = np.asarray(w, dtype=float)
     e = np.where((p == 0.0) | dead_corner(alpha, w, s), 0.0,
                  affine_effort(p, alpha, w, phi_t, b, s))

@@ -52,6 +52,19 @@ class CriterionResult:
         self.items.append(CheckItem(name, bool(passed), detail))
 
 
+# the bundled scenario each subcommand runs without --config, in the order
+# criterion 10 reruns them
+BUNDLED = {
+    "additive-profile": "fig3_2",
+    "cd-policy": "table3_2",
+    "cd-path": "table3_3",
+    "cd-distribution": "table3_4",
+    "tech-sweep": "fig4_1",
+    "tech-shock": "fig4_2",
+    "statics": "appendix1",
+}
+
+
 def load_scenario(name: str) -> Scenario:
     res = importlib.resources.files("wagedyn").joinpath(f"scenarios/{name}.json")
     return validate_config(json.loads(res.read_text(encoding="utf-8")))
@@ -351,8 +364,7 @@ def check_technology() -> CriterionResult:
     """Criterion 8: k-sweep monotonicity and shock profile properties."""
     out = CriterionResult(8, "technology properties")
     sweep_sc = load_scenario("fig4_1")
-    rows = tech_sweep([float(k) for k in sweep_sc.experiment["k_values"]],
-                      sweep_sc.firm, sweep_sc.prefs)
+    rows = tech_sweep([float(k) for k in sweep_sc.experiment["k_values"]], sweep_sc.firm)
     means = [r.wage_mean for r in rows]
     variances = [r.wage_variance for r in rows]
     ratios = [r.std_over_mean for r in rows]
@@ -366,7 +378,7 @@ def check_technology() -> CriterionResult:
     out.add("sweep_std_over_mean_increasing",
             all(b >= a - eps for a, b in zip(ratios, ratios[1:])),
             f"{[round(r, 4) for r in ratios]}")
-    wide = tech_sweep([1.3, 1.5, 1.7, 2.0], sweep_sc.firm, sweep_sc.prefs)
+    wide = tech_sweep([1.3, 1.5, 1.7, 2.0], sweep_sc.firm)
     wide_ratios = [r.std_over_mean for r in wide]
     if any(b < a for a, b in zip(wide_ratios, wide_ratios[1:])):
         out.warnings.append(
@@ -455,17 +467,13 @@ def check_determinism(runners: Mapping[str, Callable], workdir: Path | None = No
         for a, b in zip(sim1, sim8))
     out.add("simulation_invariant_to_chunking", chunk_ok, "1 vs 8 chunks")
 
-    pairs = [("additive-profile", "fig3_2"), ("cd-policy", "table3_2"),
-             ("cd-path", "table3_3"), ("cd-distribution", "table3_4"),
-             ("tech-sweep", "fig4_1"), ("tech-shock", "fig4_2"),
-             ("statics", "appendix1")]
     identical = True
     detail = ""
     n_files = 0
     with contextlib.ExitStack() as stack:
         base = workdir if workdir is not None else Path(stack.enter_context(
             tempfile.TemporaryDirectory(prefix="wagedyn-determinism-")))
-        for command, scenario_name in pairs:
+        for command, scenario_name in BUNDLED.items():
             sc = load_scenario(scenario_name)
             d1 = base / f"{scenario_name}-run1"
             d2 = base / f"{scenario_name}-run2"
@@ -478,7 +486,7 @@ def check_determinism(runners: Mapping[str, Callable], workdir: Path | None = No
                     identical = False
                     detail = f"mismatch in {scenario_name}/{f1.name}"
     out.add("rerun_outputs_byte_identical", identical,
-            detail or f"{n_files} files compared across {len(pairs)} scenarios")
+            detail or f"{n_files} files compared across {len(BUNDLED)} scenarios")
     return out
 
 

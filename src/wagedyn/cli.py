@@ -10,21 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .checks import load_scenario, run_all_checks
+from .checks import BUNDLED, load_scenario, run_all_checks
 from .config import ConfigError, validate_config
 from .report import RUNNERS, write_json
 
 SUBCOMMANDS = tuple(RUNNERS) + ("reproduce-all",)
-
-_BUNDLED = {
-    "additive-profile": "fig3_2",
-    "cd-policy": "table3_2",
-    "cd-path": "table3_3",
-    "cd-distribution": "table3_4",
-    "tech-sweep": "fig4_1",
-    "tech-shock": "fig4_2",
-    "statics": "appendix1",
-}
 
 # every bundled scenario with the subcommand that renders it
 _REPRODUCE_PLAN = (
@@ -66,7 +56,7 @@ def _load(args) -> "Scenario":
     if args.config is not None:
         scenario = validate_config(args.config)
     else:
-        bundled = _BUNDLED.get(args.command)
+        bundled = BUNDLED.get(args.command)
         if bundled is None:
             raise ConfigError([f"{args.command}: --config is required"])
         scenario = load_scenario(bundled)

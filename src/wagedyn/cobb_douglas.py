@@ -182,12 +182,15 @@ class MonotonicityReport:
     checked_rows: list[float]
 
 
-def policy_monotonicity_report(policy: EffortPolicy,
-                               min_row: float = 0.1) -> MonotonicityReport:
-    """Weak monotonicity of effort in previous wage and over periods."""
+MONOTONICITY_MIN_ROW = 0.1
+
+
+def policy_monotonicity_report(policy: EffortPolicy) -> MonotonicityReport:
+    """Weak monotonicity of effort in previous wage, and over periods at the
+    previous wages from MONOTONICITY_MIN_ROW up."""
     tab = policy.table
     in_wage = [bool(np.all(np.diff(tab[t]) <= 1e-12)) for t in range(tab.shape[0])]
-    rows = [float(x) for x in policy.grid.wages if x >= min_row - 1e-12]
+    rows = [float(x) for x in policy.grid.wages if x >= MONOTONICITY_MIN_ROW - 1e-12]
     over_t = []
     for x in rows:
         i = int(policy.grid.index(x))
@@ -196,37 +199,20 @@ def policy_monotonicity_report(policy: EffortPolicy,
 
 
 class TableEffortPolicy:
-    """Distribution-engine adapter: next wage is the effort itself, bonus is
-    the nonrecurrent alpha*(e - w_prev)."""
+    """Distribution-engine adapter, answered through stack: next wage is the
+    effort itself, bonus is the nonrecurrent alpha*(e - w_prev)."""
 
     def __init__(self, policy: EffortPolicy):
         self.policy = policy
         self.contract = policy.contract
-        self.horizon = policy.horizon
-
-    def _efforts(self, t: int, prev_wage):
-        return self.policy.table[t - 1, self.policy.grid.index(np.atleast_1d(prev_wage))]
-
-    def effort(self, t: int, prev_wage):
-        out = self._efforts(t, prev_wage)
-        return out if np.ndim(prev_wage) else float(out[0])
-
-    def next_wage_if_evaluated(self, t: int, prev_wage):
-        out = self._efforts(t, prev_wage)
-        return out if np.ndim(prev_wage) else float(out[0])
-
-    def bonus_if_evaluated(self, t: int, prev_wage):
-        w = np.atleast_1d(np.asarray(prev_wage, dtype=float))
-        out = self.contract.alpha * (self._efforts(t, prev_wage) - w)
-        return out if np.ndim(prev_wage) else float(out[0])
 
     @staticmethod
     def stack(policies):
-        """One response for several policies on one grid: respond(t, rows, w)
-        returns the effort, the evaluated next wage and the bonus at each pair
-        (policies[rows[i]], w[i]), each equal to the bit to that policy's
-        effort, next_wage_if_evaluated and bonus_if_evaluated at w[i], from one
-        grid lookup of w."""
+        """The policy type's one response, for several policies on one grid:
+        respond(t, rows, w) returns the effort, the evaluated next wage and the
+        bonus at each pair (policies[rows[i]], w[i]) from one grid lookup of w
+        (ValueError off the grid). rows and w broadcast;
+        distribution.responder answers one policy as rows = 0."""
         grid = policies[0].policy.grid
         if any(pol.policy.grid != grid for pol in policies):
             raise ValueError("stacked effort tables must share one grid")

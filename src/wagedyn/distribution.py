@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -34,13 +34,19 @@ _DRAW_PATHS = 1 << 12
 
 
 class WagePolicy(Protocol):
-    """Per-period effort rule with its own wage-state transition."""
+    """A worker policy type, answered through the one response it stacks:
+    stack(policies) returns respond(t, rows, w), the effort, the evaluated
+    next wage and the bonus in period t at each pair (policies[rows[i]], w[i])."""
 
-    def effort(self, t: int, prev_wage): ...
+    @staticmethod
+    def stack(policies: Sequence["WagePolicy"]) -> Callable: ...
 
-    def next_wage_if_evaluated(self, t: int, prev_wage): ...
 
-    def bonus_if_evaluated(self, t: int, prev_wage): ...
+def responder(policy: WagePolicy) -> Callable:
+    """respond(t, w) -> (effort, evaluated next wage, bonus) of one policy at
+    previous wages w: the one-row case of its type's stack, built once."""
+    respond = type(policy).stack([policy])
+    return lambda t, w: respond(t, 0, w)
 
 
 @dataclass(frozen=True)
@@ -130,18 +136,19 @@ def propagate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
     """End-of-period distributions P_1..P_T starting from a point mass at w0."""
     if initial is None:
         initial = WageDistribution.point_mass(contract.w0)
+    respond = responder(policy)
     dists = []
     current = initial
     for t in range(1, horizon.T + 1):
-        current = step(current, policy, contract.p, t)
+        current = step(current, respond, contract.p, t)
         dists.append(current)
     return dists
 
 
-def step(dist: WageDistribution, policy: WagePolicy, p: float, t: int) -> WageDistribution:
+def step(dist: WageDistribution, respond: Callable, p: float, t: int) -> WageDistribution:
     """One evaluation round in period t: mass 1-p keeps its wage, mass p moves
-    to the policy's evaluated wage."""
-    nxt = np.asarray(policy.next_wage_if_evaluated(t, dist.support), dtype=float)
+    to the evaluated wage of the policy that respond (responder) answers."""
+    nxt = np.asarray(respond(t, dist.support)[1], dtype=float)
     return _merge(np.concatenate([dist.support, nxt]),
                   np.concatenate([dist.probs * (1.0 - p), dist.probs * p]))
 
@@ -160,11 +167,11 @@ def enumerate_histories(policy: WagePolicy, contract: ContractParams,
     if T > 20:
         raise ValueError(f"history enumeration refuses T > 20 (got {T})")
     p = contract.p
+    respond = responder(policy)
     wages = np.array([float(contract.w0)])
     probs = np.array([1.0])
     for t in range(1, T + 1):
-        sampled = wages if p == 0.0 else np.asarray(
-            policy.next_wage_if_evaluated(t, wages), dtype=float)
+        sampled = wages if p == 0.0 else np.asarray(respond(t, wages)[1], dtype=float)
         wages = np.concatenate([wages, sampled])
         probs = np.concatenate([probs * (1.0 - p), probs * p])
     return _merge(wages, probs)
@@ -204,10 +211,11 @@ def chunk_flags(seed: int, first_path: int, n_paths: int, periods: int,
     return flags
 
 
-def _chunk_counts(policy: WagePolicy, w0: float, flags: np.ndarray,
+def _chunk_counts(respond: Callable, w0: float, flags: np.ndarray,
                   periods: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per period, the sorted distinct wages one chunk of paths reached and
-    how many paths hold each; flags are chunk_flags' packed evaluation bits.
+    how many paths hold each; flags are chunk_flags' packed evaluation bits,
+    and respond is the policy's responder.
 
     Each path is an index into the period's wage table. In period t a path
     moves from index i to candidate i + m (the evaluated wage of table[i]),
@@ -245,7 +253,7 @@ def _chunk_counts(policy: WagePolicy, w0: float, flags: np.ndarray,
             values = table[used[used < m]]
             moved = used[used >= m] - m
             if moved.size:
-                nxt = np.asarray(policy.next_wage_if_evaluated(t, table[moved]), dtype=float)
+                nxt = np.asarray(respond(t, table[moved])[1], dtype=float)
                 values = np.concatenate([values, nxt])
             table, inverse = np.unique(values, return_inverse=True)
             remap = np.zeros(2 * m, dtype=np.intp)
@@ -287,13 +295,14 @@ def simulate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
     if n_chunks < 1:
         raise ValueError("n_chunks must be >= 1")
     T = horizon.T
+    respond = responder(policy)
     totals = [(np.empty(0), np.empty(0))] * T
     bounds = [int(b) for b in np.linspace(0, n_paths, n_chunks + 1).astype(int)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         for first in range(lo, hi, _CHUNK_PATHS):
             n = min(hi, first + _CHUNK_PATHS) - first
             flags = chunk_flags(seed, first, n, T, contract.p)
-            counted = _chunk_counts(policy, contract.w0, flags, T)
+            counted = _chunk_counts(respond, contract.w0, flags, T)
             totals = [_add_counts(*total, *chunk) for total, chunk in zip(totals, counted)]
     return [_merge(wages, counts / n_paths) for wages, counts in totals]
 

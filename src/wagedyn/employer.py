@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .additive import best_response, dead_corner
+from .additive import _affine_response, best_response
 from .cobb_douglas import DpGrid, TableEffortPolicy, grid_index, solve_policy
-from .distribution import WageDistribution, WagePolicy, profile, propagate
-from .model import affine_effort, zero_base_consumption
+from .distribution import WageDistribution, WagePolicy, profile, propagate, responder
+from .model import zero_base_consumption
 from .params import ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs
 
 
@@ -116,10 +116,11 @@ def slab_profit_values(policies, p: float, firm: FirmParams, horizon: Horizon,
     A forward pass collects the (row, wage) pairs reachable in each period, as
     exact floats with no merging, and keeps each pair's period profit and
     successor indices; the backward pass calls the policies no further. The
-    policies answer each period in one call, through the response their type
-    stacks (AffinePolicy.stack, TableEffortPolicy.stack). Every operation is
-    elementwise per pair, so a value does not depend on the other rows and
-    wages priced with it.
+    policies answer each period in one call, through the one response their
+    type defines (AffinePolicy.stack, TableEffortPolicy.stack), of which a
+    single policy (profit_values, distribution.responder) is the one-row
+    case. Every operation is elementwise per pair, so a value does not
+    depend on the other rows and wages priced with it.
     """
     wages = np.asarray(wages, dtype=float)
     respond = type(policies[0]).stack(policies)
@@ -161,14 +162,14 @@ def profit_by_history_enumeration(contract: ContractParams, firm: FirmParams,
         raise ValueError("history enumeration refuses T > 20")
     if policy is None:
         policy = worker_policy(contract, prefs, horizon, firm)
+    respond = responder(policy)
     p = contract.p
     wages = np.array([float(contract.w0)])
     probs = np.array([1.0])
     contrib = np.array([0.0])
     for t in range(1, T + 1):
-        e = np.asarray(policy.effort(t, wages), dtype=float)
-        nxt = np.asarray(policy.next_wage_if_evaluated(t, wages), dtype=float)
-        comp = nxt + np.asarray(policy.bonus_if_evaluated(t, wages), dtype=float)
+        e, nxt, bonus = respond(t, wages)
+        comp = nxt + bonus
         scale = firm.eta ** (t - 1)
         cost = p * firm.c
         contrib = np.concatenate([contrib + scale * (firm.k * e - wages - cost),
@@ -270,39 +271,16 @@ def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
     return OptimalContract(contract, profit, SolveMethod.ANALYTIC, tuple(flags))
 
 
-def _one_period_response(p: float, alpha, w0, s: float, b: float = 1.0):
-    """One-period additive worker's effort e and evaluated wage x.
-
-    e is the affine rule with phi = 1 and x = max(s(1+alpha)e - alpha*w0, 0).
-    Both are 0 when p = 0, and in the dead corner (additive.dead_corner),
-    where not even full effort yields a positive evaluated consumption, by
-    the rule the multi-period exact policy also follows. alpha and w0
-    broadcast against each other; scalar input gives Python floats.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    w0 = np.asarray(w0, dtype=float)
-    if p == 0.0:
-        e = x = np.zeros(np.broadcast_shapes(alpha.shape, w0.shape))
-    else:
-        e = affine_effort(p, alpha, w0, b=b, s=s)
-        x = np.maximum(s * (1.0 + alpha) * e - alpha * w0, 0.0)
-        dead = dead_corner(alpha, w0, s)
-        e = np.where(dead, 0.0, e)
-        x = np.where(dead, 0.0, x)
-    if e.ndim == 0:
-        return float(e), float(x)
-    return e, x
-
-
 def _one_period_profit(p: float, alpha, w0, firm: FirmParams, b: float = 1.0):
     """Exact one-period profit k*e - (p*x + (1-p)*w0 + p*c) under the additive
-    worker's response (_one_period_response).
+    worker's one-period response: additive._affine_response with phi = 1,
+    e = 0 and x = 0 when p = 0 and in the dead corner.
 
     alpha and w0 broadcast against each other; w0 = 0 with p < 1 gives -inf
     (the never-evaluated worker consumes nothing). Scalar input returns a
     Python float.
     """
-    e, x = _one_period_response(p, alpha, w0, firm.wage_scale, b)
+    e, x = _affine_response(p, alpha, w0, 1.0, b, firm.wage_scale)
     w0 = np.asarray(w0, dtype=float)
     out = firm.k * e - (p * x + (1.0 - p) * w0 + p * firm.c)
     out = np.where(zero_base_consumption(p, w0), -math.inf, out)
@@ -481,12 +459,12 @@ class SweepRow:
     std_over_mean: float
 
 
-def tech_sweep(k_values, firm_template: FirmParams, prefs: WorkerPrefs | None = None,
-               horizon: Horizon = Horizon(1)) -> list[SweepRow]:
+def tech_sweep(k_values, firm_template: FirmParams) -> list[SweepRow]:
     """One-period optimum outcomes across marginal products k.
 
-    Contracts come from the stationary rules under wage scale lam*k; worker
-    outcomes are the implied two-point wage distribution.
+    Contracts come from the stationary rules under wage scale lam*k, which
+    assume an additive worker with b = 1; worker outcomes are that worker's
+    one-period response and the implied two-point wage distribution.
     """
     rows = []
     for k in k_values:
@@ -494,7 +472,7 @@ def tech_sweep(k_values, firm_template: FirmParams, prefs: WorkerPrefs | None = 
                           eta=firm_template.eta)
         opt = stationary_one_period_optimum(firm)
         p, a, w0 = opt.contract.p, opt.contract.alpha, opt.contract.w0
-        e, x = _one_period_response(p, a, w0, firm.wage_scale)
+        e, x = map(float, _affine_response(p, a, w0, 1.0, 1.0, firm.wage_scale))
         mean = p * x + (1.0 - p) * w0
         var = p * (1.0 - p) * (x - w0) ** 2
         rows.append(SweepRow(k=float(k), contract=opt.contract, profit=opt.profit,
@@ -527,9 +505,10 @@ def _contract_profile(contract: ContractParams, firm: FirmParams, prefs: WorkerP
                       horizon: Horizon) -> ProfileDetail:
     policy = worker_policy(contract, prefs, horizon, firm)
     dists = propagate(policy, contract, horizon)
+    respond = responder(policy)
     # period t's output is read off the distribution entering period t
     entering = [WageDistribution.point_mass(contract.w0)] + dists[:-1]
-    outputs = np.array([firm.k * float(np.dot(policy.effort(t, d.support), d.probs))
+    outputs = np.array([firm.k * float(np.dot(respond(t, d.support)[0], d.probs))
                         for t, d in enumerate(entering, 1)])
     series = profile(dists)
     return ProfileDetail(series.mean, series.variance, outputs, series.mean - outputs)

@@ -17,6 +17,8 @@ import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+_BISECT_TOL = 1e-15
+_BISECT_MAX_ITER = 200
 
 
 def _n_iter(width: float, tol: float) -> int:
@@ -74,20 +76,20 @@ def golden_max_vec(f: Callable, lo, hi, tol: float = 1e-6):
     return best_x, best_y
 
 
-def bisect_root(g: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-15, max_iter: int = 200) -> float:
+def bisect_root(g: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a decreasing function g on [lo, hi] by bisection.
 
-    Tolerant of kinks; requires g(lo) >= 0 >= g(hi).
+    Tolerant of kinks; requires g(lo) >= 0 >= g(hi). Stops when the bracket
+    is within _BISECT_TOL of max(1, |mid|), or after _BISECT_MAX_ITER halvings.
     """
     glo, ghi = g(lo), g(hi)
     if glo < 0.0:
         return lo
     if ghi > 0.0:
         return hi
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
+        if hi - lo <= _BISECT_TOL * max(1.0, abs(mid)):
             return mid
         if g(mid) >= 0.0:
             lo = mid

@@ -19,7 +19,7 @@ from .cobb_douglas import (TableEffortPolicy, always_sampled_path,
                            policy_monotonicity_report, solve_policy)
 from .config import Scenario, resolved_json
 from .distribution import (WageDistribution, cd_bracket_columns, profile, propagate,
-                           simulate)
+                           responder, simulate)
 from .employer import (GridSteps, analytic_one_period_optimum, grid_search_optimum,
                        tech_shock, tech_sweep)
 from .model import require_base_consumption
@@ -92,6 +92,7 @@ def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both
 
     require_base_consumption(contract)
     policy = additive.best_response(contract, prefs, horizon)
+    respond = responder(policy)
     dists = propagate(policy, contract, horizon)
     prof = profile(dists)
     support = additive.wage_support(policy)
@@ -103,7 +104,7 @@ def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both
         write_csv(outdir / "solution.csv",
                   ["t", "phi", "evaluated_wage", "effort_at_w0"],
                   [[t + 1, policy.phi[t], policy.evaluated_wages[t],
-                    float(policy.effort(t + 1, contract.w0))]
+                    float(respond(t + 1, contract.w0)[0])]
                    for t in range(horizon.T)])
         write_csv(outdir / "support.csv",
                   ["wage", "last_evaluated_period", "probability"],
@@ -286,19 +287,22 @@ def run_employer_optimum(scenario: Scenario, outdir: Path, fmt_kind: str = "both
                                   "w0": grid_opt.contract.w0,
                                   "profit": grid_opt.profit,
                                   "flags": list(grid_opt.flags)}
-    if fmt_kind in ("json", "both", "csv"):
-        write_json(outdir / "optimum.json", _jsonify(payload))
+    write_json(outdir / "optimum.json", _jsonify(payload))
     return {"analytic": analytic, "grid": grid_opt, "payload": payload}
 
 
 def run_tech_sweep(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     _echo(scenario, outdir)
-    firm = scenario.firm
+    firm, prefs = scenario.firm, scenario.prefs
     if firm is None:
         raise ValueError("tech-sweep needs the firm section")
+    if prefs is not None and prefs.b != 1.0:  # a Cobb-Douglas worker has no b
+        raise ValueError(f"prefs.b: tech-sweep's stationary rules assume the additive "
+                         f"worker with b = 1, got the {prefs.family.value} worker with "
+                         f"b = {prefs.b}")
     k_values = [float(k) for k in scenario.experiment.get("k_values", [firm.k])]
-    rows = tech_sweep(k_values, firm, scenario.prefs)
+    rows = tech_sweep(k_values, firm)
     if fmt_kind in ("csv", "both"):
         write_csv(outdir / "sweep.csv",
                   ["k", "p", "alpha", "w0", "profit", "effort", "wage_mean",

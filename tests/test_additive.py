@@ -11,6 +11,7 @@ from wagedyn import (AffineEffortPolicy, ContractParams, DomainError, Horizon,
                      phi_series_recursive, propagate, single_period_variance,
                      solve_backward_induction, wage_support)
 from wagedyn.additive import _uniform_interpolant
+from wagedyn.distribution import responder
 from wagedyn.golden import golden_max_vec
 
 PREFS = WorkerPrefs.additive(delta=0.9)
@@ -122,8 +123,8 @@ def test_solution_terminal_values(fig32_solution):
     sol = fig32_solution
     assert sol.phi[-1] == pytest.approx(1.0, abs=1e-9)
     assert sol.evaluated_wage[-1] == pytest.approx(0.3, abs=1e-9)
-    assert AffineEffortPolicy(sol).effort(10, 0.4) == pytest.approx(0.2 + 0.4 / 3.0,
-                                                                    abs=1e-6)
+    assert responder(AffineEffortPolicy(sol))(10, 0.4)[0] == pytest.approx(0.2 + 0.4 / 3.0,
+                                                                          abs=1e-6)
 
 
 def test_phi_fit_matches_recursion(fig32_solution):
@@ -144,9 +145,9 @@ def test_phi_weakly_decreasing(fig32_solution):
 def test_oracle_effort_matches_affine_policy(fig32_solution):
     sol = fig32_solution
     posed = np.isfinite(sol.value)
-    policy = AffineEffortPolicy(sol)
+    respond = responder(AffineEffortPolicy(sol))
     for t in range(1, 11):
-        affine = policy.effort(t, sol.wage_grid)
+        affine = respond(t, sol.wage_grid)[0]
         gap = np.abs(affine - sol.raw_effort[t - 1])[posed[t - 1]]
         assert gap.max() < 1e-5
 
@@ -173,10 +174,10 @@ def test_stationarity_of_interior_optimum(fig32_solution):
     S = [0.0] * (T + 2)
     for t in range(T, 0, -1):
         S[t] = 1.0 + q * S[t + 1]
-    policy = AffineEffortPolicy(sol)
+    respond = responder(AffineEffortPolicy(sol))
     for t in (1, 5, 9):
         for w in (0.2, 0.4, 0.8):
-            e_star = float(policy.effort(t, w))
+            e_star = float(respond(t, w)[0])
             x = (1 + alpha) * e_star - alpha * w
             A_next = (1 - p) * S[t + 1]
             D_next = -(b * alpha / (1 + alpha)) * S[t + 1]
@@ -195,9 +196,9 @@ def test_never_evaluated_worker_idles():
     contract = ContractParams(0.0, 0.5, 0.4)
     sol = solve_backward_induction(contract, WorkerPrefs.additive(delta=0.9),
                                    Horizon(4))
-    policy = AffineEffortPolicy(sol)
+    respond = responder(AffineEffortPolicy(sol))
     for t in range(1, 5):
-        assert policy.effort(t, 0.4) == 0.0
+        assert respond(t, 0.4)[0] == 0.0
     interior = (sol.wage_grid > 0.05) & (sol.wage_grid < 1.4)
     assert np.all(sol.raw_effort[:, interior] < 1e-5)
 

@@ -1,16 +1,20 @@
-"""The affine additive effort rule, its policy type and the one-period profit
-against the spellings they replaced.
+"""The affine additive effort rule, the policy types' one response and the
+one-period profit against the spellings they replaced.
 
 Each reference below is a verbatim copy of an earlier implementation. The
 policies share the rule's operation order and must agree bit for bit (compared
 with float.hex), except in the dead corner s(1+alpha) - alpha*w <= 0, where the
-old policies kept full effort and the policy now idles. The one-period profit
-and the sweep's effort used to compute alpha*w0/((1+alpha)*s) where the rule
-computes alpha/(1+alpha)*w0/s; they are held to an error bound fixed from that
-reordering: a few roundings of the effort's terms, carried through the wage
-and profit arithmetic.
+old policies kept full effort and the policy now idles. A policy answers
+through its type's stack, one policy as the one-row case (distribution.
+responder); the per-policy methods that answered before it are kept here as
+references and must agree with it bit for bit, in both families. The
+one-period profit and the sweep's effort used to compute
+alpha*w0/((1+alpha)*s) where the rule computes alpha/(1+alpha)*w0/s; they are
+held to an error bound fixed from that reordering: a few roundings of the
+effort's terms, carried through the wage and profit arithmetic.
 """
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,9 +22,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import (AffineEffortPolicy, AffinePolicy, ContractParams, FirmParams,
-                     WorkerPrefs, optimal_effort, tech_sweep)
-from wagedyn.additive import dead_corner
-from wagedyn.employer import _one_period_profit, _one_period_response
+                     Horizon, TableEffortPolicy, WorkerPrefs, optimal_effort,
+                     solve_policy, tech_sweep)
+from wagedyn.additive import _affine_response, _phi_at, dead_corner
+from wagedyn.distribution import responder
+from wagedyn.employer import _one_period_profit
 
 EPS = np.finfo(float).eps
 ZERO = (0.0).hex()
@@ -83,6 +89,58 @@ class OldRecursiveAffinePolicy:
 
     def bonus_if_evaluated(self, t: int, prev_wage):
         return np.zeros_like(np.asarray(prev_wage, dtype=float))
+
+
+class AffinePolicyMethods:
+    """AffinePolicy's per-policy answers as they were before stack became the
+    policy type's one response."""
+
+    def __init__(self, policy):
+        self.contract = policy.contract
+        self.b = policy.b
+        self.wage_scale = policy.wage_scale
+        self.phi = policy.phi
+
+    def effort(self, t: int, prev_wage):
+        c = self.contract
+        return _affine_response(c.p, c.alpha, prev_wage, _phi_at(self.phi, t), self.b,
+                                self.wage_scale)[0]
+
+    def next_wage_if_evaluated(self, t: int, prev_wage):
+        c = self.contract
+        return _affine_response(c.p, c.alpha, prev_wage, _phi_at(self.phi, t), self.b,
+                                self.wage_scale)[1]
+
+    def bonus_if_evaluated(self, t: int, prev_wage):
+        return np.zeros_like(np.asarray(prev_wage, dtype=float))
+
+
+class TableEffortPolicyMethods:
+    """TableEffortPolicy's per-policy answers as they were before stack became
+    the policy type's one response."""
+
+    def __init__(self, policy: TableEffortPolicy):
+        self.policy = policy.policy
+        self.contract = policy.contract
+
+    def _efforts(self, t: int, prev_wage):
+        return self.policy.table[t - 1, self.policy.grid.index(np.atleast_1d(prev_wage))]
+
+    def effort(self, t: int, prev_wage):
+        out = self._efforts(t, prev_wage)
+        return out if np.ndim(prev_wage) else float(out[0])
+
+    def next_wage_if_evaluated(self, t: int, prev_wage):
+        out = self._efforts(t, prev_wage)
+        return out if np.ndim(prev_wage) else float(out[0])
+
+    def bonus_if_evaluated(self, t: int, prev_wage):
+        w = np.atleast_1d(np.asarray(prev_wage, dtype=float))
+        out = self.contract.alpha * (self._efforts(t, prev_wage) - w)
+        return out if np.ndim(prev_wage) else float(out[0])
+
+
+METHODS = ("effort", "next_wage_if_evaluated", "bonus_if_evaluated")
 
 
 def old_single_period_effort(contract, b=1.0, wage_scale=1.0):
@@ -187,12 +245,13 @@ def test_affine_policy_matches_old_policies_bit_for_bit(data, s, b, phi):
     old_policies = (OldRecursiveAffinePolicy(contract, prefs, None, s, phi),
                     OldAffineEffortPolicy(solution))
     for new in new_policies:
+        respond = responder(new)
         for old in old_policies:
             for w in (wages, contract.w0):
                 # in the dead corner the worker idles: e = x = bonus = 0 exactly
                 dead = np.ravel(dead_corner(contract.alpha, np.asarray(w), s)).tolist()
-                for method in ("effort", "next_wage_if_evaluated", "bonus_if_evaluated"):
-                    got = hexes(getattr(new, method)(t, w))
+                for answer, method in zip(respond(t, w), METHODS, strict=True):
+                    got = hexes(answer)
                     want = hexes(getattr(old, method)(t, w))
                     for g, o, d in zip(got, want, dead, strict=True):
                         assert g == (ZERO if d else o), (method, w)
@@ -209,11 +268,73 @@ def test_single_period_rules_match_old_spelling_bit_for_bit(data, s, b):
 
 def test_affine_policy_rejects_periods_outside_horizon():
     policy = AffinePolicy(ContractParams(0.2, 0.5, 0.4), 1.0, 1.0, [1.2, 1.1, 1.0])
+    respond = responder(policy)
     for t in (0, 4):
-        for method in (policy.effort, policy.next_wage_if_evaluated):
+        for w in (0.4, np.array([0.4, 0.5])):
             with pytest.raises(ValueError, match=f"period {t} outside 1..3"):
-                method(t, 0.4)
+                respond(t, w)
 
+
+CD_PREFS = WorkerPrefs.cobb_douglas(delta=0.9, gamma=0.4, beta=0.6)
+
+
+def assert_same_answers(respond, methods, t, w):
+    """respond(t, w) equals the three per-policy answers bit for bit, in
+    shape too (a scalar wage gives scalars)."""
+    for answer, method in zip(respond(t, w), METHODS, strict=True):
+        want = getattr(methods, method)(t, w)
+        assert np.shape(answer) == np.shape(want), method
+        assert hexes(answer) == hexes(want), (method, t, w)
+
+
+def assert_same_error(call, reference_call):
+    with pytest.raises(ValueError) as want:
+        reference_call()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        call()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), s=scales, b=b_values, phi=phis)
+def test_responder_matches_deleted_affine_methods_bit_for_bit(data, s, b, phi):
+    contract = data.draw(contracts(s))  # p = 0 and 1 among them
+    wages = data.draw(st.lists(st.floats(0.0, 4.0), max_size=6))
+    # dead-corner wages s(1+alpha)/alpha and beyond, where alpha > 0
+    if contract.alpha > 0.0:
+        wages += [s * (1.0 + contract.alpha) / contract.alpha * f for f in (1.0, 1.5)]
+    wages = np.array(wages + [contract.w0])
+    policy = AffinePolicy(contract, b, s, phi)
+    respond, methods = responder(policy), AffinePolicyMethods(policy)
+    for t in range(1, len(phi) + 1):
+        for w in (wages, contract.w0, float(wages[0])):
+            assert_same_answers(respond, methods, t, w)
+    for t in (0, len(phi) + 1):
+        for method in ("effort", "next_wage_if_evaluated"):
+            assert_same_error(lambda: respond(t, contract.w0),
+                              lambda: getattr(methods, method)(t, contract.w0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       alpha=st.floats(0.0, 1.0), T=st.integers(1, 5),
+       steps=st.lists(st.integers(0, 10), min_size=1, max_size=6))
+def test_responder_matches_deleted_table_methods_bit_for_bit(p, alpha, T, steps):
+    contract = ContractParams(p, alpha, steps[0] / 10)
+    table = solve_policy(contract, CD_PREFS, Horizon(T))
+    policy = TableEffortPolicy(table)
+    respond, methods = responder(policy), TableEffortPolicyMethods(policy)
+    wages = table.grid.wages[steps]
+    for t in range(1, T + 1):
+        for w in (wages, contract.w0, float(wages[-1])):
+            assert_same_answers(respond, methods, t, w)
+    # an off-grid wage, alone or among grid wages
+    for w in (0.45, np.append(wages, 0.45)):
+        assert_same_error(lambda: respond(1, w), lambda: methods.effort(1, w))
+    # the table's own lookup raises for a period outside 1..T; the deleted
+    # methods read the table's last row at t = 0 instead
+    for t in (0, T + 1):
+        assert_same_error(lambda: respond(t, contract.w0),
+                          lambda: table.effort(t, contract.w0))
 
 # ---------------------------------------------------------------------------
 # one-period profit and sweep: within the reordering bound
@@ -250,10 +371,12 @@ def test_tech_sweep_matches_old_effort_and_wage(k, lam, c):
     p, a, w0 = row.contract.p, row.contract.alpha, row.contract.w0
     s = lam * k
     e_old, x_old = old_sweep_effort_and_wage(p, a, w0, s)
-    e_new, x_new = _one_period_response(p, a, w0, s)
+    e_new, x_new = _affine_response(p, a, w0, 1.0, 1.0, s)
     scale = (1.0 + p + a * w0 / s) * (1.0 + s * (1.0 + a))
     assert within_reorder_bound(e_new, e_old, scale)
     assert within_reorder_bound(x_new, x_old, scale)
+    # Python floats: the sweep's numbers are printed in report details
+    assert type(row.effort) is float and type(row.wage_mean) is float
     assert row.effort == e_new
     mean_old = p * x_old + (1.0 - p) * w0
     assert within_reorder_bound(row.wage_mean, mean_old, scale + w0)

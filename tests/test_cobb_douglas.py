@@ -6,6 +6,7 @@ import pytest
 from wagedyn import (ContractParams, DpGrid, Horizon, TableEffortPolicy,
                      WorkerPrefs, always_sampled_path, policy_monotonicity_report,
                      solve_policy)
+from wagedyn.distribution import responder
 
 CONTRACT = ContractParams(0.2, 0.1, 0.4)
 PREFS = WorkerPrefs.cobb_douglas(delta=0.9, gamma=0.4, beta=0.6)
@@ -159,14 +160,13 @@ def test_constant_policy_fixed_point():
 
 
 def test_adapter_vectorizes(policy):
-    adapter = TableEffortPolicy(policy)
+    respond = responder(TableEffortPolicy(policy))
     wages = np.array([0.0, 0.4, 1.0])
-    e = adapter.effort(1, wages)
+    e, nxt, _ = respond(1, wages)
     assert e.shape == (3,)
-    assert adapter.effort(1, 0.4) == policy.effort(1, 0.4)
-    nxt = adapter.next_wage_if_evaluated(1, wages)
+    assert respond(1, 0.4)[0] == policy.effort(1, 0.4)
     assert np.array_equal(nxt, e)
-    b = adapter.bonus_if_evaluated(1, 0.4)
+    b = respond(1, 0.4)[2]
     assert b == pytest.approx(CONTRACT.alpha * (policy.effort(1, 0.4) - 0.4))
     with pytest.raises(ValueError):
-        adapter.effort(1, 0.42)
+        respond(1, 0.42)

@@ -167,6 +167,29 @@ def test_cli_zero_consumption_error_writes_only_the_echo(tmp_path):
     assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
 
 
+
+@pytest.mark.parametrize("prefs, worker", [
+    ({"family": "additive", "delta": 0.9, "b": 2.0}, "additive worker with b = 2.0"),
+    ({"family": "cobb_douglas", "delta": 0.9, "gamma": 0.4, "beta": 0.6},
+     "cobb_douglas worker with b = None"),
+])
+def test_tech_sweep_rejects_a_worker_other_than_b_1(tmp_path, capsys, prefs, worker):
+    # the stationary rules the sweep prices assume the additive worker with
+    # b = 1, so another worker is refused rather than priced as that one
+    from wagedyn.cli import main
+
+    raw = json.loads((SCENARIOS / "fig4_1.json").read_text())
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(dict(raw, prefs=prefs)))
+    out = tmp_path / "out"
+    assert main(["tech-sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: prefs.b: tech-sweep's stationary rules "
+                                       "assume the additive worker with b = 1, got the "
+                                       f"{worker}\n")
+    assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
+    cfg.write_text(json.dumps(raw))  # b = 1
+    assert main(["tech-sweep", "--config", str(cfg), "--out", str(tmp_path / "b1")]) == 0
+
 # ---------------------------------------------------------------------------
 # the reader's path runs the exact best response, never the grid oracle
 

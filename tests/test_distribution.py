@@ -10,7 +10,8 @@ from wagedyn import (AffineEffortPolicy, AffinePolicy, ContractParams, Horizon,
                      phi_series_recursive, profile, propagate, simulate,
                      solve_backward_induction, solve_policy, TableEffortPolicy)
 from wagedyn import distribution
-from wagedyn.distribution import MERGE_TOL, _CHUNK_PATHS, _DRAW_PATHS, chunk_flags
+from wagedyn.distribution import (MERGE_TOL, _CHUNK_PATHS, _DRAW_PATHS, chunk_flags,
+                                  responder)
 
 CONTRACT = ContractParams(0.2, 0.5, 0.4)
 PREFS = WorkerPrefs.additive(delta=0.9)
@@ -211,7 +212,7 @@ def test_two_period_history_probabilities():
     assert float(final.probs[final.support == 0.4].sum()) == pytest.approx(never)
     assert final.probs.sum() == pytest.approx(1.0, abs=1e-12)
     # evaluated-last-at-2 mass merges the NE and EE histories
-    w2 = policy.next_wage_if_evaluated(2, 0.4)
+    w2 = responder(policy)(2, 0.4)[1]
     mass_w2 = float(final.probs[np.isclose(final.support, w2, atol=1e-9)].sum())
     assert mass_w2 == pytest.approx(p, abs=1e-12)
 
@@ -253,17 +254,16 @@ def test_markov_composition():
     dists = propagate(policy, CONTRACT, Horizon(T))
 
     class Shifted:
+        """The base policy's response offset periods later."""
+
         def __init__(self, base, offset):
             self.base, self.offset = base, offset
 
-        def effort(self, t, w):
-            return self.base.effort(t + self.offset, w)
-
-        def next_wage_if_evaluated(self, t, w):
-            return self.base.next_wage_if_evaluated(t + self.offset, w)
-
-        def bonus_if_evaluated(self, t, w):
-            return self.base.bonus_if_evaluated(t + self.offset, w)
+        @staticmethod
+        def stack(policies):
+            (shifted,) = policies
+            respond = type(shifted.base).stack([shifted.base])
+            return lambda t, rows, w: respond(t + shifted.offset, rows, w)
 
     k = 3
     rest = propagate(Shifted(policy, k), CONTRACT, Horizon(T - k), initial=dists[k - 1])
@@ -284,9 +284,10 @@ def test_always_evaluated_matches_deterministic_path():
     c = ContractParams(1.0, 0.1, 0.4)
     policy = TableEffortPolicy(solve_policy(c, CD_PREFS, Horizon(6)))
     sims = simulate(policy, c, Horizon(6), n_paths=50, seed=7)
+    respond = responder(policy)
     w = c.w0
     for t in range(1, 7):
-        w = policy.next_wage_if_evaluated(t, w)
+        w = respond(t, w)[1]
         assert len(sims[t - 1].support) == 1
         assert sims[t - 1].support[0] == pytest.approx(w)
 
@@ -384,6 +385,7 @@ def test_mass_conserved_for_random_contracts(p, alpha, w0, T):
 def enumerate_histories_per_mask(policy, contract, horizon):
     """Reference enumeration: one history at a time, scalar policy calls."""
     T, p = horizon.T, contract.p
+    respond = responder(policy)
     pairs = []
     for mask in range(1 << T):
         prob = 1.0
@@ -391,7 +393,7 @@ def enumerate_histories_per_mask(policy, contract, horizon):
         for t in range(1, T + 1):
             if mask >> (t - 1) & 1:
                 prob *= p
-                w = float(policy.next_wage_if_evaluated(t, w))
+                w = float(respond(t, w)[1])
             else:
                 prob *= 1.0 - p
         if prob > 0.0:
@@ -470,6 +472,7 @@ def simulate_reference(policy, contract, horizon, n_paths, seed, n_chunks=1):
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     T = horizon.T
+    respond = responder(policy)
     u = path_uniforms(seed, n_paths, T)
     counts: list[dict[float, int]] = [dict() for _ in range(T)]
     bounds = np.linspace(0, n_paths, n_chunks + 1).astype(int)
@@ -480,7 +483,7 @@ def simulate_reference(policy, contract, horizon, n_paths, seed, n_chunks=1):
         for t in range(1, T + 1):
             sampled = u[lo:hi, t - 1] < contract.p
             if np.any(sampled):
-                w_next = np.asarray(policy.next_wage_if_evaluated(t, w[sampled]), dtype=float)
+                w_next = np.asarray(respond(t, w[sampled])[1], dtype=float)
                 w[sampled] = w_next
             vals, cnt = np.unique(w, return_counts=True)
             store = counts[t - 1]

@@ -12,6 +12,7 @@ from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistrib
                      tech_shock, tech_sweep)
 from wagedyn.cobb_douglas import DpGrid
 from wagedyn.additive import best_response, envelope_evaluated_wages
+from wagedyn.distribution import responder
 from wagedyn.employer import (_axis, _one_period_profit, _w0_max, profit_values,
                               slab_profit_values, worker_policy)
 
@@ -370,7 +371,7 @@ def test_grid_search_deterministic():
 
 def test_tech_sweep_monotone_outcomes():
     firm = FirmParams(k=1.25, lam=0.8, c=0.2, eta=0.9)
-    rows = tech_sweep([1.05, 1.1, 1.15, 1.2, 1.25], firm, PREFS)
+    rows = tech_sweep([1.05, 1.1, 1.15, 1.2, 1.25], firm)
     means = [r.wage_mean for r in rows]
     variances = [r.wage_variance for r in rows]
     ratios = [r.std_over_mean for r in rows]
@@ -399,17 +400,17 @@ def test_tech_shock_report():
 def profit_per_mask(contract, firm, policy, T):
     """Reference history enumeration: one history at a time, scalar calls."""
     p = contract.p
+    respond = responder(policy)
     total = 0.0
     for mask in range(1 << T):
         prob = 1.0
         w = contract.w0
         contrib = 0.0
         for t in range(1, T + 1):
-            e = float(policy.effort(t, w))
+            e, wage, bonus = (float(v) for v in respond(t, w))
             if mask >> (t - 1) & 1:
                 prob *= p
-                wage = float(policy.next_wage_if_evaluated(t, w))
-                comp = wage + float(policy.bonus_if_evaluated(t, w))
+                comp = wage + bonus
                 w_next = wage
             else:
                 prob *= 1.0 - p
@@ -448,12 +449,12 @@ def profit_by_distribution_loop(contract, firm, policy, T):
     """Reference profit: the per-period WageDistribution loop, with the step
     built from (wage, mass) pairs and merged by from_pairs."""
     p = contract.p
+    respond = responder(policy)
     dist = WageDistribution.point_mass(contract.w0)
     total = 0.0
     for t in range(1, T + 1):
-        e = np.asarray(policy.effort(t, dist.support), dtype=float)
-        nxt = np.asarray(policy.next_wage_if_evaluated(t, dist.support), dtype=float)
-        comp = nxt + np.asarray(policy.bonus_if_evaluated(t, dist.support), dtype=float)
+        e, nxt, bonus = respond(t, dist.support)
+        comp = nxt + bonus
         wage_cost = (p * float(np.dot(comp, dist.probs))
                      + (1.0 - p) * float(np.dot(dist.support, dist.probs)))
         total += firm.eta ** (t - 1) * (firm.k * float(np.dot(e, dist.probs))
@@ -634,11 +635,11 @@ def profit_values_per_row(policy, p, firm, horizon, wages):
     recursion per policy, its reachable wages kept with np.union1d and indexed
     with two searchsorted calls per period."""
     wages = np.asarray(wages, dtype=float)
+    respond = responder(policy)
     states, periods = np.unique(wages), []
     for t in range(1, horizon.T + 1):
-        e = np.asarray(policy.effort(t, states), dtype=float)
-        x = np.asarray(policy.next_wage_if_evaluated(t, states), dtype=float)
-        comp = x + np.asarray(policy.bonus_if_evaluated(t, states), dtype=float)
+        e, x, bonus = respond(t, states)
+        comp = x + bonus
         pi = firm.k * e - (p * comp + (1.0 - p) * states + p * firm.c)
         reached = np.union1d(states, x)
         periods.append((pi, np.searchsorted(reached, states), np.searchsorted(reached, x)))
@@ -651,9 +652,10 @@ def profit_values_per_row(policy, p, firm, horizon, wages):
 
 def reached_wages(policy, T, wages):
     """Number of distinct wages reachable from wages within T periods."""
+    respond = responder(policy)
     states = np.unique(wages)
     for t in range(1, T + 1):
-        states = np.union1d(states, policy.next_wage_if_evaluated(t, states))
+        states = np.union1d(states, respond(t, states)[1])
     return len(states)
 
 

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import ContractParams, FirmParams, Horizon, WorkerPrefs, phi_series_recursive
 from wagedyn.additive import dead_corner, envelope_evaluated_wages
+from wagedyn.distribution import responder
 from wagedyn.employer import worker_policy
 
 N_GRID = 8001
@@ -83,7 +84,7 @@ def check_against_brute_force(p, alpha, s, b, delta, T, w0):
     contract = ContractParams(p, alpha, w0)
     prefs = WorkerPrefs.additive(delta=delta, b=b)
     firm = FirmParams(k=s / 0.5, lam=0.5, c=0.0, eta=0.9)  # wage scale s
-    policy = worker_policy(contract, prefs, Horizon(T), firm)
+    respond = responder(worker_policy(contract, prefs, Horizon(T), firm))
     S = s * (1.0 + alpha)
     W = 1.05 * max(S, w0)
     effort, h = brute_force_effort(contract, prefs, T, s, W)
@@ -94,16 +95,16 @@ def check_against_brute_force(p, alpha, s, b, delta, T, w0):
         probes = list(states)
         if alpha > 0.0:
             # the wage at which period t's effort reaches 1
-            threshold = (S - float(policy.next_wage_if_evaluated(t, 0.0))) / alpha
+            threshold = (S - float(respond(t, 0.0)[1])) / alpha
             probes += [w for w in (threshold - 8 * h, threshold + 8 * h) if h < w < W - h]
         for w in probes:
-            e = float(policy.effort(t, w))
+            e = float(respond(t, w)[0])
             if dead_corner(alpha, w, s):
                 assert e == 0.0  # the worker idles: no effort helps there
                 continue
             clamped += e == 1.0
             assert abs(e - effort(t, w)) <= tol, (t, w, e, effort(t, w))
-        states = np.unique(np.concatenate([states, policy.next_wage_if_evaluated(t, states)]))
+        states = np.unique(np.concatenate([states, respond(t, states)[1]]))
     return clamped
 
 

@@ -128,3 +128,31 @@ def test_oracle_reader_sees_names_attributes_and_imports(tmp_path):
     assert oracle_references(path) == [(None, "AffineEffortPolicy"),
                                        ("f", "solve_backward_induction"),
                                        ("C", "AffineEffortPolicy")]
+
+
+# ---------------------------------------------------------------------------
+# one response per policy type
+
+PER_POLICY_ANSWERS = ("effort", "next_wage_if_evaluated", "bonus_if_evaluated")
+# what computing an additive response takes; the employer reads the response
+# from additive instead
+RESPONSE_PARTS = {"affine_effort", "dead_corner"}
+
+
+def test_engine_policy_types_answer_through_stack_alone():
+    from wagedyn import AffineEffortPolicy, AffinePolicy, TableEffortPolicy
+
+    for cls in (AffinePolicy, AffineEffortPolicy, TableEffortPolicy):
+        assert callable(getattr(cls, "stack", None)), cls.__name__
+        defined = [name for name in PER_POLICY_ANSWERS if hasattr(cls, name)]
+        assert not defined, (cls.__name__, defined)
+
+
+def test_employer_defines_no_response_of_its_own():
+    tree = ast.parse((PACKAGE / "employer.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    responses = [node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name.endswith("_response")]
+    assert not imported & RESPONSE_PARTS
+    assert not responses
