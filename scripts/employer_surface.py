@@ -9,8 +9,8 @@ through the penalty anchor. Run with no arguments; prints a short study.
 import numpy as np
 
 from wagedyn import FirmParams, GridSteps, Horizon, WorkerPrefs
-from wagedyn.employer import (_one_period_profit, analytic_one_period_optimum,
-                              grid_search_optimum)
+from wagedyn.employer import (_one_period_profit, _profit_differences,
+                              analytic_one_period_optimum, grid_search_optimum)
 
 FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
 PREFS = WorkerPrefs.additive(delta=0.9)
@@ -23,11 +23,7 @@ def main() -> None:
           f"profit={opt.profit:.6f}")
 
     h = 1e-6
-    grad = [
-        (_one_period_profit(p + h, a, w, FIRM) - _one_period_profit(p - h, a, w, FIRM)) / (2 * h),
-        (_one_period_profit(p, a + h, w, FIRM) - _one_period_profit(p, a - h, w, FIRM)) / (2 * h),
-        (_one_period_profit(p, a, w + h, FIRM) - _one_period_profit(p, a, w - h, FIRM)) / (2 * h),
-    ]
+    grad = [d / (2 * h) for d in _profit_differences(p, a, w, FIRM, h)]
     print(f"profit gradient at the rules: {[f'{g:+.2e}' for g in grad]}")
 
     print("\njoint (alpha, w0) perturbations (saddle signature):")

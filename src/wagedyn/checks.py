@@ -21,9 +21,8 @@ import numpy as np
 from . import additive, reference, statics
 from .cobb_douglas import TableEffortPolicy, always_sampled_path, solve_policy
 from .config import Scenario, validate_config
-from .distribution import (WageDistribution, cd_bracket_columns, enumerate_histories,
-                           propagate, simulate)
-from .employer import (GridSteps, analytic_one_period_optimum,
+from .distribution import cd_bracket_columns, enumerate_histories, propagate, simulate
+from .employer import (GridSteps, _profit_differences, analytic_one_period_optimum,
                        grid_search_optimum, stationary_grid_search, tech_shock,
                        tech_sweep)
 from .model import affine_effort
@@ -153,8 +152,7 @@ def check_distribution_table() -> CriterionResult:
     scenario = load_scenario("table3_4")
     policy = TableEffortPolicy(_policy_for(scenario))
     dists = propagate(policy, scenario.contract, scenario.horizon)
-    cols = cd_bracket_columns(dists, scenario.grid.wage_step,
-                              initial=WageDistribution.point_mass(scenario.contract.w0))
+    cols = cd_bracket_columns(dists, scenario.contract.w0, scenario.grid.wage_step)
     col1 = cols[0]
     out.add("period1_single_bracket_mass_1",
             len(col1) == 1 and abs(next(iter(col1.values())) - 1.0) < 1e-12,
@@ -345,16 +343,9 @@ def check_employer_optimum() -> CriterionResult:
             ob.raw_alpha == 0.0 and ob.raw_p == 1.0 and ob.raw_w0 == 0.5,
             f"(alpha, p, w0) = ({ob.raw_alpha!r}, {ob.raw_p!r}, {ob.raw_w0!r})")
     # stationarity of the rules under central differences on the exact profit
-    from .employer import _one_period_profit
     h = 1e-6
-    grads = (
-        (_one_period_profit(opt.raw_p + h, opt.raw_alpha, opt.raw_w0, firm)
-         - _one_period_profit(opt.raw_p - h, opt.raw_alpha, opt.raw_w0, firm)) / (2 * h),
-        (_one_period_profit(opt.raw_p, opt.raw_alpha + h, opt.raw_w0, firm)
-         - _one_period_profit(opt.raw_p, opt.raw_alpha - h, opt.raw_w0, firm)) / (2 * h),
-        (_one_period_profit(opt.raw_p, opt.raw_alpha, opt.raw_w0 + h, firm)
-         - _one_period_profit(opt.raw_p, opt.raw_alpha, opt.raw_w0 - h, firm)) / (2 * h),
-    )
+    grads = tuple(d / (2 * h) for d in _profit_differences(opt.raw_p, opt.raw_alpha,
+                                                           opt.raw_w0, firm, h))
     out.warnings.append(
         f"numerical profit gradient at the rules: {tuple(round(g, 8) for g in grads)}")
     return out

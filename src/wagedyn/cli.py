@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override simulation.seed")
-        sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
         sp.add_argument("--strict", action="store_true",
                         help="treat reproduction warnings as failures")
     return parser
@@ -72,7 +71,7 @@ def _reproduce_all(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for scenario_name, command in _REPRODUCE_PLAN:
         scenario = load_scenario(scenario_name)
-        RUNNERS[command](scenario, outdir / scenario_name, args.format)
+        RUNNERS[command](scenario, outdir / scenario_name)
     results = run_all_checks(RUNNERS)
     lines = []
     n_warn = 0
@@ -109,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reproduce-all":
             return _reproduce_all(args)
         scenario = _load(args)
-        RUNNERS[args.command](scenario, args.out, args.format)
+        RUNNERS[args.command](scenario, args.out)
     except ConfigError as exc:
         for err in exc.errors:
             sys.stderr.write(f"config error: {err}\n")

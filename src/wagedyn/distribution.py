@@ -364,13 +364,13 @@ def bracketize(dist: WageDistribution, bracket_width: float) -> Histogram:
     return Histogram(np.array(lows), np.array(highs), np.array(masses))
 
 
-def cd_bracket_columns(dists: list[WageDistribution], width: float = 0.1,
-                       initial: WageDistribution | None = None) -> list[dict[str, float]]:
+def cd_bracket_columns(dists: list[WageDistribution], w0: float,
+                       width: float) -> list[dict[str, float]]:
     """Published-layout columns: column t is the distribution entering period t
-    (the initial point mass first, then the first T-1 propagated rounds)."""
-    seq = ([initial] + list(dists[:-1])) if initial is not None else list(dists)
+    (the point mass at the starting wage w0 first, then the first T-1
+    propagated rounds), bracketed at the given width."""
     out = []
-    for d in seq:
+    for d in [WageDistribution.point_mass(w0)] + list(dists[:-1]):
         hist = bracketize(d, width)
         col: dict[str, float] = {}
         for label, mass in zip(hist.labels(), hist.masses):

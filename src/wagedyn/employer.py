@@ -29,7 +29,6 @@ results describe. See stationary_one_period_optimum for the scale-aware rules.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -42,16 +41,10 @@ from .model import zero_base_consumption
 from .params import ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs
 
 
-class SolveMethod(enum.Enum):
-    ANALYTIC = "analytic"
-    GRID_SEARCH = "grid_search"
-
-
 @dataclass(frozen=True)
 class OptimalContract:
     contract: ContractParams
     profit: float
-    method: SolveMethod
     flags: tuple[str, ...] = ()
     # unclamped rule values, kept even when they leave the admissible box
     raw_alpha: float | None = None
@@ -219,8 +212,8 @@ def analytic_one_period_optimum(firm: FirmParams) -> OptimalContract:
                               max(w0, 0.0))
     profit = _one_period_profit(contract.p, contract.alpha, contract.w0, firm) \
         if not flags else math.nan
-    return OptimalContract(contract=contract, profit=profit, method=SolveMethod.ANALYTIC,
-                           flags=tuple(flags), raw_alpha=alpha, raw_p=p, raw_w0=w0)
+    return OptimalContract(contract=contract, profit=profit, flags=tuple(flags),
+                           raw_alpha=alpha, raw_p=p, raw_w0=w0)
 
 
 def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
@@ -239,7 +232,7 @@ def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
     if c >= k:
         # inducing any effort costs more than it yields; shut monitoring down
         contract = ContractParams(0.0, 0.0, 0.0)
-        return OptimalContract(contract, 0.0, SolveMethod.ANALYTIC, ("no_monitoring",))
+        return OptimalContract(contract, 0.0, ("no_monitoring",))
     m = 1.0 - math.sqrt(c / k)
     flags: list[str] = []
     if lam >= 1.0:
@@ -268,7 +261,7 @@ def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
         w0 = 0.0
     contract = ContractParams(p, alpha, w0)
     profit = _one_period_profit(p, alpha, w0, firm)
-    return OptimalContract(contract, profit, SolveMethod.ANALYTIC, tuple(flags))
+    return OptimalContract(contract, profit, tuple(flags))
 
 
 def _one_period_profit(p: float, alpha, w0, firm: FirmParams, b: float = 1.0):
@@ -285,6 +278,16 @@ def _one_period_profit(p: float, alpha, w0, firm: FirmParams, b: float = 1.0):
     out = firm.k * e - (p * x + (1.0 - p) * w0 + p * firm.c)
     out = np.where(zero_base_consumption(p, w0), -math.inf, out)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _profit_differences(p, alpha, w0, firm: FirmParams, h: float):
+    """Central differences f(x + h) - f(x - h) of _one_period_profit along p,
+    alpha and w0 at (p, alpha, w0), broadcast over the arguments; divide by
+    2h for the gradient."""
+    f = _one_period_profit
+    return (f(p + h, alpha, w0, firm) - f(p - h, alpha, w0, firm),
+            f(p, alpha + h, w0, firm) - f(p, alpha - h, w0, firm),
+            f(p, alpha, w0 + h, firm) - f(p, alpha, w0 - h, firm))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +393,7 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
                               ("w0", w, 0.0, w0_max)):
         if val in (lo, hi):
             flags.append(f"{name}_at_bound")
-    return OptimalContract(ContractParams(p, a, w), best_profit,
-                           SolveMethod.GRID_SEARCH, tuple(flags))
+    return OptimalContract(ContractParams(p, a, w), best_profit, tuple(flags))
 
 
 _STATIONARY_STEP = 0.02  # starting step on every axis of the stationary search
@@ -417,16 +419,12 @@ def stationary_grid_search(firm: FirmParams) -> ContractParams:
         vals = np.unique(vals)
         return vals[(vals > h) & (vals < hi[dim] - h)]
 
-    def profit(p, a, w):
-        return _one_period_profit(p, a, w, firm)
-
     def scan(p_vals, a_vals, w_vals):
         best = (math.inf, None)
         a, w = a_vals[:, None], w_vals
         for p in p_vals.tolist():
-            grad_sq = ((profit(p + h, a, w) - profit(p - h, a, w)) ** 2
-                       + (profit(p, a + h, w) - profit(p, a - h, w)) ** 2
-                       + (profit(p, a, w + h) - profit(p, a, w - h)) ** 2)
+            dp, da, dw = _profit_differences(p, a, w, firm, h)
+            grad_sq = dp ** 2 + da ** 2 + dw ** 2
             i, j = np.unravel_index(int(np.argmin(grad_sq)), grad_sq.shape)
             if grad_sq[i, j] < best[0]:
                 best = (float(grad_sq[i, j]), (p, float(a_vals[i]), float(w_vals[j])))

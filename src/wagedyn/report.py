@@ -18,8 +18,8 @@ from . import additive, statics
 from .cobb_douglas import (TableEffortPolicy, always_sampled_path,
                            policy_monotonicity_report, solve_policy)
 from .config import Scenario, resolved_json
-from .distribution import (WageDistribution, cd_bracket_columns, profile, propagate,
-                           responder, simulate)
+from .distribution import (cd_bracket_columns, profile, propagate, responder,
+                           simulate)
 from .employer import (GridSteps, analytic_one_period_optimum, grid_search_optimum,
                        tech_shock, tech_sweep)
 from .model import require_base_consumption
@@ -54,11 +54,6 @@ def write_json(path: Path, obj: Any) -> None:
                     encoding="utf-8")
 
 
-def _echo(scenario: Scenario, outdir: Path) -> None:
-    (outdir / "resolved_scenario.json").write_text(resolved_json(scenario),
-                                                   encoding="utf-8")
-
-
 def _jsonify(value: Any) -> Any:
     if isinstance(value, (np.floating, float)):
         f = float(value)
@@ -75,21 +70,28 @@ def _jsonify(value: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: each is (scenario, outdir) -> None and writes every one of its files
 
 
-def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:
+def _start(command: str, scenario: Scenario, outdir: Path, *sections: str) -> None:
+    """Create outdir and echo the scenario into it, then raise ValueError if
+    any of the named scenario sections the runner needs is missing."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "resolved_scenario.json").write_text(resolved_json(scenario),
+                                                   encoding="utf-8")
+    if any(getattr(scenario, name) is None for name in sections):
+        needs = (f"the {sections[0]} section" if len(sections) == 1 else
+                 f"{', '.join(sections[:-1])} and {sections[-1]} sections")
+        raise ValueError(f"{command} needs {needs}")
+
+
+def run_additive_profile(scenario: Scenario, outdir: Path) -> None:
     """Additive best response (exact phi), final-period support, exact and
     simulated profiles; optional deterministic path and one-period variance
     surface. Raises DomainError, after echoing the scenario, for w0 = 0 with
     p < 1."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo(scenario, outdir)
+    _start("additive-profile", scenario, outdir, "contract", "prefs", "horizon")
     contract, prefs, horizon = scenario.contract, scenario.prefs, scenario.horizon
-    if contract is None or prefs is None or horizon is None:
-        raise ValueError("additive-profile needs contract, prefs and horizon sections")
-    out: dict[str, Any] = {}
-
     require_base_consumption(contract)
     policy = additive.best_response(contract, prefs, horizon)
     respond = responder(policy)
@@ -97,36 +99,32 @@ def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both
     prof = profile(dists)
     support = additive.wage_support(policy)
     sim = simulate(policy, contract, horizon, scenario.n_paths, scenario.seed)
-    out.update(policy=policy, distributions=dists, profile=prof, support=support,
-               simulated=sim)
 
-    if fmt_kind in ("csv", "both"):
-        write_csv(outdir / "solution.csv",
-                  ["t", "phi", "evaluated_wage", "effort_at_w0"],
-                  [[t + 1, policy.phi[t], policy.evaluated_wages[t],
-                    float(respond(t + 1, contract.w0)[0])]
-                   for t in range(horizon.T)])
-        write_csv(outdir / "support.csv",
-                  ["wage", "last_evaluated_period", "probability"],
-                  [[w, t, p] for (w, t, p) in support])
-        sim_prof = profile(sim)
-        write_csv(outdir / "profile.csv",
-                  ["period", "mean", "variance", "std_over_mean",
-                   "mc_mean", "mc_variance", "tv_distance"],
-                  [[t + 1, prof.mean[t], prof.variance[t], prof.std_over_mean[t],
-                    sim_prof.mean[t], sim_prof.variance[t],
-                    dists[t].tv_distance(sim[t])]
-                   for t in range(horizon.T)])
-        write_csv(outdir / "distribution.csv", ["period", "wage", "probability"],
-                  [[t + 1, w, pr] for t, d in enumerate(dists)
-                   for w, pr in zip(d.support, d.probs)])
-    if fmt_kind in ("json", "both"):
-        write_json(outdir / "solution.json", _jsonify({
-            "phi": policy.phi, "evaluated_wage": policy.evaluated_wages,
-            "support": [{"wage": w, "last_evaluated_period": t, "probability": p}
-                        for (w, t, p) in support],
-            "profile": {"mean": prof.mean, "variance": prof.variance,
-                        "std_over_mean": prof.std_over_mean}}))
+    write_csv(outdir / "solution.csv",
+              ["t", "phi", "evaluated_wage", "effort_at_w0"],
+              [[t + 1, policy.phi[t], policy.evaluated_wages[t],
+                float(respond(t + 1, contract.w0)[0])]
+               for t in range(horizon.T)])
+    write_csv(outdir / "support.csv",
+              ["wage", "last_evaluated_period", "probability"],
+              [[w, t, p] for (w, t, p) in support])
+    sim_prof = profile(sim)
+    write_csv(outdir / "profile.csv",
+              ["period", "mean", "variance", "std_over_mean",
+               "mc_mean", "mc_variance", "tv_distance"],
+              [[t + 1, prof.mean[t], prof.variance[t], prof.std_over_mean[t],
+                sim_prof.mean[t], sim_prof.variance[t],
+                dists[t].tv_distance(sim[t])]
+               for t in range(horizon.T)])
+    write_csv(outdir / "distribution.csv", ["period", "wage", "probability"],
+              [[t + 1, w, pr] for t, d in enumerate(dists)
+               for w, pr in zip(d.support, d.probs)])
+    write_json(outdir / "solution.json", _jsonify({
+        "phi": policy.phi, "evaluated_wage": policy.evaluated_wages,
+        "support": [{"wage": w, "last_evaluated_period": t, "probability": p}
+                    for (w, t, p) in support],
+        "profile": {"mean": prof.mean, "variance": prof.variance,
+                    "std_over_mean": prof.std_over_mean}}))
     write_line_chart(outdir / "profile.svg", range(1, horizon.T + 1),
                      {"expectancy": prof.mean.tolist(),
                       "variance": prof.variance.tolist()},
@@ -138,10 +136,8 @@ def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both
         growth = float(exp.get("effort_growth", 0.0))
         efforts = [min(e0 * (1.0 + growth) ** t, 1.0) for t in range(1, horizon.T + 1)]
         wages = additive.deterministic_path(contract, efforts)
-        out["deterministic_path"] = wages
-        if fmt_kind in ("csv", "both"):
-            write_csv(outdir / "deterministic_path.csv", ["period", "effort", "wage"],
-                      [[t + 1, efforts[t], wages[t]] for t in range(horizon.T)])
+        write_csv(outdir / "deterministic_path.csv", ["period", "effort", "wage"],
+                  [[t + 1, efforts[t], wages[t]] for t in range(horizon.T)])
         write_line_chart(outdir / "deterministic_path.svg", range(1, horizon.T + 1),
                          {"wage": wages, "effort": efforts},
                          title="always-sampled wage path", x_label="period")
@@ -153,69 +149,50 @@ def run_additive_profile(scenario: Scenario, outdir: Path, fmt_kind: str = "both
             for p in p_values:
                 c = ContractParams(p, contract.alpha, w0)
                 rows.append([w0, p, additive.single_period_variance(c, prefs.b)])
-        out["variance_surface"] = rows
-        if fmt_kind in ("csv", "both"):
-            write_csv(outdir / "variance_surface.csv", ["w0", "p", "variance"], rows)
+        write_csv(outdir / "variance_surface.csv", ["w0", "p", "variance"], rows)
         write_line_chart(outdir / "variance_surface.svg", p_values,
                          {f"w0={w0:g}": [r[2] for r in rows if r[0] == w0]
                           for w0 in w0_values},
                          title="one-period wage variance", x_label="p",
                          y_label="variance")
-    return out
 
 
-def run_cd_policy(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo(scenario, outdir)
+def run_cd_policy(scenario: Scenario, outdir: Path) -> None:
+    _start("cd-policy", scenario, outdir, "contract", "prefs", "horizon")
     contract, prefs, horizon = scenario.contract, scenario.prefs, scenario.horizon
-    if contract is None or prefs is None or horizon is None:
-        raise ValueError("cd-policy needs contract, prefs and horizon sections")
     policy = solve_policy(contract, prefs, horizon, scenario.grid)
     mono = policy_monotonicity_report(policy)
-    if fmt_kind in ("csv", "both"):
-        header = ["prev_wage"] + [str(t) for t in range(1, horizon.T + 1)]
-        rows = [[w] + policy.table[:, i].tolist()
-                for i, w in enumerate(policy.grid.wages)]
-        write_csv(outdir / "policy.csv", header, rows)
-        write_csv(outdir / "value.csv", header,
-                  [[w] + policy.value[:, i].tolist()
-                   for i, w in enumerate(policy.grid.wages)])
-    if fmt_kind in ("json", "both"):
-        write_json(outdir / "monotonicity.json", _jsonify({
-            "decreasing_in_wage": mono.decreasing_in_wage,
-            "decreasing_over_periods": mono.decreasing_over_periods,
-            "checked_rows": mono.checked_rows}))
-    return {"policy": policy, "monotonicity": mono}
+    header = ["prev_wage"] + [str(t) for t in range(1, horizon.T + 1)]
+    write_csv(outdir / "policy.csv", header,
+              [[w] + policy.table[:, i].tolist()
+               for i, w in enumerate(policy.grid.wages)])
+    write_csv(outdir / "value.csv", header,
+              [[w] + policy.value[:, i].tolist()
+               for i, w in enumerate(policy.grid.wages)])
+    write_json(outdir / "monotonicity.json", _jsonify({
+        "decreasing_in_wage": mono.decreasing_in_wage,
+        "decreasing_over_periods": mono.decreasing_over_periods,
+        "checked_rows": mono.checked_rows}))
 
 
-def run_cd_path(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo(scenario, outdir)
+def run_cd_path(scenario: Scenario, outdir: Path) -> None:
+    _start("cd-path", scenario, outdir, "contract", "prefs", "horizon")
     contract, prefs, horizon = scenario.contract, scenario.prefs, scenario.horizon
-    if contract is None or prefs is None or horizon is None:
-        raise ValueError("cd-path needs contract, prefs and horizon sections")
     policy = solve_policy(contract, prefs, horizon, scenario.grid)
     path = always_sampled_path(policy, contract.w0)
-    if fmt_kind in ("csv", "both"):
-        write_csv(outdir / "path.csv",
-                  ["period", "effort", "wage", "bonus", "total_compensation"],
-                  [[t + 1, path.efforts[t], path.wages[t], path.bonuses[t],
-                    path.totals[t]] for t in range(horizon.T)])
-    if fmt_kind in ("json", "both"):
-        write_json(outdir / "path.json", _jsonify({
-            "effort": path.efforts, "wage": path.wages, "bonus": path.bonuses,
-            "total_compensation": path.totals}))
-    return {"policy": policy, "path": path}
+    write_csv(outdir / "path.csv",
+              ["period", "effort", "wage", "bonus", "total_compensation"],
+              [[t + 1, path.efforts[t], path.wages[t], path.bonuses[t],
+                path.totals[t]] for t in range(horizon.T)])
+    write_json(outdir / "path.json", _jsonify({
+        "effort": path.efforts, "wage": path.wages, "bonus": path.bonuses,
+        "total_compensation": path.totals}))
 
 
-def run_cd_distribution(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo(scenario, outdir)
+def run_cd_distribution(scenario: Scenario, outdir: Path) -> None:
+    _start("cd-distribution", scenario, outdir, "contract", "prefs", "horizon")
     contract, prefs = scenario.contract, scenario.prefs
-    if contract is None or prefs is None or scenario.horizon is None:
-        raise ValueError("cd-distribution needs contract, prefs and horizon sections")
     horizons = [int(h) for h in scenario.experiment.get("horizons", [scenario.horizon.T])]
-    out: dict[str, Any] = {}
     for T in horizons:
         horizon = Horizon(T)
         policy = solve_policy(contract, prefs, horizon, scenario.grid)
@@ -223,44 +200,35 @@ def run_cd_distribution(scenario: Scenario, outdir: Path, fmt_kind: str = "both"
         dists = propagate(adapter, contract, horizon)
         prof = profile(dists)
         suffix = f"_T{T}" if len(horizons) > 1 else ""
-        cols = cd_bracket_columns(dists, scenario.grid.wage_step,
-                                  initial=WageDistribution.point_mass(contract.w0))
-        out[f"T{T}"] = {"policy": policy, "distributions": dists, "profile": prof,
-                        "bracket_columns": cols}
-        if fmt_kind in ("csv", "both"):
-            write_csv(outdir / f"distribution{suffix}.csv",
-                      ["period", "wage", "probability"],
-                      [[t + 1, w, pr] for t, d in enumerate(dists)
-                       for w, pr in zip(d.support, d.probs)])
-            labels = sorted({lab for col in cols for lab in col},
-                            key=lambda s: float(s.split("-")[0]))
-            write_csv(outdir / f"brackets{suffix}.csv",
-                      ["bracket"] + [str(t) for t in range(1, T + 1)],
-                      [[lab] + [col.get(lab, 0.0) for col in cols] for lab in labels])
-            write_csv(outdir / f"profile{suffix}.csv",
-                      ["period", "mean", "variance", "std_over_mean"],
-                      [[t + 1, prof.mean[t], prof.variance[t], prof.std_over_mean[t]]
-                       for t in range(T)])
-        if fmt_kind in ("json", "both"):
-            write_json(outdir / f"distribution{suffix}.json", _jsonify({
-                "periods": [{"period": t + 1, "wages": d.support,
-                             "probabilities": d.probs}
-                            for t, d in enumerate(dists)],
-                "profile": {"mean": prof.mean, "variance": prof.variance},
-                "bracket_columns": cols}))
+        cols = cd_bracket_columns(dists, contract.w0, scenario.grid.wage_step)
+        write_csv(outdir / f"distribution{suffix}.csv",
+                  ["period", "wage", "probability"],
+                  [[t + 1, w, pr] for t, d in enumerate(dists)
+                   for w, pr in zip(d.support, d.probs)])
+        labels = sorted({lab for col in cols for lab in col},
+                        key=lambda s: float(s.split("-")[0]))
+        write_csv(outdir / f"brackets{suffix}.csv",
+                  ["bracket"] + [str(t) for t in range(1, T + 1)],
+                  [[lab] + [col.get(lab, 0.0) for col in cols] for lab in labels])
+        write_csv(outdir / f"profile{suffix}.csv",
+                  ["period", "mean", "variance", "std_over_mean"],
+                  [[t + 1, prof.mean[t], prof.variance[t], prof.std_over_mean[t]]
+                   for t in range(T)])
+        write_json(outdir / f"distribution{suffix}.json", _jsonify({
+            "periods": [{"period": t + 1, "wages": d.support,
+                         "probabilities": d.probs}
+                        for t, d in enumerate(dists)],
+            "profile": {"mean": prof.mean, "variance": prof.variance},
+            "bracket_columns": cols}))
         write_line_chart(outdir / f"profile{suffix}.svg", range(1, T + 1),
                          {"expectancy": prof.mean.tolist(),
                           "variance": prof.variance.tolist()},
                          title="wage expectancy and variance", x_label="period")
-    return out
 
 
-def run_employer_optimum(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo(scenario, outdir)
+def run_employer_optimum(scenario: Scenario, outdir: Path) -> None:
+    _start("employer-optimum", scenario, outdir, "firm")
     firm = scenario.firm
-    if firm is None:
-        raise ValueError("employer-optimum needs the firm section")
     analytic = analytic_one_period_optimum(firm)
     steps = GridSteps(
         p_step=float(scenario.experiment.get("grid_step", 0.02)),
@@ -288,107 +256,92 @@ def run_employer_optimum(scenario: Scenario, outdir: Path, fmt_kind: str = "both
                                   "profit": grid_opt.profit,
                                   "flags": list(grid_opt.flags)}
     write_json(outdir / "optimum.json", _jsonify(payload))
-    return {"analytic": analytic, "grid": grid_opt, "payload": payload}
 
 
-def run_tech_sweep(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo(scenario, outdir)
+def run_tech_sweep(scenario: Scenario, outdir: Path) -> None:
+    _start("tech-sweep", scenario, outdir, "firm")
     firm, prefs = scenario.firm, scenario.prefs
-    if firm is None:
-        raise ValueError("tech-sweep needs the firm section")
     if prefs is not None and prefs.b != 1.0:  # a Cobb-Douglas worker has no b
         raise ValueError(f"prefs.b: tech-sweep's stationary rules assume the additive "
                          f"worker with b = 1, got the {prefs.family.value} worker with "
                          f"b = {prefs.b}")
     k_values = [float(k) for k in scenario.experiment.get("k_values", [firm.k])]
     rows = tech_sweep(k_values, firm)
-    if fmt_kind in ("csv", "both"):
-        write_csv(outdir / "sweep.csv",
-                  ["k", "p", "alpha", "w0", "profit", "effort", "wage_mean",
-                   "wage_variance", "std_over_mean", "flags"],
-                  [[r.k, r.contract.p, r.contract.alpha, r.contract.w0, r.profit,
-                    r.effort, r.wage_mean, r.wage_variance, r.std_over_mean,
-                    "|".join(r.flags)] for r in rows])
-    if fmt_kind in ("json", "both"):
-        write_json(outdir / "contracts.json", _jsonify([
-            {"k": r.k, "p": r.contract.p, "alpha": r.contract.alpha,
-             "w0": r.contract.w0, "profit": r.profit, "flags": list(r.flags)}
-            for r in rows]))
+    write_csv(outdir / "sweep.csv",
+              ["k", "p", "alpha", "w0", "profit", "effort", "wage_mean",
+               "wage_variance", "std_over_mean", "flags"],
+              [[r.k, r.contract.p, r.contract.alpha, r.contract.w0, r.profit,
+                r.effort, r.wage_mean, r.wage_variance, r.std_over_mean,
+                "|".join(r.flags)] for r in rows])
+    write_json(outdir / "contracts.json", _jsonify([
+        {"k": r.k, "p": r.contract.p, "alpha": r.contract.alpha,
+         "w0": r.contract.w0, "profit": r.profit, "flags": list(r.flags)}
+        for r in rows]))
     write_line_chart(outdir / "sweep.svg", k_values,
                      {"expectancy": [r.wage_mean for r in rows],
                       "variance": [r.wage_variance for r in rows],
                       "std/mean": [r.std_over_mean for r in rows]},
                      title="wage outcomes by marginal product", x_label="k")
-    return {"rows": rows}
 
 
-def run_tech_shock(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo(scenario, outdir)
+def run_tech_shock(scenario: Scenario, outdir: Path) -> None:
+    _start("tech-shock", scenario, outdir, "firm", "prefs", "horizon")
     firm = scenario.firm
     prefs = scenario.prefs
     horizon = scenario.horizon
-    if firm is None or prefs is None or horizon is None:
-        raise ValueError("tech-shock needs firm, prefs and horizon sections")
+    if "k_after" not in scenario.experiment:
+        raise ValueError("experiment.k_after: tech-shock needs the marginal product "
+                         "after the shock")
     k_before = float(scenario.experiment.get("k_before", firm.k))
     k_after = float(scenario.experiment["k_after"])
     before = FirmParams(k=k_before, lam=firm.lam, c=firm.c, eta=firm.eta)
     after = FirmParams(k=k_after, lam=firm.lam, c=firm.c, eta=firm.eta)
     report = tech_shock(before, after, prefs, horizon)
-    if fmt_kind in ("csv", "both"):
-        write_csv(outdir / "shock.csv",
-                  ["period", "mean_before", "variance_before", "cost_before",
-                   "mean_after", "variance_after", "cost_after", "turnover"],
-                  [[t + 1,
-                    report.profile_before.mean[t], report.profile_before.variance[t],
-                    report.profile_before.employment_cost[t],
-                    report.profile_after.mean[t], report.profile_after.variance[t],
-                    report.profile_after.employment_cost[t],
-                    report.turnover[t]] for t in range(horizon.T)])
-    if fmt_kind in ("json", "both"):
-        write_json(outdir / "contracts.json", _jsonify({
-            "before": {"k": k_before, "p": report.contract_before.p,
-                       "alpha": report.contract_before.alpha,
-                       "w0": report.contract_before.w0},
-            "after": {"k": k_after, "p": report.contract_after.p,
-                      "alpha": report.contract_after.alpha,
-                      "w0": report.contract_after.w0}}))
+    write_csv(outdir / "shock.csv",
+              ["period", "mean_before", "variance_before", "cost_before",
+               "mean_after", "variance_after", "cost_after", "turnover"],
+              [[t + 1,
+                report.profile_before.mean[t], report.profile_before.variance[t],
+                report.profile_before.employment_cost[t],
+                report.profile_after.mean[t], report.profile_after.variance[t],
+                report.profile_after.employment_cost[t],
+                report.turnover[t]] for t in range(horizon.T)])
+    write_json(outdir / "contracts.json", _jsonify({
+        "before": {"k": k_before, "p": report.contract_before.p,
+                   "alpha": report.contract_before.alpha,
+                   "w0": report.contract_before.w0},
+        "after": {"k": k_after, "p": report.contract_after.p,
+                  "alpha": report.contract_after.alpha,
+                  "w0": report.contract_after.w0}}))
     write_line_chart(outdir / "shock.svg", range(1, horizon.T + 1),
                      {"expectancy before": report.profile_before.mean.tolist(),
                       "expectancy after": report.profile_after.mean.tolist(),
                       "variance before": report.profile_before.variance.tolist(),
                       "variance after": report.profile_after.variance.tolist()},
                      title="profiles before and after the shock", x_label="period")
-    return {"report": report}
 
 
-def run_statics(scenario: Scenario, outdir: Path, fmt_kind: str = "both") -> dict:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo(scenario, outdir)
+def run_statics(scenario: Scenario, outdir: Path) -> None:
+    _start("statics", scenario, outdir, "prefs")
     prefs = scenario.prefs
-    if prefs is None:
-        raise ValueError("statics needs the prefs section")
     exp = scenario.experiment
     p_values = [float(v) for v in exp.get("p_values", [0.1, 0.3, 0.5])]
     a_values = [float(v) for v in exp.get("alpha_values", [0.1, 0.5, 0.9])]
     w_values = [float(v) for v in exp.get("w0_values", [0.2, 0.5, 0.8])]
     cells = statics.sensitivity_grid(p_values, a_values, w_values, prefs)
-    if fmt_kind in ("csv", "both"):
-        # the alpha sign is asserted in the penalty regime only; elsewhere it
-        # is observed and reported
-        write_csv(outdir / "statics.csv",
-                  ["p", "alpha", "w0", "effort", "de_dp", "de_dw0", "de_dalpha",
-                   "regime", "dalpha_sign", "interior", "foc_residual",
-                   "one_sided"],
-                  [[c.contract.p, c.contract.alpha, c.contract.w0,
-                    c.sensitivity.effort, c.sensitivity.de_dp, c.sensitivity.de_dw0,
-                    c.sensitivity.de_dalpha, c.sensitivity.regime,
-                    "asserted" if c.sensitivity.regime == statics.PENALTY_REGIME
-                    else "observed",
-                    c.interior, c.foc_residual_at_optimum,
-                    "|".join(c.sensitivity.one_sided)] for c in cells])
-    return {"cells": cells}
+    # the alpha sign is asserted in the penalty regime only; elsewhere it
+    # is observed and reported
+    write_csv(outdir / "statics.csv",
+              ["p", "alpha", "w0", "effort", "de_dp", "de_dw0", "de_dalpha",
+               "regime", "dalpha_sign", "interior", "foc_residual",
+               "one_sided"],
+              [[c.contract.p, c.contract.alpha, c.contract.w0,
+                c.sensitivity.effort, c.sensitivity.de_dp, c.sensitivity.de_dw0,
+                c.sensitivity.de_dalpha, c.sensitivity.regime,
+                "asserted" if c.sensitivity.regime == statics.PENALTY_REGIME
+                else "observed",
+                c.interior, c.foc_residual_at_optimum,
+                "|".join(c.sensitivity.one_sided)] for c in cells])
 
 
 RUNNERS = {

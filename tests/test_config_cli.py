@@ -146,13 +146,58 @@ def test_cli_seed_override_changes_outputs(tmp_path):
     assert same and diff
 
 
-def test_cli_csv_format_only(tmp_path):
+def test_cli_writes_every_format_and_has_no_format_option(tmp_path, capsys):
+    from wagedyn.cli import main
+
     out = tmp_path / "out"
-    proc = run_cli("cd-path", "--config", str(SCENARIOS / "table3_3.json"),
-                   "--out", str(out), "--format", "csv")
-    assert proc.returncode == 0
-    assert (out / "path.csv").exists()
-    assert not (out / "path.json").exists()
+    assert main(["cd-path", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["path.csv", "path.json",
+                                                     "resolved_scenario.json"]
+    with pytest.raises(SystemExit) as exc:
+        main(["cd-path", "--out", str(tmp_path / "csv"), "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not (tmp_path / "csv").exists()
+
+
+FIRM = {"k": 1.5, "lambda": 2.0 / 3.0, "c": 0.3, "eta": 0.9}
+WORKER = "contract, prefs and horizon sections"
+
+
+@pytest.mark.parametrize("command, config, needs", [
+    ("additive-profile", {"prefs": MINIMAL["prefs"], "horizon": {"T": 3}}, WORKER),
+    ("cd-policy", {"contract": MINIMAL["contract"], "horizon": {"T": 3}}, WORKER),
+    ("cd-path", {"contract": MINIMAL["contract"], "prefs": MINIMAL["prefs"]}, WORKER),
+    ("cd-distribution", {"prefs": MINIMAL["prefs"], "horizon": {"T": 3}}, WORKER),
+    ("employer-optimum", MINIMAL, "the firm section"),
+    ("tech-sweep", {"prefs": MINIMAL["prefs"]}, "the firm section"),
+    ("tech-shock", {"firm": FIRM, "prefs": MINIMAL["prefs"]},
+     "firm, prefs and horizon sections"),
+    ("statics", {"contract": MINIMAL["contract"], "firm": FIRM}, "the prefs section"),
+])
+def test_cli_missing_section_names_what_the_runner_needs(tmp_path, capsys, command,
+                                                         config, needs):
+    from wagedyn.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {command} needs {needs}\n"
+    assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
+
+
+def test_tech_shock_without_k_after_is_a_config_error(tmp_path, capsys):
+    from wagedyn.cli import main
+
+    raw = json.loads((SCENARIOS / "fig4_2.json").read_text())
+    cfg = tmp_path / "shock.json"
+    cfg.write_text(json.dumps(dict(raw, experiment={"k_before": 1.1})))
+    out = tmp_path / "out"
+    assert main(["tech-shock", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: experiment.k_after: tech-shock needs the "
+                                       "marginal product after the shock\n")
+    assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
 
 
 def test_cli_zero_consumption_error_writes_only_the_echo(tmp_path):

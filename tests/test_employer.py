@@ -299,8 +299,7 @@ def one_period_search_reference(firm, prefs, steps, refine_rounds):
             best_profit, best_cell = profit, cell
     flags = tuple(f"{name}_at_bound" for name, val, hi in
                   zip(("p", "alpha", "w0"), best_cell, (1.0, 1.0, w0_max)) if val in (0.0, hi))
-    return employer.OptimalContract(ContractParams(*best_cell), best_profit,
-                                     employer.SolveMethod.GRID_SEARCH, flags)
+    return employer.OptimalContract(ContractParams(*best_cell), best_profit, flags)
 
 
 def assert_same_optimum(got, want):
@@ -533,8 +532,7 @@ def per_cell_search(firm, prefs, horizon, steps, refine_rounds):
             best = found
     flags = tuple(f"{name}_at_bound" for name, val, hi in
                   zip(("p", "alpha", "w0"), best[1], (1.0, 1.0, w0_max)) if val in (0.0, hi))
-    return employer.OptimalContract(ContractParams(*best[1]), best[0],
-                                     employer.SolveMethod.GRID_SEARCH, flags)
+    return employer.OptimalContract(ContractParams(*best[1]), best[0], flags)
 
 
 @pytest.fixture

@@ -156,3 +156,21 @@ def test_employer_defines_no_response_of_its_own():
                  if isinstance(node, ast.FunctionDef) and node.name.endswith("_response")]
     assert not imported & RESPONSE_PARTS
     assert not responses
+
+
+# ---------------------------------------------------------------------------
+# a runner writes its artifacts and nothing else
+
+
+def test_every_runner_takes_scenario_and_outdir_and_returns_nothing():
+    import inspect
+
+    from wagedyn.report import RUNNERS
+
+    for name, runner in RUNNERS.items():
+        sig = inspect.signature(runner)
+        assert list(sig.parameters) == ["scenario", "outdir"], name
+        assert sig.return_annotation == "None", name
+        returns = [node for node in ast.walk(ast.parse(inspect.getsource(runner)))
+                   if isinstance(node, ast.Return) and node.value is not None]
+        assert not returns, name
