@@ -9,10 +9,9 @@ from __future__ import annotations
 import contextlib
 import importlib.resources
 import json
-import math
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -23,8 +22,8 @@ from .cobb_douglas import TableEffortPolicy, always_sampled_path, solve_policy
 from .config import Scenario, validate_config
 from .distribution import cd_bracket_columns, enumerate_histories, propagate, simulate
 from .employer import (GridSteps, _profit_differences, analytic_one_period_optimum,
-                       grid_search_optimum, stationary_grid_search, tech_shock,
-                       tech_sweep)
+                       grid_search_optimum, one_period_second_forms,
+                       stationary_grid_search, tech_shock, tech_sweep)
 from .model import affine_effort
 from .params import ContractParams, FirmParams, Horizon, WorkerPrefs
 
@@ -307,8 +306,7 @@ def check_employer_optimum() -> CriterionResult:
             f"{opt.raw_alpha!r}")
     out.add("p_star", abs(opt.raw_p - ref["p"]) < 1e-6, f"{opt.raw_p!r}")
     out.add("w0_star", abs(opt.raw_w0 - ref["w0"]) < 1e-6, f"{opt.raw_w0!r}")
-    p_second = (1.0 - firm.k) * (math.sqrt(firm.c) - math.sqrt(firm.k)) / math.sqrt(firm.c)
-    w0_second = (math.sqrt(firm.k) - math.sqrt(firm.c)) ** 2
+    p_second, w0_second = one_period_second_forms(firm)
     out.add("p_forms_agree_1e-9", abs(opt.raw_p - p_second) < 1e-9,
             f"{opt.raw_p!r} vs {p_second!r}")
     out.add("w0_forms_agree_1e-9", abs(opt.raw_w0 - w0_second) < 1e-9,
@@ -379,12 +377,9 @@ def check_technology() -> CriterionResult:
             f"{[round(r, 4) for r in wide_ratios]} at k = [1.3, 1.5, 1.7, 2.0]")
 
     shock_sc = load_scenario("fig4_2")
-    report = tech_shock(
-        FirmParams(k=float(shock_sc.experiment["k_before"]), lam=shock_sc.firm.lam,
-                   c=shock_sc.firm.c, eta=shock_sc.firm.eta),
-        FirmParams(k=float(shock_sc.experiment["k_after"]), lam=shock_sc.firm.lam,
-                   c=shock_sc.firm.c, eta=shock_sc.firm.eta),
-        shock_sc.prefs, shock_sc.horizon)
+    report = tech_shock(replace(shock_sc.firm, k=float(shock_sc.experiment["k_before"])),
+                        replace(shock_sc.firm, k=float(shock_sc.experiment["k_after"])),
+                        shock_sc.prefs, shock_sc.horizon)
     out.add("shock_expectancy_higher_every_period",
             bool(np.all(report.profile_after.mean >= report.profile_before.mean - eps)),
             f"before {np.round(report.profile_before.mean, 4).tolist()} after "

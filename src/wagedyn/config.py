@@ -39,6 +39,28 @@ class Scenario:
     experiment: dict
 
 
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def _is_integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int)
+
+
+# each experiment key a runner or check reads: what it must be, and its test
+EXPERIMENT_TYPES = {
+    **dict.fromkeys(("initial_effort", "effort_growth", "grid_step", "k_before",
+                     "k_after"), ("a number", _is_number)),
+    "refine_rounds": ("an integer", _is_integer),
+    **dict.fromkeys(("k_values", "p_values", "alpha_values", "w0_values",
+                     "variance_p_values", "variance_w0_values"),
+                    ("a list of numbers",
+                     lambda v: isinstance(v, list) and all(map(_is_number, v)))),
+    "horizons": ("a list of integers",
+                 lambda v: isinstance(v, list) and all(map(_is_integer, v))),
+}
+
+
 def _number(section: dict, key: str, path: str, errors: list[str],
             required: bool = True, default: float | None = None) -> float | None:
     if key not in section:
@@ -46,7 +68,7 @@ def _number(section: dict, key: str, path: str, errors: list[str],
             errors.append(f"{path}.{key}: missing required key")
         return default
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         errors.append(f"{path}.{key}: expected a number, got {value!r}")
         return default
     return float(value)
@@ -65,10 +87,11 @@ def validate_config(config: dict | str | Path) -> Scenario:
     """Validate a scenario dict or JSON file; raises ConfigError with the full
     list of violations.
 
-    Missing keys, unknown sections and values of the wrong type are reported
-    here. Each section whose numbers parse is then built into its params
-    object (or DpGrid), which checks the bounds itself; their messages join
-    the list.
+    Missing keys, unknown sections and values of the wrong type (those of
+    the experiment keys in EXPERIMENT_TYPES included) are reported here.
+    Each section whose numbers parse is then built into its params object
+    (or DpGrid), which checks the bounds itself; their messages join the
+    list.
     """
     if isinstance(config, (str, Path)):
         text = Path(config).read_text(encoding="utf-8")
@@ -142,7 +165,7 @@ def validate_config(config: dict | str | Path) -> Scenario:
     if "horizon" in config:
         sec = dict(config["horizon"])
         T = sec.get("T")
-        if isinstance(T, bool) or not isinstance(T, int):
+        if not _is_integer(T):
             errors.append(f"horizon.T: expected an integer, got {T!r}")
         else:
             horizon = _build(errors, Horizon, T)
@@ -163,13 +186,16 @@ def validate_config(config: dict | str | Path) -> Scenario:
     sim = dict(config.get("simulation", {}))
     seed = sim.get("seed", 42)
     n_paths = sim.get("n_paths", 100000)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         errors.append(f"simulation.seed: expected a nonnegative integer, got {seed!r}")
-    if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
+    if not _is_integer(n_paths) or n_paths < 1:
         errors.append(f"simulation.n_paths: expected an integer >= 1, got {n_paths!r}")
     resolved["simulation"] = {"seed": seed, "n_paths": n_paths}
 
     experiment = dict(config.get("experiment", {}))
+    for key, (expected, valid) in EXPERIMENT_TYPES.items():
+        if key in experiment and not valid(experiment[key]):
+            errors.append(f"experiment.{key}: expected {expected}, got {experiment[key]!r}")
     resolved["experiment"] = experiment
 
     if errors:

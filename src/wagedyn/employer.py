@@ -1,5 +1,5 @@
 """Employer-side optimization: profit evaluation, the one-period optimum rules,
-grid search, and technology experiments.
+one box search for every grid search, and technology experiments.
 
 Profit per period is expected output k*E(e_t) minus expected compensation and
 monitoring cost p*c, discounted by eta. Compensation is the worker's total
@@ -30,7 +30,7 @@ results describe. See stationary_one_period_optimum for the scale-aware rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -190,12 +190,15 @@ def analytic_one_period_optimum(firm: FirmParams) -> OptimalContract:
         w0*    = [(1+alpha*) * p*]^2 / k
 
     Values outside [0,1]^2 x [0, inf) are flagged, not clamped in the raw
-    fields. Raises for k = 1 where the alpha* rule divides by zero, and for
-    firms whose wage scale is not 1 (set lam = 1/k).
+    fields. Raises for k = 1 where the alpha* rule divides by zero, for c = 0
+    where alpha* = -1 and the p* rule divides by zero, and for firms whose
+    wage scale is not 1 (set lam = 1/k).
     """
     k, c = firm.k, firm.c
     if k == 1.0:
         raise ValueError("one-period optimum rules are singular at k = 1")
+    if c == 0.0:
+        raise ValueError("one-period optimum rules are singular at c = 0")
     if abs(firm.wage_scale - 1.0) > 1e-12:
         raise ValueError("one-period optimum rules assume unit wage scale; set lam = 1/k")
     alpha = math.sqrt(k * c) / (k - 1.0) - 1.0
@@ -214,6 +217,13 @@ def analytic_one_period_optimum(firm: FirmParams) -> OptimalContract:
         if not flags else math.nan
     return OptimalContract(contract=contract, profit=profit, flags=tuple(flags),
                            raw_alpha=alpha, raw_p=p, raw_w0=w0)
+
+
+def one_period_second_forms(firm: FirmParams) -> tuple[float, float]:
+    """The unit-scale rules' second printed forms, which do without alpha*:
+    p* = (1-k)(sqrt(c)-sqrt(k))/sqrt(c) and w0* = (sqrt(k)-sqrt(c))^2."""
+    rk, rc = math.sqrt(firm.k), math.sqrt(firm.c)
+    return (1.0 - firm.k) * (rc - rk) / rc, (rk - rc) ** 2
 
 
 def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
@@ -311,17 +321,44 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.round(np.linspace(lo, lo + n * step, n + 1), 12)
 
 
+def _box_search(slab, axes, h, rounds, admit):
+    """(score, cell) of the best (p, alpha, w0) cell of a box: the one box
+    search of every employer search. slab(p, a_vals, w_vals) scores a p slab
+    as an (alpha, w0) array; its first argmax, the smallest cell on ties,
+    replaces the best cell only on a strict improvement. The coarse scan runs
+    over axes; each of the `rounds` refinements halves the steps h and scans
+    admit(best[d] + h[d] * arange(-3, 4), d) on each axis d. Returns
+    (-inf, None) when no coarse cell beats -inf.
+    """
+    def scan(p_vals, a_vals, w_vals):
+        best = (-math.inf, None)
+        for p in p_vals.tolist():
+            values = slab(p, a_vals, w_vals)
+            i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+            if values[i, j] > best[0]:
+                best = (float(values[i, j]), (p, float(a_vals[i]), float(w_vals[j])))
+        return best
+
+    best = scan(*axes)
+    if best[1] is None:
+        return best
+    for _ in range(rounds):
+        h = h / 2.0
+        found = scan(*(admit(best[1][d] + h[d] * np.arange(-3, 4), d) for d in range(3)))
+        if found[0] > best[0]:
+            best = found
+    return best
+
+
 def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
                         steps: GridSteps = GridSteps(), refine_rounds: int = 2) -> OptimalContract:
-    """Argmax of expected_profit over the contract box, ties broken
-    lexicographically by (p, alpha, w0) ascending; optional local refinement
-    halves the steps around the incumbent.
+    """Argmax of expected_profit over the contract box by the one box search
+    (_box_search), ties broken lexicographically by (p, alpha, w0) ascending;
+    optional local refinement halves the steps around the incumbent.
 
-    One-period additive searches use the exact closed-form profit, one
-    (alpha, w0) slab per p: the slab's first maximum is its smallest cell,
-    and a later p replaces the incumbent only on a strict improvement. Other
-    searches make one worker solve per (p, alpha) row, because neither
-    family's policy reads w0, and one recursion pass per p slab
+    One-period additive searches score a p slab with the exact closed-form
+    profit. Other searches make one worker solve per (p, alpha) row, because
+    neither family's policy reads w0, and one recursion pass per p slab
     (slab_profit_values over the slab's rows): an additive slab at the scan's
     w0 axis, a Cobb-Douglas slab at the policy's whole wage grid. They then
     call expected_profit once per cell, in (p, alpha, w0) order, handing it
@@ -333,67 +370,39 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
     Raises ValueError when no cell of the box has a finite profit.
     """
     w0_max = _w0_max(firm, steps)
-    fast = prefs.family is UtilityFamily.ADDITIVE and horizon.T == 1
-    cobb_douglas = prefs.family is UtilityFamily.COBB_DOUGLAS
-    grid = DpGrid()
+    if prefs.family is UtilityFamily.ADDITIVE and horizon.T == 1:
+        def slab(p, a_vals, w_vals):
+            return _one_period_profit(p, a_vals[:, None], w_vals, firm, b=prefs.b)
+    else:
+        grid = DpGrid()
+        cobb_douglas = prefs.family is UtilityFamily.COBB_DOUGLAS
 
-    def scan(p_vals, a_vals, w_vals):
-        best = (-math.inf, None)
-        w_arr = np.asarray(w_vals, dtype=float)
-        if fast:
-            a_col = np.asarray(a_vals, dtype=float)[:, None]
-            for p in p_vals:
-                slab = _one_period_profit(float(p), a_col, w_arr, firm, b=prefs.b)
-                # first max in (alpha, w0) order = smallest cell on ties
-                i, j = np.unravel_index(int(np.argmax(slab)), slab.shape)
-                if slab[i, j] > best[0]:
-                    best = (float(slab[i, j]), (float(p), float(a_col[i, 0]), float(w_arr[j])))
-            return best
-        wages = grid.wages if cobb_douglas else w_arr
-        for p in p_vals:
+        def slab(p, a_vals, w_vals):
+            wages = grid.wages if cobb_douglas else w_vals
             # the policies die with the call: an error raised below keeps this
             # frame, and so the slab's values, alive in its traceback
-            slab = slab_profit_values(
-                [worker_policy(ContractParams(float(p), float(a), float(w_arr[0])),
-                               prefs, horizon, firm, grid) for a in a_vals],
-                float(p), firm, horizon, wages)
-            for a, values in zip(a_vals, slab):
-                row = wages, values
-                for w in w_vals:
-                    contract = ContractParams(float(p), float(a), float(w))
-                    pi = expected_profit(contract, firm, prefs, horizon, row)
-                    if pi > best[0]:
-                        best = (pi, (float(p), float(a), float(w)))
-        return best
+            values = slab_profit_values(
+                [worker_policy(ContractParams(p, a, float(w_vals[0])), prefs, horizon,
+                               firm, grid) for a in a_vals.tolist()],
+                p, firm, horizon, wages)
+            return np.array([[expected_profit(ContractParams(p, a, w), firm, prefs, horizon,
+                                              (wages, row)) for w in w_vals.tolist()]
+                             for a, row in zip(a_vals.tolist(), values)])
 
-    p_vals = _axis(0.0, 1.0, steps.p_step)
-    a_vals = _axis(0.0, 1.0, steps.alpha_step)
-    w_vals = _axis(0.0, w0_max, steps.w0_step)
-    best_profit, best_cell = scan(p_vals, a_vals, w_vals)
+    hi = (1.0, 1.0, w0_max)
+    best_profit, best_cell = _box_search(
+        slab, [_axis(0.0, 1.0, steps.p_step), _axis(0.0, 1.0, steps.alpha_step),
+               _axis(0.0, w0_max, steps.w0_step)],
+        np.array([steps.p_step, steps.alpha_step, steps.w0_step]), refine_rounds,
+        lambda vals, d: np.unique(np.clip(vals, 0.0, hi[d])))
     if best_cell is None:
         raise ValueError(
             f"no contract in the box p in [0, 1] step {steps.p_step}, alpha in [0, 1] "
             f"step {steps.alpha_step}, w0 in [0, {w0_max}] step {steps.w0_step} "
             f"has a finite profit")
-
-    h = np.array([steps.p_step, steps.alpha_step, steps.w0_step])
-    for _ in range(refine_rounds):
-        h = h / 2.0
-        p0, a0, w0 = best_cell
-        p_vals = np.clip(p0 + h[0] * np.arange(-3, 4), 0.0, 1.0)
-        a_vals = np.clip(a0 + h[1] * np.arange(-3, 4), 0.0, 1.0)
-        w_vals = np.clip(w0 + h[2] * np.arange(-3, 4), 0.0, w0_max)
-        profit, cell = scan(np.unique(p_vals), np.unique(a_vals), np.unique(w_vals))
-        if profit > best_profit:
-            best_profit, best_cell = profit, cell
-
-    p, a, w = best_cell
-    flags = []
-    for name, val, lo, hi in (("p", p, 0.0, 1.0), ("alpha", a, 0.0, 1.0),
-                              ("w0", w, 0.0, w0_max)):
-        if val in (lo, hi):
-            flags.append(f"{name}_at_bound")
-    return OptimalContract(ContractParams(p, a, w), best_profit, tuple(flags))
+    flags = tuple(f"{name}_at_bound" for name, val, top in
+                  zip(("p", "alpha", "w0"), best_cell, hi) if val in (0.0, top))
+    return OptimalContract(ContractParams(*best_cell), best_profit, flags)
 
 
 _STATIONARY_STEP = 0.02  # starting step on every axis of the stationary search
@@ -402,9 +411,10 @@ _STATIONARY_REFINE_ROUNDS = 6
 
 def stationary_grid_search(firm: FirmParams) -> ContractParams:
     """Cell of the one-period contract box (additive worker, b = 1) where the
-    exact profit is closest to stationary: the smallest central-difference
-    gradient norm (spacing h = 1e-6) of _one_period_profit, scanned at 0.02
-    steps and refined by halving the steps around the incumbent six times.
+    exact profit is closest to stationary: the one box search (_box_search)
+    for the smallest central-difference gradient norm (spacing h = 1e-6) of
+    _one_period_profit, scanned at 0.02 steps and refined by halving the
+    steps around the incumbent six times.
 
     The profit has no interior maximum (see the module docstring), so this is
     how a numerical search, independent of the closed forms, locates the
@@ -413,32 +423,20 @@ def stationary_grid_search(firm: FirmParams) -> ContractParams:
     the smallest (p, alpha, w0).
     """
     h = 1e-6
-    hi = np.array([1.0, 1.0, _w0_max(firm, GridSteps())])
+    hi = (1.0, 1.0, _w0_max(firm, GridSteps()))
 
     def inside(vals, dim):
         vals = np.unique(vals)
         return vals[(vals > h) & (vals < hi[dim] - h)]
 
-    def scan(p_vals, a_vals, w_vals):
-        best = (math.inf, None)
-        a, w = a_vals[:, None], w_vals
-        for p in p_vals.tolist():
-            dp, da, dw = _profit_differences(p, a, w, firm, h)
-            grad_sq = dp ** 2 + da ** 2 + dw ** 2
-            i, j = np.unravel_index(int(np.argmin(grad_sq)), grad_sq.shape)
-            if grad_sq[i, j] < best[0]:
-                best = (float(grad_sq[i, j]), (p, float(a_vals[i]), float(w_vals[j])))
-        return best
+    def slab(p, a_vals, w_vals):
+        dp, da, dw = _profit_differences(p, a_vals[:, None], w_vals, firm, h)
+        return -(dp ** 2 + da ** 2 + dw ** 2)
 
-    step = _STATIONARY_STEP
-    best_grad, best_cell = scan(*(inside(_axis(0.0, hi[d], step), d) for d in range(3)))
-    for _ in range(_STATIONARY_REFINE_ROUNDS):
-        step = step / 2.0
-        grad, cell = scan(*(inside(best_cell[d] + step * np.arange(-3, 4), d)
-                            for d in range(3)))
-        if grad < best_grad:
-            best_grad, best_cell = grad, cell
-    return ContractParams(*best_cell)
+    axes = [inside(_axis(0.0, hi[d], _STATIONARY_STEP), d) for d in range(3)]
+    _, cell = _box_search(slab, axes, np.full(3, _STATIONARY_STEP),
+                          _STATIONARY_REFINE_ROUNDS, inside)
+    return ContractParams(*cell)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +464,7 @@ def tech_sweep(k_values, firm_template: FirmParams) -> list[SweepRow]:
     """
     rows = []
     for k in k_values:
-        firm = FirmParams(k=float(k), lam=firm_template.lam, c=firm_template.c,
-                          eta=firm_template.eta)
+        firm = replace(firm_template, k=float(k))
         opt = stationary_one_period_optimum(firm)
         p, a, w0 = opt.contract.p, opt.contract.alpha, opt.contract.w0
         e, x = map(float, _affine_response(p, a, w0, 1.0, 1.0, firm.wage_scale))

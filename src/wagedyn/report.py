@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -21,9 +22,9 @@ from .config import Scenario, resolved_json
 from .distribution import (cd_bracket_columns, profile, propagate, responder,
                            simulate)
 from .employer import (GridSteps, analytic_one_period_optimum, grid_search_optimum,
-                       tech_shock, tech_sweep)
+                       one_period_second_forms, tech_shock, tech_sweep)
 from .model import require_base_consumption
-from .params import ContractParams, FirmParams, Horizon
+from .params import ContractParams, Horizon
 from .svgchart import write_line_chart
 
 
@@ -230,24 +231,19 @@ def run_employer_optimum(scenario: Scenario, outdir: Path) -> None:
     _start("employer-optimum", scenario, outdir, "firm")
     firm = scenario.firm
     analytic = analytic_one_period_optimum(firm)
-    steps = GridSteps(
-        p_step=float(scenario.experiment.get("grid_step", 0.02)),
-        alpha_step=float(scenario.experiment.get("grid_step", 0.02)),
-        w0_step=float(scenario.experiment.get("grid_step", 0.02)))
+    step = float(scenario.experiment.get("grid_step", 0.02))
+    steps = GridSteps(p_step=step, alpha_step=step, w0_step=step)
     prefs = scenario.prefs
     horizon = scenario.horizon or Horizon(1)
     refine = int(scenario.experiment.get("refine_rounds", 2))
     grid_opt = grid_search_optimum(firm, prefs, horizon, steps, refine_rounds=refine) \
         if prefs is not None else None
+    p_second, w0_second = one_period_second_forms(firm)
     payload = {
         "analytic": {"alpha": analytic.raw_alpha, "p": analytic.raw_p,
                      "w0": analytic.raw_w0, "profit": analytic.profit,
                      "flags": list(analytic.flags)},
-        "consistency": {
-            "p_second_form": (1.0 - firm.k) * (math.sqrt(firm.c) - math.sqrt(firm.k))
-                             / math.sqrt(firm.c),
-            "w0_second_form": (math.sqrt(firm.k) - math.sqrt(firm.c)) ** 2,
-        },
+        "consistency": {"p_second_form": p_second, "w0_second_form": w0_second},
     }
     if grid_opt is not None:
         payload["grid_search"] = {"p": grid_opt.contract.p,
@@ -294,9 +290,7 @@ def run_tech_shock(scenario: Scenario, outdir: Path) -> None:
                          "after the shock")
     k_before = float(scenario.experiment.get("k_before", firm.k))
     k_after = float(scenario.experiment["k_after"])
-    before = FirmParams(k=k_before, lam=firm.lam, c=firm.c, eta=firm.eta)
-    after = FirmParams(k=k_after, lam=firm.lam, c=firm.c, eta=firm.eta)
-    report = tech_shock(before, after, prefs, horizon)
+    report = tech_shock(replace(firm, k=k_before), replace(firm, k=k_after), prefs, horizon)
     write_csv(outdir / "shock.csv",
               ["period", "mean_before", "variance_before", "cost_before",
                "mean_after", "variance_after", "cost_after", "turnover"],

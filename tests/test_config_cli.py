@@ -200,6 +200,47 @@ def test_tech_shock_without_k_after_is_a_config_error(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
 
 
+def test_employer_optimum_at_free_monitoring_is_an_error(tmp_path, capsys):
+    # c = 0, the config default, gives alpha* = -1 and no one-period rules
+    from wagedyn.cli import main
+
+    cfg = tmp_path / "free.json"
+    cfg.write_text(json.dumps({"firm": {"k": 1.5}, "prefs": MINIMAL["prefs"],
+                               "horizon": {"T": 1}}))
+    out = tmp_path / "out"
+    assert main(["employer-optimum", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: one-period optimum rules are singular at c = 0\n"
+    assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
+
+
+@pytest.mark.parametrize("command, scenario, key, value, expected", [
+    ("tech-sweep", "fig4_1", "k_values", 1.2, "a list of numbers"),
+    ("tech-shock", "fig4_2", "k_after", [1.2], "a number"),
+    ("tech-shock", "fig4_2", "k_before", True, "a number"),
+    ("additive-profile", "fig3_1", "initial_effort", "0.3", "a number"),
+    ("additive-profile", "fig3_3", "variance_w0_values", [0.1, None], "a list of numbers"),
+    ("cd-distribution", "fig3_4", "horizons", [10, 20.0], "a list of integers"),
+    ("statics", "appendix1", "p_values", [0.1, False], "a list of numbers"),
+    ("employer-optimum", None, "refine_rounds", "two", "an integer"),
+    ("employer-optimum", None, "grid_step", [0.05], "a number"),
+])
+def test_experiment_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, command,
+                                                              scenario, key, value,
+                                                              expected):
+    from wagedyn.cli import main
+
+    raw = (json.loads((SCENARIOS / f"{scenario}.json").read_text()) if scenario else
+           {"firm": FIRM, "prefs": MINIMAL["prefs"], "horizon": {"T": 1}})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(raw, experiment=dict(raw.get("experiment", {}),
+                                                        **{key: value}))))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: experiment.{key}: expected "
+                                       f"{expected}, got {value!r}\n")
+    assert not out.exists()
+
+
 def test_cli_zero_consumption_error_writes_only_the_echo(tmp_path):
     # w0 = 0 with p < 1: the never-evaluated worker consumes nothing
     cfg = tmp_path / "zero.json"

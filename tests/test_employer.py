@@ -13,8 +13,9 @@ from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistrib
 from wagedyn.cobb_douglas import DpGrid
 from wagedyn.additive import best_response, envelope_evaluated_wages
 from wagedyn.distribution import responder
-from wagedyn.employer import (_axis, _one_period_profit, _w0_max, profit_values,
-                              slab_profit_values, worker_policy)
+from wagedyn.employer import (_axis, _one_period_profit, _profit_differences, _w0_max,
+                              one_period_second_forms, profit_values, slab_profit_values,
+                              worker_policy)
 
 PREFS = WorkerPrefs.additive(delta=0.9)
 UNIT_SCALE_FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
@@ -102,6 +103,9 @@ def test_analytic_optimum_reference_values():
     assert opt.raw_p == pytest.approx((1 - k) * (math.sqrt(c) - math.sqrt(k))
                                       / math.sqrt(c), abs=1e-9)
     assert opt.raw_w0 == pytest.approx((math.sqrt(k) - math.sqrt(c)) ** 2, abs=1e-9)
+    assert one_period_second_forms(UNIT_SCALE_FIRM) == (
+        (1 - k) * (math.sqrt(c) - math.sqrt(k)) / math.sqrt(c),
+        (math.sqrt(k) - math.sqrt(c)) ** 2)
     assert opt.raw_w0 < (1 + opt.raw_alpha) * opt.raw_p  # underpayment
 
 
@@ -137,6 +141,9 @@ def test_analytic_optimum_rejects_bad_scale_or_k():
         analytic_one_period_optimum(FirmParams(k=1.5, lam=0.8, c=0.3, eta=0.9))
     with pytest.raises(ValueError, match="k = 1"):
         analytic_one_period_optimum(FirmParams(k=1.0, lam=1.0, c=0.3, eta=0.9))
+    # alpha* = -1 at c = 0, and the p* rule divides by 1 + alpha*
+    with pytest.raises(ValueError, match="singular at c = 0"):
+        analytic_one_period_optimum(FirmParams(k=1.5, lam=1.0 / 1.5, c=0.0, eta=0.9))
 
 
 def test_stationary_rules_reduce_to_unit_scale_rules():
@@ -266,6 +273,57 @@ def test_stationary_grid_search_warning_free():
         warnings.simplefilter("error")
         cell = stationary_grid_search(UNIT_SCALE_FIRM)
     assert cell.w0 > 0.0
+
+
+def stationary_search_reference(firm):
+    """Reference stationary search: the scan and refinement loop that
+    stationary_grid_search ran before it called the one box search."""
+    h = 1e-6
+    hi = np.array([1.0, 1.0, _w0_max(firm, GridSteps())])
+
+    def inside(vals, dim):
+        vals = np.unique(vals)
+        return vals[(vals > h) & (vals < hi[dim] - h)]
+
+    def scan(p_vals, a_vals, w_vals):
+        best = (math.inf, None)
+        a, w = a_vals[:, None], w_vals
+        for p in p_vals.tolist():
+            dp, da, dw = _profit_differences(p, a, w, firm, h)
+            grad_sq = dp ** 2 + da ** 2 + dw ** 2
+            i, j = np.unravel_index(int(np.argmin(grad_sq)), grad_sq.shape)
+            if grad_sq[i, j] < best[0]:
+                best = (float(grad_sq[i, j]), (p, float(a_vals[i]), float(w_vals[j])))
+        return best
+
+    step = 0.02
+    best_grad, best_cell = scan(*(inside(_axis(0.0, hi[d], step), d) for d in range(3)))
+    for _ in range(6):
+        step = step / 2.0
+        grad, cell = scan(*(inside(best_cell[d] + step * np.arange(-3, 4), d)
+                            for d in range(3)))
+        if grad < best_grad:
+            best_grad, best_cell = grad, cell
+    return ContractParams(*best_cell)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.floats(0.2, 3.0), lam=st.floats(0.05, 1.0), c=st.floats(0.0, 3.0))
+@example(k=1.5, lam=1.0 / 1.5, c=0.3)  # criterion 7's firm
+@example(k=1.5, lam=0.8, c=0.0)  # free monitoring
+@example(k=0.2, lam=0.05, c=0.0)  # an empty w0 axis
+def test_stationary_search_matches_its_reference(k, lam, c):
+    # below wage scale 0.01 no w0 of the coarse axis lies inside the box, and
+    # numpy raises on both searches' empty slab
+    def outcome(search, firm):
+        try:
+            cell = search(firm)
+        except ValueError:
+            return "ValueError"
+        return cell.p.hex(), cell.alpha.hex(), cell.w0.hex()
+
+    firm = FirmParams(k=k, lam=lam, c=c, eta=0.9)
+    assert outcome(stationary_grid_search, firm) == outcome(stationary_search_reference, firm)
 
 
 def one_period_search_reference(firm, prefs, steps, refine_rounds):

@@ -174,3 +174,44 @@ def test_every_runner_takes_scenario_and_outdir_and_returns_nothing():
         returns = [node for node in ast.walk(ast.parse(inspect.getsource(runner)))
                    if isinstance(node, ast.Return) and node.value is not None]
         assert not returns, name
+
+
+# ---------------------------------------------------------------------------
+# one box search for every employer search
+
+BOX_SEARCHES = ("grid_search_optimum", "stationary_grid_search")
+
+
+def test_employer_searches_scan_and_refine_through_the_box_search_alone():
+    tree = ast.parse((PACKAGE / "employer.py").read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    # the slab scan: the only argmax, argmin or unravel_index in the module
+    scanners = {name for name, fn in functions.items() for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("argmax", "argmin", "unravel_index")}
+    assert scanners == {"_box_search"}
+    for name in BOX_SEARCHES:
+        nodes = list(ast.walk(functions[name]))
+        assert any(isinstance(node, ast.Name) and node.id == "_box_search"
+                   for node in nodes), name
+        loops = [node for node in nodes if isinstance(node, (ast.For, ast.While))]
+        assert not loops, name
+
+
+def test_both_searches_call_the_box_search(monkeypatch):
+    from wagedyn import FirmParams, GridSteps, Horizon, WorkerPrefs, employer
+
+    calls = []
+    original = employer._box_search
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(employer, "_box_search", counted)
+    firm = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
+    employer.stationary_grid_search(firm)
+    for T in (1, 2):  # the closed-form slab and the recursion slab
+        employer.grid_search_optimum(firm, WorkerPrefs.additive(delta=0.9), Horizon(T),
+                                     GridSteps(0.5, 0.5, 0.5), refine_rounds=1)
+    assert len(calls) == 3
