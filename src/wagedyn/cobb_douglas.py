@@ -107,25 +107,38 @@ class EffortPolicy:
 
 def solve_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
                  grid: DpGrid | None = None) -> EffortPolicy:
-    """Backward induction over the wage grid.
+    """Backward induction over the wage grid: the one-row case of
+    solve_policies."""
+    return solve_policies([contract], prefs, horizon, grid)[0]
+
+
+def solve_policies(contracts, prefs: WorkerPrefs, horizon: Horizon,
+                   grid: DpGrid | None = None) -> list[EffortPolicy]:
+    """One EffortPolicy per contract, for contracts that share the evaluation
+    rate p, by one backward induction over (row, effort, wage) arrays:
 
     V_t(w) = max_e (1-e)^gamma * [p*c_eval^beta + (1-p)*w^beta]
              + delta * [p*V_{t+1}(e) + (1-p)*V_{t+1}(w)],
     c_eval = max(w + alpha*(e - w), 0), terminal continuation 0. Argmax ties
-    break toward the smaller effort.
+    break toward the smaller effort. Every operation is elementwise per row,
+    so a row's table and value do not depend on the other rows.
     """
     if prefs.family is not UtilityFamily.COBB_DOUGLAS:
         raise ValueError("solve_policy requires the Cobb-Douglas utility family")
+    p = contracts[0].p
+    if any(contract.p != p for contract in contracts):
+        raise ValueError("solve_policies requires contracts that share p")
     grid = grid or DpGrid()
     w = grid.wages
     e = grid.efforts
-    p, alpha, delta = contract.p, contract.alpha, prefs.delta
-    gamma, beta = prefs.gamma, prefs.beta
+    delta, gamma, beta = prefs.delta, prefs.gamma, prefs.beta
     T = horizon.T
 
-    W = w[None, :]  # previous wage axis 1
-    E = e[:, None]  # effort axis 0
-    c_eval = np.maximum(W + alpha * (E - W), 0.0)
+    # (row, effort, wage) axes; E and W broadcast over the rows
+    A = np.array([contract.alpha for contract in contracts])[:, None, None]
+    W = w[None, :]
+    E = e[:, None]
+    c_eval = np.maximum(W + A * (E - W), 0.0)
     leisure = (1.0 - E) ** gamma
     u_eval = leisure * c_eval ** beta
     u_keep = leisure * W ** beta
@@ -133,18 +146,22 @@ def solve_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
 
     e_idx = grid.index(e)  # next state after an evaluation
 
-    table = np.zeros((T, len(w)))
-    value = np.zeros((T, len(w)))
-    V_next = np.zeros(len(w))
+    n = len(contracts)
+    rows, cols = np.arange(n)[:, None], np.arange(len(w))
+    table = np.zeros((n, T, len(w)))
+    value = np.zeros((n, T, len(w)))
+    V_next = np.zeros((n, len(w)))
     for t in range(T, 0, -1):
-        cont = delta * (p * V_next[e_idx][:, None] + (1.0 - p) * V_next[None, :])
+        cont = delta * (p * V_next.take(e_idx, axis=1)[:, :, None]
+                         + (1.0 - p) * V_next[:, None, :])
         obj = reward + cont
-        best = np.argmax(obj, axis=0)  # first max = smallest effort on ties
-        table[t - 1] = e[best]
-        value[t - 1] = obj[best, np.arange(len(w))]
-        V_next = value[t - 1]
-    return EffortPolicy(contract=contract, prefs=prefs, horizon=horizon,
-                        grid=grid, table=table, value=value)
+        best = np.argmax(obj, axis=1)  # first max = smallest effort on ties
+        table[:, t - 1] = e[best]
+        value[:, t - 1] = obj[rows, best, cols]
+        V_next = value[:, t - 1]
+    return [EffortPolicy(contract=contract, prefs=prefs, horizon=horizon, grid=grid,
+                         table=tab, value=val)
+            for contract, tab, val in zip(contracts, table, value)]
 
 
 @dataclass(frozen=True)

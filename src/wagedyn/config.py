@@ -9,6 +9,7 @@ paths, firm revenue share 1/k (unit wage scale).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -59,6 +60,8 @@ EXPERIMENT_TYPES = {
     "horizons": ("a list of integers",
                  lambda v: isinstance(v, list) and all(map(_is_integer, v))),
 }
+# the bound on an experiment key of the right type: what it must be, and its test
+EXPERIMENT_BOUNDS = {"grid_step": ("finite and > 0", lambda v: 0.0 < v < math.inf)}
 
 
 def _number(section: dict, key: str, path: str, errors: list[str],
@@ -87,8 +90,9 @@ def validate_config(config: dict | str | Path) -> Scenario:
     """Validate a scenario dict or JSON file; raises ConfigError with the full
     list of violations.
 
-    Missing keys, unknown sections and values of the wrong type (those of
-    the experiment keys in EXPERIMENT_TYPES included) are reported here.
+    Missing keys, unknown sections, sections that are not objects and values
+    of the wrong type or out of bounds (those of the experiment keys in
+    EXPERIMENT_TYPES and EXPERIMENT_BOUNDS included) are reported here.
     Each section whose numbers parse is then built into its params object
     (or DpGrid), which checks the bounds itself; their messages join the
     list.
@@ -103,15 +107,19 @@ def validate_config(config: dict | str | Path) -> Scenario:
         raise ConfigError(["config: top level must be an object"])
 
     errors: list[str] = []
-    for key in config:
+    for key, value in config.items():
         if key not in KNOWN_SECTIONS:
             errors.append(f"{key}: unknown section")
+        elif not isinstance(value, dict):
+            errors.append(f"{key}: expected an object")
+    # the sections that parse; each reported one is left out
+    sections = {key: value for key, value in config.items() if isinstance(value, dict)}
 
     resolved: dict[str, Any] = {}
 
     contract = None
-    if "contract" in config:
-        sec = dict(config["contract"])
+    if "contract" in sections:
+        sec = sections["contract"]
         parsed = len(errors)
         p = _number(sec, "p", "contract", errors)
         alpha = _number(sec, "alpha", "contract", errors)
@@ -121,8 +129,8 @@ def validate_config(config: dict | str | Path) -> Scenario:
         resolved["contract"] = {"p": p, "alpha": alpha, "w0": w0}
 
     prefs = None
-    if "prefs" in config:
-        sec = dict(config["prefs"])
+    if "prefs" in sections:
+        sec = sections["prefs"]
         family = sec.get("family")
         parsed = len(errors)
         delta = _number(sec, "delta", "prefs", errors)
@@ -144,8 +152,8 @@ def validate_config(config: dict | str | Path) -> Scenario:
                           f"got {family!r}")
 
     firm = None
-    if "firm" in config:
-        sec = dict(config["firm"])
+    if "firm" in sections:
+        sec = sections["firm"]
         parsed = len(errors)
         k = _number(sec, "k", "firm", errors)
         # the lambda default 1/k exists only for k > 0; for any other k the
@@ -162,8 +170,8 @@ def validate_config(config: dict | str | Path) -> Scenario:
         resolved["firm"] = {"k": k, "lambda": lam, "c": c, "eta": eta}
 
     horizon = None
-    if "horizon" in config:
-        sec = dict(config["horizon"])
+    if "horizon" in sections:
+        sec = sections["horizon"]
         T = sec.get("T")
         if not _is_integer(T):
             errors.append(f"horizon.T: expected an integer, got {T!r}")
@@ -171,7 +179,7 @@ def validate_config(config: dict | str | Path) -> Scenario:
             horizon = _build(errors, Horizon, T)
         resolved["horizon"] = {"T": T}
 
-    grid_sec = dict(config.get("grid", {}))
+    grid_sec = sections.get("grid", {})
     wage_step = _number(grid_sec, "wage_step", "grid", errors, required=False, default=0.1)
     effort_step = _number(grid_sec, "effort_step", "grid", errors, required=False, default=0.1)
     wage_max = _number(grid_sec, "wage_max", "grid", errors, required=False, default=1.0)
@@ -183,7 +191,7 @@ def validate_config(config: dict | str | Path) -> Scenario:
     resolved["grid"] = {"wage_step": wage_step, "effort_step": effort_step,
                         "wage_max": wage_max}
 
-    sim = dict(config.get("simulation", {}))
+    sim = sections.get("simulation", {})
     seed = sim.get("seed", 42)
     n_paths = sim.get("n_paths", 100000)
     if not _is_integer(seed) or seed < 0:
@@ -192,10 +200,16 @@ def validate_config(config: dict | str | Path) -> Scenario:
         errors.append(f"simulation.n_paths: expected an integer >= 1, got {n_paths!r}")
     resolved["simulation"] = {"seed": seed, "n_paths": n_paths}
 
-    experiment = dict(config.get("experiment", {}))
+    experiment = dict(sections.get("experiment", {}))
     for key, (expected, valid) in EXPERIMENT_TYPES.items():
-        if key in experiment and not valid(experiment[key]):
-            errors.append(f"experiment.{key}: expected {expected}, got {experiment[key]!r}")
+        if key not in experiment:
+            continue
+        value = experiment[key]
+        bound, within = EXPERIMENT_BOUNDS.get(key, (None, None))
+        if not valid(value):
+            errors.append(f"experiment.{key}: expected {expected}, got {value!r}")
+        elif bound is not None and not within(value):
+            errors.append(f"experiment.{key}: must be {bound}, got {value!r}")
     resolved["experiment"] = experiment
 
     if errors:

@@ -7,9 +7,12 @@ compensation: the wage alone under the additive scheme, wage plus nonrecurrent
 bonus under the Cobb-Douglas scheme.
 
 The worker's best response (worker_policy) depends on (p, alpha) alone in
-both families, so a multi-period grid search makes one worker solve per
-(p, alpha) row and one recursion pass per p slab: slab_profit_values prices
-the starting wages of all the slab's rows at once, over (row, wage) pairs.
+both families, so a multi-period grid search solves the workers of a p slab
+(all its alpha rows) once and prices them in one recursion pass: a
+Cobb-Douglas slab is one backward induction over its rows
+(cobb_douglas.solve_policies), an additive slab one exact best response per
+row, and slab_profit_values prices the starting wages of all the slab's rows
+at once, over (row, wage) pairs.
 The additive response is additive.best_response, exact in every regime: the phi
 recursion while no evaluated wage clamps, otherwise the envelope recursion;
 no wage grid is solved.
@@ -35,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .additive import _affine_response, best_response
-from .cobb_douglas import DpGrid, TableEffortPolicy, grid_index, solve_policy
+from .cobb_douglas import (DpGrid, TableEffortPolicy, grid_index, solve_policies,
+                           solve_policy)
 from .distribution import WageDistribution, WagePolicy, profile, propagate, responder
 from .model import zero_base_consumption
 from .params import ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs
@@ -63,6 +67,16 @@ def worker_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon
         return best_response(contract, prefs, horizon, firm.wage_scale)
     grid = cd_grid or DpGrid()
     return TableEffortPolicy(solve_policy(contract, prefs, horizon, grid))
+
+
+def _row_policies(contracts, prefs: WorkerPrefs, horizon: Horizon, firm: FirmParams,
+                  cd_grid: DpGrid) -> list:
+    """worker_policy for each of a p slab's contracts: the Cobb-Douglas rows
+    in one solve_policies pass, the additive rows one by one."""
+    if prefs.family is UtilityFamily.COBB_DOUGLAS:
+        return [TableEffortPolicy(policy)
+                for policy in solve_policies(contracts, prefs, horizon, cd_grid)]
+    return [worker_policy(contract, prefs, horizon, firm) for contract in contracts]
 
 
 def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPrefs,
@@ -306,10 +320,20 @@ def _profit_differences(p, alpha, w0, firm: FirmParams, h: float):
 
 @dataclass(frozen=True)
 class GridSteps:
+    """Coarse steps of a contract search box; construction raises ValueError
+    naming the field unless every step and w0_max, when given, is finite and
+    positive."""
+
     p_step: float = 0.02
     alpha_step: float = 0.02
     w0_step: float = 0.02
     w0_max: float | None = None  # default lam*k*(1 + alpha_max)
+
+    def __post_init__(self) -> None:
+        for name in ("p_step", "alpha_step", "w0_step", "w0_max"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"GridSteps.{name}: must be finite and > 0, got {value}")
 
 
 def _w0_max(firm: FirmParams, steps: GridSteps) -> float:
@@ -327,11 +351,14 @@ def _box_search(slab, axes, h, rounds, admit):
     as an (alpha, w0) array; its first argmax, the smallest cell on ties,
     replaces the best cell only on a strict improvement. The coarse scan runs
     over axes; each of the `rounds` refinements halves the steps h and scans
-    admit(best[d] + h[d] * arange(-3, 4), d) on each axis d. Returns
-    (-inf, None) when no coarse cell beats -inf.
+    admit(best[d] + h[d] * arange(-3, 4), d) on each axis d. An empty slab
+    (an empty alpha or w0 axis) is skipped. Returns (-inf, None) when no
+    coarse cell beats -inf.
     """
     def scan(p_vals, a_vals, w_vals):
         best = (-math.inf, None)
+        if not (len(a_vals) and len(w_vals)):
+            return best
         for p in p_vals.tolist():
             values = slab(p, a_vals, w_vals)
             i, j = np.unravel_index(int(np.argmax(values)), values.shape)
@@ -357,8 +384,10 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
     optional local refinement halves the steps around the incumbent.
 
     One-period additive searches score a p slab with the exact closed-form
-    profit. Other searches make one worker solve per (p, alpha) row, because
-    neither family's policy reads w0, and one recursion pass per p slab
+    profit. Other searches solve the worker once per p slab, because neither
+    family's policy reads w0: a Cobb-Douglas slab in one solve_policies pass
+    over its alpha rows, an additive slab in one best response per row
+    (worker_policy). One recursion pass then prices the slab
     (slab_profit_values over the slab's rows): an additive slab at the scan's
     w0 axis, a Cobb-Douglas slab at the policy's whole wage grid. They then
     call expected_profit once per cell, in (p, alpha, w0) order, handing it
@@ -382,8 +411,8 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
             # the policies die with the call: an error raised below keeps this
             # frame, and so the slab's values, alive in its traceback
             values = slab_profit_values(
-                [worker_policy(ContractParams(p, a, float(w_vals[0])), prefs, horizon,
-                               firm, grid) for a in a_vals.tolist()],
+                _row_policies([ContractParams(p, a, float(w_vals[0]))
+                               for a in a_vals.tolist()], prefs, horizon, firm, grid),
                 p, firm, horizon, wages)
             return np.array([[expected_profit(ContractParams(p, a, w), firm, prefs, horizon,
                                               (wages, row)) for w in w_vals.tolist()]
@@ -420,7 +449,8 @@ def stationary_grid_search(firm: FirmParams) -> ContractParams:
     how a numerical search, independent of the closed forms, locates the
     one-period rules. Cells within h of the box boundary are skipped: their
     differences would leave the box, and w0 = 0 has -inf profit. Ties go to
-    the smallest (p, alpha, w0).
+    the smallest (p, alpha, w0). Raises ValueError naming the box when no
+    coarse cell is left, as at wage scales lam*k <= 0.01.
     """
     h = 1e-6
     hi = (1.0, 1.0, _w0_max(firm, GridSteps()))
@@ -436,6 +466,10 @@ def stationary_grid_search(firm: FirmParams) -> ContractParams:
     axes = [inside(_axis(0.0, hi[d], _STATIONARY_STEP), d) for d in range(3)]
     _, cell = _box_search(slab, axes, np.full(3, _STATIONARY_STEP),
                           _STATIONARY_REFINE_ROUNDS, inside)
+    if cell is None:
+        raise ValueError(
+            f"no cell of the box p in [0, 1], alpha in [0, 1], w0 in [0, {hi[2]}] "
+            f"step {_STATIONARY_STEP} lies more than {h} inside it")
     return ContractParams(*cell)
 
 

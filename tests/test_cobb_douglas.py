@@ -2,11 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import (ContractParams, DpGrid, Horizon, TableEffortPolicy,
                      WorkerPrefs, always_sampled_path, policy_monotonicity_report,
                      solve_policy)
+from wagedyn.cobb_douglas import EffortPolicy, solve_policies
 from wagedyn.distribution import responder
+from wagedyn.params import UtilityFamily
 
 CONTRACT = ContractParams(0.2, 0.1, 0.4)
 PREFS = WorkerPrefs.cobb_douglas(delta=0.9, gamma=0.4, beta=0.6)
@@ -170,3 +173,77 @@ def test_adapter_vectorizes(policy):
     assert b == pytest.approx(CONTRACT.alpha * (policy.effort(1, 0.4) - 0.4))
     with pytest.raises(ValueError):
         respond(1, 0.42)
+
+
+def solve_policy_reference(contract, prefs, horizon, grid=None):
+    """Reference: solve_policy as it was before the slab solve, one backward
+    induction over an (effort, wage) array per contract."""
+    if prefs.family is not UtilityFamily.COBB_DOUGLAS:
+        raise ValueError("solve_policy requires the Cobb-Douglas utility family")
+    grid = grid or DpGrid()
+    w = grid.wages
+    e = grid.efforts
+    p, alpha, delta = contract.p, contract.alpha, prefs.delta
+    gamma, beta = prefs.gamma, prefs.beta
+    T = horizon.T
+
+    W = w[None, :]  # previous wage axis 1
+    E = e[:, None]  # effort axis 0
+    c_eval = np.maximum(W + alpha * (E - W), 0.0)
+    leisure = (1.0 - E) ** gamma
+    u_eval = leisure * c_eval ** beta
+    u_keep = leisure * W ** beta
+    reward = p * u_eval + (1.0 - p) * u_keep
+
+    e_idx = grid.index(e)  # next state after an evaluation
+
+    table = np.zeros((T, len(w)))
+    value = np.zeros((T, len(w)))
+    V_next = np.zeros(len(w))
+    for t in range(T, 0, -1):
+        cont = delta * (p * V_next[e_idx][:, None] + (1.0 - p) * V_next[None, :])
+        obj = reward + cont
+        best = np.argmax(obj, axis=0)  # first max = smallest effort on ties
+        table[t - 1] = e[best]
+        value[t - 1] = obj[best, np.arange(len(w))]
+        V_next = value[t - 1]
+    return EffortPolicy(contract=contract, prefs=prefs, horizon=horizon,
+                        grid=grid, table=table, value=value)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.one_of(st.sampled_from([0.0, 1.0]), unit),
+       alphas=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), unit), min_size=1,
+                       max_size=51),
+       step=st.sampled_from([0.1, 0.05, 0.02]), T=st.integers(1, 8),
+       gamma=st.floats(0.05, 0.95), beta=st.floats(0.05, 0.95),
+       delta=st.floats(0.5, 0.99))
+@example(p=0.0, alphas=[0.0, 1.0], step=0.1, T=8, gamma=0.4, beta=0.6, delta=0.9)
+@example(p=1.0, alphas=[1.0] + [0.5] * 50, step=0.02, T=3, gamma=0.4, beta=0.6, delta=0.9)
+def test_slab_solve_rows_equal_one_row_solves(p, alphas, step, T, gamma, beta, delta):
+    prefs = WorkerPrefs.cobb_douglas(delta=delta, gamma=gamma, beta=beta)
+    grid = DpGrid(step, step, 1.0)
+    contracts = [ContractParams(p, a, 0.0) for a in alphas]
+    policies = solve_policies(contracts, prefs, Horizon(T), grid)
+    assert len(policies) == len(contracts)
+    for contract, policy in zip(contracts, policies):
+        ref = solve_policy_reference(contract, prefs, Horizon(T), grid)
+        assert policy.contract is contract and policy.grid == grid
+        assert policy.table.tobytes() == ref.table.tobytes()
+        assert policy.value.tobytes() == ref.value.tobytes()
+
+
+def test_one_row_solve_is_the_reference(policy):
+    ref = solve_policy_reference(CONTRACT, PREFS, T10)
+    assert policy.table.tobytes() == ref.table.tobytes()
+    assert policy.value.tobytes() == ref.value.tobytes()
+
+
+def test_slab_solve_rejects_mixed_p_and_the_wrong_family():
+    with pytest.raises(ValueError, match="share p"):
+        solve_policies([CONTRACT, ContractParams(0.3, 0.1, 0.4)], PREFS, T10)
+    with pytest.raises(ValueError, match="Cobb-Douglas"):
+        solve_policies([CONTRACT], WorkerPrefs.additive(delta=0.9), T10)

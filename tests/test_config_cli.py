@@ -241,6 +241,35 @@ def test_experiment_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [0, -0.1, 0.0])
+def test_employer_optimum_grid_step_must_be_positive(tmp_path, capsys, value):
+    from wagedyn.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"firm": FIRM, "prefs": MINIMAL["prefs"], "horizon": {"T": 1},
+                               "experiment": {"grid_step": value}}))
+    out = tmp_path / "out"
+    assert main(["employer-optimum", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: experiment.grid_step: must be "
+                                       f"finite and > 0, got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, value", [
+    ("contract", [0.2]), ("prefs", "additive"), ("firm", 3), ("horizon", 3),
+    ("grid", None), ("simulation", 42), ("experiment", [1]),
+])
+def test_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys, section, value):
+    from wagedyn.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**MINIMAL, "firm": FIRM, section: value}))
+    out = tmp_path / "out"
+    assert main(["tech-sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {section}: expected an object\n"
+    assert not out.exists()
+
+
 def test_cli_zero_consumption_error_writes_only_the_echo(tmp_path):
     # w0 = 0 with p < 1: the never-evaluated worker consumes nothing
     cfg = tmp_path / "zero.json"

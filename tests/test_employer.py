@@ -313,8 +313,8 @@ def stationary_search_reference(firm):
 @example(k=1.5, lam=0.8, c=0.0)  # free monitoring
 @example(k=0.2, lam=0.05, c=0.0)  # an empty w0 axis
 def test_stationary_search_matches_its_reference(k, lam, c):
-    # below wage scale 0.01 no w0 of the coarse axis lies inside the box, and
-    # numpy raises on both searches' empty slab
+    # below wage scale 0.01 no w0 of the coarse axis lies inside the box: the
+    # search raises naming the box, the reference on numpy's empty slab
     def outcome(search, firm):
         try:
             cell = search(firm)
@@ -617,17 +617,23 @@ def test_cobb_douglas_search_matches_per_cell_scan(profit_calls):
 
 
 def test_cobb_douglas_search_solves_one_policy_per_row(monkeypatch, profit_calls):
-    solves = [0]
-    original = employer.worker_policy
+    # one slab solve per p, holding the slab's 5 alpha rows; no per-row solve
+    slabs = []
+    original = employer.solve_policies
 
-    def counted(*args, **kwargs):
-        solves[0] += 1
-        return original(*args, **kwargs)
+    def counted(contracts, *args, **kwargs):
+        slabs.append([(c.p, c.alpha) for c in contracts])
+        return original(contracts, *args, **kwargs)
 
-    monkeypatch.setattr(employer, "worker_policy", counted)
+    def no_row_solve(*args, **kwargs):
+        raise AssertionError("the search solved a Cobb-Douglas row on its own")
+
+    monkeypatch.setattr(employer, "solve_policies", counted)
+    monkeypatch.setattr(employer, "worker_policy", no_row_solve)
     grid_search_optimum(CD_FIRM, CD_PREFS, Horizon(3),
                         GridSteps(0.25, 0.25, 0.5, w0_max=1.0), refine_rounds=0)
-    assert solves[0] == 5 * 5
+    axis = [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert slabs == [[(p, a) for a in axis] for p in axis]
     assert profit_calls[0] == 5 * 5 * 3
 
 
@@ -828,6 +834,22 @@ def test_broadcast_clamp_check_takes_the_generator_branch(p, alpha, T, b, s):
     if clamps_reference(contract, b, s, phi):
         phi = envelope_evaluated_wages(contract, prefs, horizon, s) * b / (p * (1.0 + alpha) * s)
     assert best_response(contract, prefs, horizon, s).phi.tobytes() == phi.tobytes()
+
+
+def test_stationary_search_of_an_empty_box_names_the_box():
+    # wage scale 0.01: w0_max = 0.02, and the coarse w0 axis keeps no cell
+    # more than h inside the box
+    with pytest.raises(ValueError, match=r"no cell of the box .* w0 in \[0, 0.02"):
+        stationary_grid_search(FirmParams(k=0.2, lam=0.05, c=0.0, eta=0.9))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p_step", 0.0), ("alpha_step", -0.1), ("w0_step", math.inf), ("p_step", math.nan),
+    ("w0_max", 0.0), ("w0_max", -1.0), ("w0_max", math.inf),
+])
+def test_grid_steps_reject_a_step_or_bound_that_is_not_finite_and_positive(field, value):
+    with pytest.raises(ValueError, match=rf"GridSteps\.{field}: must be finite and > 0"):
+        GridSteps(**{field: value})
 
 
 def test_search_without_finite_profit_names_the_box():

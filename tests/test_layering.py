@@ -215,3 +215,22 @@ def test_both_searches_call_the_box_search(monkeypatch):
         employer.grid_search_optimum(firm, WorkerPrefs.additive(delta=0.9), Horizon(T),
                                      GridSteps(0.5, 0.5, 0.5), refine_rounds=1)
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# one Cobb-Douglas backward induction
+
+
+def test_only_the_slab_solve_holds_the_cobb_douglas_dp_loop():
+    tree = ast.parse((PACKAGE / "cobb_douglas.py").read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    # the DP: a loop whose body takes an argmax over efforts
+    dp_loops = {name for name, fn in functions.items() for loop in ast.walk(fn)
+                if isinstance(loop, (ast.For, ast.While))
+                and any(isinstance(node, ast.Attribute) and node.attr == "argmax"
+                        for node in ast.walk(loop))}
+    assert dp_loops == {"solve_policies"}
+    # solve_policy is its one-row case, with no loop of its own
+    nodes = list(ast.walk(functions["solve_policy"]))
+    assert not [node for node in nodes if isinstance(node, (ast.For, ast.While))]
+    assert any(isinstance(node, ast.Name) and node.id == "solve_policies" for node in nodes)
