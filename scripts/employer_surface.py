@@ -9,15 +9,15 @@ through the penalty anchor. Run with no arguments; prints a short study.
 import numpy as np
 
 from wagedyn import FirmParams, GridSteps, Horizon, WorkerPrefs
-from wagedyn.employer import (_one_period_profit, _profit_differences,
-                              analytic_one_period_optimum, grid_search_optimum)
+from wagedyn.employer import (_one_period_profit, _profit_differences, grid_search_optimum,
+                              stationary_one_period_optimum)
 
 FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
 PREFS = WorkerPrefs.additive(delta=0.9)
 
 
 def main() -> None:
-    opt = analytic_one_period_optimum(FIRM)
+    opt = stationary_one_period_optimum(FIRM)
     p, a, w = opt.raw_p, opt.raw_alpha, opt.raw_w0
     print(f"stationary rules: p*={p:.6f} alpha*={a:.6f} w0*={w:.6f} "
           f"profit={opt.profit:.6f}")

@@ -13,8 +13,7 @@ from .cobb_douglas import (DpGrid, EffortPolicy, TableEffortPolicy,
                            solve_policy)
 from .distribution import (Histogram, ProfileSeries, WageDistribution, bracketize,
                            enumerate_histories, profile, propagate, simulate)
-from .employer import (GridSteps, OptimalContract,
-                       analytic_one_period_optimum, expected_profit,
+from .employer import (GridSteps, OptimalContract, expected_profit,
                        grid_search_optimum, profit_by_history_enumeration,
                        stationary_grid_search, stationary_one_period_optimum,
                        tech_shock, tech_sweep)

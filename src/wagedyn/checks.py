@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import importlib.resources
 import json
+import math
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
@@ -21,9 +22,9 @@ from . import additive, reference, statics
 from .cobb_douglas import TableEffortPolicy, always_sampled_path, solve_policy
 from .config import Scenario, validate_config
 from .distribution import cd_bracket_columns, enumerate_histories, propagate, simulate
-from .employer import (GridSteps, _profit_differences, analytic_one_period_optimum,
-                       grid_search_optimum, one_period_second_forms,
-                       stationary_grid_search, tech_shock, tech_sweep)
+from .employer import (GridSteps, _profit_differences, grid_search_optimum,
+                       stationary_grid_search, stationary_one_period_optimum,
+                       tech_shock, tech_sweep)
 from .model import affine_effort
 from .params import ContractParams, FirmParams, Horizon, WorkerPrefs
 
@@ -296,11 +297,20 @@ def check_distribution_engine() -> CriterionResult:
     return out
 
 
+def one_period_second_forms(firm: FirmParams) -> tuple[float, float]:
+    """The paper's second printed forms of the unit-scale rules, which do
+    without alpha*: p* = (1-k)(sqrt(c)-sqrt(k))/sqrt(c) and
+    w0* = (sqrt(k)-sqrt(c))^2; criterion 7's independent check on the rules'
+    solver."""
+    rk, rc = math.sqrt(firm.k), math.sqrt(firm.c)
+    return (1.0 - firm.k) * (rc - rk) / rc, (rk - rc) ** 2
+
+
 def check_employer_optimum() -> CriterionResult:
     """Criterion 7: one-period optimum rules, consistency, grid search, boundary."""
     out = CriterionResult(7, "employer one-period optimum")
     firm = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
-    opt = analytic_one_period_optimum(firm)
+    opt = stationary_one_period_optimum(firm)
     ref = reference.EMPLOYER_OPTIMUM_REFERENCE
     out.add("alpha_star", abs(opt.raw_alpha - ref["alpha"]) < 1e-6,
             f"{opt.raw_alpha!r}")
@@ -336,7 +346,7 @@ def check_employer_optimum() -> CriterionResult:
         "the stationary point")
     # boundary case: exact values
     fb = FirmParams(k=2.0, lam=0.5, c=0.5, eta=0.9)
-    ob = analytic_one_period_optimum(fb)
+    ob = stationary_one_period_optimum(fb)
     out.add("boundary_case_exact",
             ob.raw_alpha == 0.0 and ob.raw_p == 1.0 and ob.raw_w0 == 0.5,
             f"(alpha, p, w0) = ({ob.raw_alpha!r}, {ob.raw_p!r}, {ob.raw_w0!r})")

@@ -61,7 +61,8 @@ EXPERIMENT_TYPES = {
                  lambda v: isinstance(v, list) and all(map(_is_integer, v))),
 }
 # the bound on an experiment key of the right type: what it must be, and its test
-EXPERIMENT_BOUNDS = {"grid_step": ("finite and > 0", lambda v: 0.0 < v < math.inf)}
+EXPERIMENT_BOUNDS = {"grid_step": ("finite and > 0", lambda v: 0.0 < v < math.inf),
+                     "refine_rounds": (">= 0", lambda v: v >= 0)}
 
 
 def _number(section: dict, key: str, path: str, errors: list[str],

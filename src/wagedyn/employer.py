@@ -26,9 +26,12 @@ huge never-paid wage anchor with p = 1 that confiscates the whole wage via the
 penalty). grid_search_optimum therefore reports those corners, and no profit
 grid search can single the rules out: at the rules' w0 the profit is also
 flat along a ridge in (p, alpha). stationary_grid_search instead locates the
-rules numerically, as the cell with the smallest profit gradient. The
-technology experiments use the stationary rules, which is what the reference
-results describe. See stationary_one_period_optimum for the scale-aware rules.
+rules numerically, as the cell with the smallest profit gradient.
+
+stationary_one_period_optimum is the one solver of the rules, at every wage
+scale lam*k; it keeps their unclamped values beside the admissible contract.
+The technology experiments and the employer-optimum run use it, and
+criterion 7 checks it against the paper's printed unit-scale forms.
 """
 from __future__ import annotations
 
@@ -195,82 +198,47 @@ def profit_by_history_enumeration(contract: ContractParams, firm: FirmParams,
 # one-period optimum rules
 
 
-def analytic_one_period_optimum(firm: FirmParams) -> OptimalContract:
-    """One-period optimum rules for the unit wage scale (lam*k = 1), additive
-    worker with b = 1:
-
-        alpha* = sqrt(k*c)/(k-1) - 1
-        p*     = 1 - alpha*/(1+alpha*) * k
-        w0*    = [(1+alpha*) * p*]^2 / k
-
-    Values outside [0,1]^2 x [0, inf) are flagged, not clamped in the raw
-    fields. Raises for k = 1 where the alpha* rule divides by zero, for c = 0
-    where alpha* = -1 and the p* rule divides by zero, and for firms whose
-    wage scale is not 1 (set lam = 1/k).
-    """
-    k, c = firm.k, firm.c
-    if k == 1.0:
-        raise ValueError("one-period optimum rules are singular at k = 1")
-    if c == 0.0:
-        raise ValueError("one-period optimum rules are singular at c = 0")
-    if abs(firm.wage_scale - 1.0) > 1e-12:
-        raise ValueError("one-period optimum rules assume unit wage scale; set lam = 1/k")
-    alpha = math.sqrt(k * c) / (k - 1.0) - 1.0
-    p = 1.0 - alpha / (1.0 + alpha) * k
-    w0 = ((1.0 + alpha) * p) ** 2 / k
-    flags = []
-    if not 0.0 <= alpha <= 1.0:
-        flags.append("alpha_out_of_range")
-    if not 0.0 <= p <= 1.0:
-        flags.append("p_out_of_range")
-    if w0 < 0.0:
-        flags.append("w0_out_of_range")
-    contract = ContractParams(min(max(p, 0.0), 1.0), min(max(alpha, 0.0), 1.0),
-                              max(w0, 0.0))
-    profit = _one_period_profit(contract.p, contract.alpha, contract.w0, firm) \
-        if not flags else math.nan
-    return OptimalContract(contract=contract, profit=profit, flags=tuple(flags),
-                           raw_alpha=alpha, raw_p=p, raw_w0=w0)
-
-
-def one_period_second_forms(firm: FirmParams) -> tuple[float, float]:
-    """The unit-scale rules' second printed forms, which do without alpha*:
-    p* = (1-k)(sqrt(c)-sqrt(k))/sqrt(c) and w0* = (sqrt(k)-sqrt(c))^2."""
-    rk, rc = math.sqrt(firm.k), math.sqrt(firm.c)
-    return (1.0 - firm.k) * (rc - rk) / rc, (rk - rc) ** 2
-
-
 def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
-    """Scale-aware one-period stationarity rules under wage scale s = lam*k.
+    """The one-period optimum rules of an additive worker with b = 1 under
+    wage scale s = lam*k: the package's one solver for them.
 
     Interior solution: with m = 1 - sqrt(c/k),
         p*      = m*(1-lam) / (lam*(1-m))
         1+alpha*= 1 / (1 - lam*(1-p*))
-        w0*     = k*m^2.
-    Reduces exactly to the unit-scale rules when lam*k = 1. When alpha* leaves
-    [0, 1] the binding bound is imposed and the remaining two first-order
-    conditions re-solved; boundary solutions are flagged.
+        w0*     = k*m^2,
+    the paper's unit-scale rules when lam*k = 1. raw_p, raw_alpha and raw_w0
+    keep these values before any bound is imposed (free monitoring, c = 0,
+    sends p* to +inf). A p* above 1 is set to 1 and alpha* re-evaluated there;
+    when alpha* exceeds 1 the bound is imposed and the remaining two
+    first-order conditions re-solved; a w0* below 0 is set to 0. Each imposed
+    bound is flagged. No interior formula is evaluated when c >= k
+    (no_monitoring) or lam = 1 (degenerate_full_share); the raw values then
+    equal the contract.
     """
     k, c, lam = firm.k, firm.c, firm.lam
     s = firm.wage_scale
     if c >= k:
         # inducing any effort costs more than it yields; shut monitoring down
-        contract = ContractParams(0.0, 0.0, 0.0)
-        return OptimalContract(contract, 0.0, ("no_monitoring",))
+        return OptimalContract(ContractParams(0.0, 0.0, 0.0), 0.0, ("no_monitoring",),
+                               raw_alpha=0.0, raw_p=0.0, raw_w0=0.0)
     m = 1.0 - math.sqrt(c / k)
     flags: list[str] = []
     if lam >= 1.0:
         # the worker captures the whole marginal product; effort is worthless
         p, alpha, w0 = 0.0, 0.0, 0.0
+        raw = (alpha, p, w0)
         flags.append("degenerate_full_share")
     else:
-        # free monitoring (c = 0, m = 1) sends p* to +inf
+        def alpha_at(p: float) -> float:
+            return 1.0 / (1.0 - lam * (1.0 - p)) - 1.0
+
         p = m * (1.0 - lam) / (lam * (1.0 - m)) if m < 1.0 else math.inf
+        w0 = k * m * m
+        raw = (alpha_at(p), p, w0)
         if p > 1.0:
             flags.append("p_out_of_range")
             p = 1.0
-        alpha = 1.0 / (1.0 - lam * (1.0 - p)) - 1.0
-        w0 = k * m * m
+        alpha = alpha_at(p)
         if alpha > 1.0:
             # alpha bound binds: p from the w0 condition, w0 from the p condition
             alpha = 1.0
@@ -283,9 +251,8 @@ def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
     if w0 < 0.0:
         flags.append("w0_out_of_range")
         w0 = 0.0
-    contract = ContractParams(p, alpha, w0)
     profit = _one_period_profit(p, alpha, w0, firm)
-    return OptimalContract(contract, profit, tuple(flags))
+    return OptimalContract(ContractParams(p, alpha, w0), profit, tuple(flags), *raw)
 
 
 def _one_period_profit(p: float, alpha, w0, firm: FirmParams, b: float = 1.0):

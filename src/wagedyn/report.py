@@ -21,8 +21,8 @@ from .cobb_douglas import (TableEffortPolicy, always_sampled_path,
 from .config import Scenario, resolved_json
 from .distribution import (cd_bracket_columns, profile, propagate, responder,
                            simulate)
-from .employer import (GridSteps, analytic_one_period_optimum, grid_search_optimum,
-                       one_period_second_forms, tech_shock, tech_sweep)
+from .employer import (GridSteps, grid_search_optimum, stationary_one_period_optimum,
+                       tech_shock, tech_sweep)
 from .model import require_base_consumption
 from .params import ContractParams, Horizon
 from .svgchart import write_line_chart
@@ -230,7 +230,7 @@ def run_cd_distribution(scenario: Scenario, outdir: Path) -> None:
 def run_employer_optimum(scenario: Scenario, outdir: Path) -> None:
     _start("employer-optimum", scenario, outdir, "firm")
     firm = scenario.firm
-    analytic = analytic_one_period_optimum(firm)
+    rules = stationary_one_period_optimum(firm)
     step = float(scenario.experiment.get("grid_step", 0.02))
     steps = GridSteps(p_step=step, alpha_step=step, w0_step=step)
     prefs = scenario.prefs
@@ -238,13 +238,10 @@ def run_employer_optimum(scenario: Scenario, outdir: Path) -> None:
     refine = int(scenario.experiment.get("refine_rounds", 2))
     grid_opt = grid_search_optimum(firm, prefs, horizon, steps, refine_rounds=refine) \
         if prefs is not None else None
-    p_second, w0_second = one_period_second_forms(firm)
-    payload = {
-        "analytic": {"alpha": analytic.raw_alpha, "p": analytic.raw_p,
-                     "w0": analytic.raw_w0, "profit": analytic.profit,
-                     "flags": list(analytic.flags)},
-        "consistency": {"p_second_form": p_second, "w0_second_form": w0_second},
-    }
+    # the admissible contract: the raw rule values can be infinite (p* at c = 0)
+    payload = {"analytic": {"alpha": rules.contract.alpha, "p": rules.contract.p,
+                            "w0": rules.contract.w0, "profit": rules.profit,
+                            "flags": list(rules.flags)}}
     if grid_opt is not None:
         payload["grid_search"] = {"p": grid_opt.contract.p,
                                   "alpha": grid_opt.contract.alpha,

@@ -200,17 +200,36 @@ def test_tech_shock_without_k_after_is_a_config_error(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
 
 
-def test_employer_optimum_at_free_monitoring_is_an_error(tmp_path, capsys):
-    # c = 0, the config default, gives alpha* = -1 and no one-period rules
+def test_employer_optimum_at_free_monitoring_flags_p_out_of_range(tmp_path):
+    # c = 0, the config default, sends p* to +inf: the contract is (1, 0, k)
     from wagedyn.cli import main
 
     cfg = tmp_path / "free.json"
     cfg.write_text(json.dumps({"firm": {"k": 1.5}, "prefs": MINIMAL["prefs"],
-                               "horizon": {"T": 1}}))
+                               "horizon": {"T": 1},
+                               "experiment": {"grid_step": 0.1, "refine_rounds": 0}}))
     out = tmp_path / "out"
-    assert main(["employer-optimum", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: one-period optimum rules are singular at c = 0\n"
-    assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
+    assert main(["employer-optimum", "--config", str(cfg), "--out", str(out)]) == 0
+    rules = json.loads((out / "optimum.json").read_text())["analytic"]
+    assert rules["flags"] == ["p_out_of_range"]
+    assert (rules["p"], rules["alpha"], rules["w0"]) == (1.0, 0.0, 1.5)
+
+
+def test_employer_optimum_runs_at_the_technology_firm(tmp_path):
+    # fig4_2's firm has wage scale lam*k = 0.88; the T = 5 search runs after
+    # the one-period rules
+    from wagedyn.cli import main
+
+    raw = json.loads((SCENARIOS / "fig4_2.json").read_text())
+    cfg = tmp_path / "fig4_2.json"
+    cfg.write_text(json.dumps(dict(raw, experiment={"grid_step": 0.1,
+                                                    "refine_rounds": 1})))
+    out = tmp_path / "out"
+    assert main(["employer-optimum", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "optimum.json").read_text())
+    assert payload["analytic"]["flags"] == ["alpha_at_upper_bound"]
+    assert payload["analytic"]["p"] == pytest.approx(0.375, abs=1e-12)
+    assert sorted(payload) == ["analytic", "grid_search"]
 
 
 @pytest.mark.parametrize("command, scenario, key, value, expected", [
@@ -252,6 +271,20 @@ def test_employer_optimum_grid_step_must_be_positive(tmp_path, capsys, value):
     assert main(["employer-optimum", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (f"config error: experiment.grid_step: must be "
                                        f"finite and > 0, got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [-1, -3])
+def test_employer_optimum_refine_rounds_must_be_nonnegative(tmp_path, capsys, value):
+    from wagedyn.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"firm": FIRM, "prefs": MINIMAL["prefs"], "horizon": {"T": 1},
+                               "experiment": {"refine_rounds": value}}))
+    out = tmp_path / "out"
+    assert main(["employer-optimum", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: experiment.refine_rounds: must be "
+                                       f">= 0, got {value!r}\n")
     assert not out.exists()
 
 

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistribution,
-                     WorkerPrefs, additive, analytic_one_period_optimum, distribution,
-                     employer, expected_profit, grid_search_optimum, optimal_effort,
-                     phi_series_recursive, profit_by_history_enumeration,
-                     stationary_grid_search, stationary_one_period_optimum,
-                     tech_shock, tech_sweep)
+                     WorkerPrefs, additive, distribution, employer, expected_profit,
+                     grid_search_optimum, optimal_effort, phi_series_recursive,
+                     profit_by_history_enumeration, stationary_grid_search,
+                     stationary_one_period_optimum, tech_shock, tech_sweep)
 from wagedyn.cobb_douglas import DpGrid
 from wagedyn.additive import best_response, envelope_evaluated_wages
+from wagedyn.checks import one_period_second_forms
 from wagedyn.distribution import responder
 from wagedyn.employer import (_axis, _one_period_profit, _profit_differences, _w0_max,
-                              one_period_second_forms, profit_values, slab_profit_values,
-                              worker_policy)
+                              profit_values, slab_profit_values, worker_policy)
 
 PREFS = WorkerPrefs.additive(delta=0.9)
 UNIT_SCALE_FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
@@ -92,8 +91,20 @@ def test_additive_search_builds_no_distribution(monkeypatch):
         profit_by_history_enumeration(opt.contract, firm, PREFS, Horizon(10)), abs=1e-12)
 
 
+def printed_rules(k, c):
+    """The paper's printed unit-scale first forms (lam*k = 1, b = 1), as
+    (alpha*, p*, w0*): the oracle for the rules' solver."""
+    alpha = math.sqrt(k * c) / (k - 1.0) - 1.0
+    p = 1.0 - alpha / (1.0 + alpha) * k
+    return alpha, p, ((1.0 + alpha) * p) ** 2 / k
+
+
+def raw_rules(opt):
+    return opt.raw_alpha, opt.raw_p, opt.raw_w0
+
+
 def test_analytic_optimum_reference_values():
-    opt = analytic_one_period_optimum(UNIT_SCALE_FIRM)
+    opt = stationary_one_period_optimum(UNIT_SCALE_FIRM)
     assert opt.raw_alpha == pytest.approx(0.341641, abs=1e-6)
     assert opt.raw_p == pytest.approx(0.618034, abs=1e-6)
     assert opt.raw_w0 == pytest.approx(0.458359, abs=1e-6)
@@ -110,7 +121,7 @@ def test_analytic_optimum_reference_values():
 
 
 def test_analytic_optimum_is_stationary():
-    opt = analytic_one_period_optimum(UNIT_SCALE_FIRM)
+    opt = stationary_one_period_optimum(UNIT_SCALE_FIRM)
     firm = UNIT_SCALE_FIRM
     h = 1e-7
     for dp, da, dw in ((h, 0, 0), (0, h, 0), (0, 0, h)):
@@ -123,35 +134,78 @@ def test_analytic_optimum_is_stationary():
 
 def test_analytic_optimum_boundary_case():
     firm = FirmParams(k=2.0, lam=0.5, c=0.5, eta=0.9)
-    opt = analytic_one_period_optimum(firm)
+    opt = stationary_one_period_optimum(firm)
     assert opt.raw_alpha == 0.0
     assert opt.raw_p == 1.0
     assert opt.raw_w0 == 0.5
+    assert opt.contract == ContractParams(1.0, 0.0, 0.5)
 
 
 def test_analytic_optimum_out_of_range_flagged():
+    # the raw values leave the box (p* > 1, alpha* < 0) and are the printed
+    # rules'; the contract sets p = 1 and re-evaluates alpha there
     firm = FirmParams(k=2.0, lam=0.5, c=0.2, eta=0.9)
-    opt = analytic_one_period_optimum(firm)
+    opt = stationary_one_period_optimum(firm)
     assert opt.raw_alpha < 0.0
-    assert "alpha_out_of_range" in opt.flags
+    assert (opt.raw_p, opt.raw_alpha) == pytest.approx((2.1623, -0.3675), abs=1e-4)
+    assert raw_rules(opt) == pytest.approx(printed_rules(2.0, 0.2), abs=1e-12)
+    assert opt.flags == ("p_out_of_range",)
+    assert opt.contract.p == 1.0 and opt.contract.alpha == 0.0
 
 
-def test_analytic_optimum_rejects_bad_scale_or_k():
-    with pytest.raises(ValueError, match="unit wage scale"):
-        analytic_one_period_optimum(FirmParams(k=1.5, lam=0.8, c=0.3, eta=0.9))
-    with pytest.raises(ValueError, match="k = 1"):
-        analytic_one_period_optimum(FirmParams(k=1.0, lam=1.0, c=0.3, eta=0.9))
-    # alpha* = -1 at c = 0, and the p* rule divides by 1 + alpha*
-    with pytest.raises(ValueError, match="singular at c = 0"):
-        analytic_one_period_optimum(FirmParams(k=1.5, lam=1.0 / 1.5, c=0.0, eta=0.9))
+def test_one_period_rules_solve_where_the_unit_scale_rules_raised():
+    # away from unit wage scale the rules solve: the alpha bound binds here
+    opt = stationary_one_period_optimum(FirmParams(k=1.5, lam=0.8, c=0.3, eta=0.9))
+    assert opt.flags == ("alpha_at_upper_bound",)
+    assert (opt.contract.p, opt.contract.alpha, opt.contract.w0) == pytest.approx(
+        (0.375, 1.0, 0.6), abs=1e-12)
+    assert math.isfinite(opt.profit)
+    # k = 1 at unit scale is lam = 1: the worker captures the whole product
+    opt = stationary_one_period_optimum(FirmParams(k=1.0, lam=1.0, c=0.3, eta=0.9))
+    assert opt.flags == ("degenerate_full_share",)
+    assert opt.contract == ContractParams(0.0, 0.0, 0.0)
+    assert raw_rules(opt) == (0.0, 0.0, 0.0)
+    # free monitoring sends p* to +inf and alpha* to -1, as the printed rules do
+    opt = stationary_one_period_optimum(FirmParams(k=1.5, lam=1.0 / 1.5, c=0.0, eta=0.9))
+    assert opt.flags == ("p_out_of_range",)
+    assert opt.contract == ContractParams(1.0, 0.0, 1.5)
+    assert raw_rules(opt) == (-1.0, math.inf, 1.5)
+
+
+# alpha* grows like 1/(k-1) and both forms lose digits to cancellation as k
+# nears 1 (1e-11 apart at k = 1.0001), so k starts at 1.01, where they agree
+# to 5e-14
+@settings(max_examples=200, deadline=None)
+@given(k=st.floats(1.01, 5.0), c_share=st.floats(1e-6, 1.0, exclude_max=True))
+@example(k=1.5, c_share=0.2)  # criterion 7's firm
+@example(k=2.0, c_share=0.1)  # p* > 1, alpha* < 0
+def test_raw_rules_are_the_printed_unit_scale_rules(k, c_share):
+    c = c_share * k
+    opt = stationary_one_period_optimum(FirmParams(k=k, lam=1.0 / k, c=c, eta=0.9))
+    assert raw_rules(opt) == pytest.approx(printed_rules(k, c), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.floats(0.05, 5.0), lam=st.floats(0.01, 1.0), c_share=st.floats(0.0, 1.0))
+@example(k=1.5, lam=0.8, c_share=0.2 / 1.5)
+def test_one_period_profit_is_stationary_at_unflagged_rules(k, lam, c_share):
+    firm = FirmParams(k=k, lam=lam, c=c_share * k, eta=0.9)
+    opt = stationary_one_period_optimum(firm)
+    h = 1e-7
+    cell = (opt.contract.p, opt.contract.alpha, opt.contract.w0)
+    # the differences must stay inside the box, where the profit is smooth
+    assume(not opt.flags and min(*cell, 1.0 - cell[0], 1.0 - cell[1]) > 2 * h)
+    assert raw_rules(opt) == (cell[1], cell[0], cell[2])
+    grads = [d / (2 * h) for d in _profit_differences(*cell, firm, h)]
+    assert max(map(abs, grads)) < 1e-6
 
 
 def test_stationary_rules_reduce_to_unit_scale_rules():
     opt = stationary_one_period_optimum(UNIT_SCALE_FIRM)
-    ref = analytic_one_period_optimum(UNIT_SCALE_FIRM)
-    assert opt.contract.p == pytest.approx(ref.raw_p, abs=1e-12)
-    assert opt.contract.alpha == pytest.approx(ref.raw_alpha, abs=1e-12)
-    assert opt.contract.w0 == pytest.approx(ref.raw_w0, abs=1e-12)
+    alpha, p, w0 = printed_rules(UNIT_SCALE_FIRM.k, UNIT_SCALE_FIRM.c)
+    assert opt.contract.p == pytest.approx(p, abs=1e-12)
+    assert opt.contract.alpha == pytest.approx(alpha, abs=1e-12)
+    assert opt.contract.w0 == pytest.approx(w0, abs=1e-12)
 
 
 def test_stationary_rules_are_stationary_with_scale():
@@ -194,7 +248,7 @@ def test_c_sweep_comparative_statics():
     # around it says otherwise
     k = 1.5
     cs = [0.2, 0.25, 0.3, 0.35, 0.4]
-    opts = [analytic_one_period_optimum(FirmParams(k=k, lam=1 / k, c=c, eta=0.9))
+    opts = [stationary_one_period_optimum(FirmParams(k=k, lam=1 / k, c=c, eta=0.9))
             for c in cs]
     assert all(not o.flags for o in opts)
     ps = [o.raw_p for o in opts]
@@ -237,7 +291,7 @@ def test_grid_search_finds_degenerate_corner_not_saddle():
     # corner contract with near-total wage confiscation
     opt = grid_search_optimum(UNIT_SCALE_FIRM, PREFS, Horizon(1),
                               GridSteps(0.02, 0.02, 0.02), refine_rounds=2)
-    stationary = analytic_one_period_optimum(UNIT_SCALE_FIRM)
+    stationary = stationary_one_period_optimum(UNIT_SCALE_FIRM)
     assert opt.profit > stationary.profit + 0.5
     assert opt.contract.p == 1.0
 
@@ -246,7 +300,7 @@ def test_stationary_grid_search_lands_on_rules_for_second_firm():
     # criterion 7 checks the search at k=1.5, c=0.3; a second interior
     # unit-scale firm shows it is not tuned to that one
     firm = FirmParams(k=2.0, lam=0.5, c=1.2, eta=0.9)
-    rules = analytic_one_period_optimum(firm)
+    rules = stationary_one_period_optimum(firm)
     assert not rules.flags
     assert (rules.raw_p, rules.raw_alpha, rules.raw_w0) == pytest.approx(
         (0.2910, 0.5492, 0.1016), abs=1e-4)
