@@ -95,9 +95,11 @@ def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
 
     The period objective is jointly concave in (e, w), so every V_t is concave,
     g_t decreases and its root is unique. Everything is closed form except
-    that scalar root per period, found by golden.bisect_root. V'_t(w) reads
-    V'_{t+1} only at w and y(w), so one evaluation of g_t visits the chain x,
-    y(x), y(y(x)), ...; memoised per evaluation, it costs O(T^2).
+    that scalar root per period: x*_t is the largest float in [1e-12*S, S]
+    with g_t >= 0, found by golden.bisect_root. At the last period
+    g_T(x) = p/x - b/S, so x*_T is within 2 ulps of min(p*S/b, S). V'_t(w)
+    reads V'_{t+1} only at w and y(w), so one evaluation of g_t visits the
+    chain x, y(x), y(y(x)), ...; memoised per evaluation, it costs O(T^2).
 
     Where no evaluated wage clamps, the roots equal S*(p/b)*phi from
     phi_series_recursive to rounding. Requires p > 0.
@@ -419,8 +421,9 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
 
     Per period, the objective (see _period_objective) is shared by every grid
     wage through x = s*(1+alpha)*e - alpha*w. The fitted evaluated wage W_t
-    comes from bisecting its first-order condition in x, which reads V_{t+1}
-    through the objective's interpolation (_uniform_interpolant), and
+    is the largest float in [max(grid[1], 1e-12), s*(1+alpha)] where its
+    first-order condition in x, which reads V_{t+1} through the objective's
+    interpolation (_uniform_interpolant), is >= 0 (golden.bisect_root), and
     phi_t = W_t * b / (p*(1+alpha)*s). Where the numerical slope of V_{t+1}
     is infinite, the condition takes its sign; a NaN slope (both ends -inf)
     reads as too high a wage. The value table follows the affine

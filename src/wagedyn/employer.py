@@ -212,42 +212,42 @@ def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
     when alpha* exceeds 1 the bound is imposed and the remaining two
     first-order conditions re-solved; a w0* below 0 is set to 0. Each imposed
     bound is flagged. No interior formula is evaluated when c >= k
-    (no_monitoring) or lam = 1 (degenerate_full_share); the raw values then
-    equal the contract.
+    (no_monitoring) or lam = 1 (degenerate_full_share); the contract is then
+    (0, 0, 0), the raw values equal it, and the profit is 0: no effort is
+    bought and nothing is paid (_one_period_profit would price the zero base
+    wage at -inf).
     """
     k, c, lam = firm.k, firm.c, firm.lam
     s = firm.wage_scale
-    if c >= k:
-        # inducing any effort costs more than it yields; shut monitoring down
-        return OptimalContract(ContractParams(0.0, 0.0, 0.0), 0.0, ("no_monitoring",),
+    if c >= k or lam >= 1.0:
+        # c >= k: inducing any effort costs more than it yields, so monitoring
+        # shuts down; lam >= 1: the worker captures the whole marginal
+        # product, so effort is worthless. Neither pays or earns anything.
+        flag = "no_monitoring" if c >= k else "degenerate_full_share"
+        return OptimalContract(ContractParams(0.0, 0.0, 0.0), 0.0, (flag,),
                                raw_alpha=0.0, raw_p=0.0, raw_w0=0.0)
     m = 1.0 - math.sqrt(c / k)
     flags: list[str] = []
-    if lam >= 1.0:
-        # the worker captures the whole marginal product; effort is worthless
-        p, alpha, w0 = 0.0, 0.0, 0.0
-        raw = (alpha, p, w0)
-        flags.append("degenerate_full_share")
-    else:
-        def alpha_at(p: float) -> float:
-            return 1.0 / (1.0 - lam * (1.0 - p)) - 1.0
 
-        p = m * (1.0 - lam) / (lam * (1.0 - m)) if m < 1.0 else math.inf
-        w0 = k * m * m
-        raw = (alpha_at(p), p, w0)
-        if p > 1.0:
+    def alpha_at(p: float) -> float:
+        return 1.0 / (1.0 - lam * (1.0 - p)) - 1.0
+
+    p = m * (1.0 - lam) / (lam * (1.0 - m)) if m < 1.0 else math.inf
+    w0 = k * m * m
+    raw = (alpha_at(p), p, w0)
+    if p > 1.0:
+        flags.append("p_out_of_range")
+        p = 1.0
+    alpha = alpha_at(p)
+    if alpha > 1.0:
+        # alpha bound binds: p from the w0 condition, w0 from the p condition
+        alpha = 1.0
+        p = 1.0 - 0.5 / lam
+        if p < 0.0:
             flags.append("p_out_of_range")
-            p = 1.0
-        alpha = alpha_at(p)
-        if alpha > 1.0:
-            # alpha bound binds: p from the w0 condition, w0 from the p condition
-            alpha = 1.0
-            p = 1.0 - 0.5 / lam
-            if p < 0.0:
-                flags.append("p_out_of_range")
-                p = 0.0
-            w0 = 4.0 * s * p - k + c
-            flags.append("alpha_at_upper_bound")
+            p = 0.0
+        w0 = 4.0 * s * p - k + c
+        flags.append("alpha_at_upper_bound")
     if w0 < 0.0:
         flags.append("w0_out_of_range")
         w0 = 0.0

@@ -1,4 +1,4 @@
-"""Bounded maximization by golden-section search, and root bisection.
+"""Bounded maximization by golden-section search, and scalar root finding.
 
 golden_max_vec is the package's one golden-section search. It runs a whole
 family of one-dimensional problems in lockstep over elementwise brackets
@@ -7,18 +7,30 @@ from the widest bracket and the requested tolerance. Each iteration keeps
 the retained interior point and evaluates one new point per problem. The
 interior optimum is compared against both endpoints, ties resolved toward
 the smaller argument.
+
+bisect_root is the package's one root finder. For g decreasing on [lo, hi]
+it returns the largest float x in [lo, hi] with g(x) >= 0: lo when
+g(lo) < 0, hi when g(hi) >= 0. Brent's zeroin steps (Brent 1973, ch. 4)
+bring the bracket to a few ulps, and halving on the float lattice ends it
+at adjacent floats, in at most _ROOT_MAX_EVALS evaluations of g. It keeps
+the name of the bisection it replaced because the benchmark's tracer wraps
+it by that name.
 """
 from __future__ import annotations
 
 import math
+import struct
 from typing import Callable
 
 import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-_BISECT_TOL = 1e-15
-_BISECT_MAX_ITER = 200
+# hard cap on the evaluations of g in one bisect_root call
+_ROOT_MAX_EVALS = 200
+# halvings that end any bracket on the float lattice: floats have 2**64 bit
+# patterns
+_LATTICE_MAX_EVALS = 64
 
 
 def _n_iter(width: float, tol: float) -> int:
@@ -76,23 +88,95 @@ def golden_max_vec(f: Callable, lo, hi, tol: float = 1e-6):
     return best_x, best_y
 
 
-def bisect_root(g: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of a decreasing function g on [lo, hi] by bisection.
+def _ordinal(x: float) -> int:
+    """x's place on the float lattice: adjacent floats are one apart, and
+    0.0 and -0.0 share 0."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
 
-    Tolerant of kinks; requires g(lo) >= 0 >= g(hi). Stops when the bracket
-    is within _BISECT_TOL of max(1, |mid|), or after _BISECT_MAX_ITER halvings.
+
+def _float_at(n: int) -> float:
+    """The float at lattice place n (the inverse of _ordinal)."""
+    x = struct.unpack("<d", struct.pack("<q", abs(n)))[0]
+    return x if n >= 0 else -x
+
+
+def bisect_root(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """The largest float x in [lo, hi] with g(x) >= 0, for g decreasing on
+    [lo, hi]: lo when g(lo) < 0 or is NaN, hi when g(hi) >= 0 (g(hi) = 0
+    included).
+
+    Otherwise it keeps a bracket with g >= 0 at its low end and g < 0 (or
+    NaN) at its high end, takes Brent's zeroin steps (inverse quadratic,
+    secant, bisection when those stall or leave the bracket) until the
+    bracket is a few ulps wide, then halves it on the float lattice until its
+    ends are adjacent floats, and returns the low end. For a g that is not
+    decreasing it returns some x with g(x) >= 0 > g(nextafter(x, +inf)).
+    Kinks and infinite values of g cost only bisection steps. It evaluates g
+    at most _ROOT_MAX_EVALS times. A reversed bracket (hi < lo, which a
+    coarse oracle grid can pass) takes the same end rules, and otherwise
+    gives a sign change of g between them.
+
+    The name is older than the method; the benchmark's tracer wraps this
+    function by name.
     """
-    glo, ghi = g(lo), g(hi)
-    if glo < 0.0:
+    glo = g(lo)
+    if not glo >= 0.0:
         return lo
-    if ghi > 0.0:
+    ghi = g(hi)
+    if ghi >= 0.0:
         return hi
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_TOL * max(1.0, abs(mid)):
-            return mid
-        if g(mid) >= 0.0:
-            lo = mid
+    # Brent's zeroin: cur is the bracket end with the smaller |g|, blk the
+    # other end, pre the iterate before cur; step and pre_step are the last
+    # two steps taken
+    pre, gpre, cur, gcur = lo, glo, hi, ghi
+    blk, gblk = lo, glo
+    step = pre_step = hi - lo
+    evals = 2
+    while evals < _ROOT_MAX_EVALS - _LATTICE_MAX_EVALS:
+        if abs(gblk) < abs(gcur):
+            pre, cur, blk = cur, blk, cur
+            gpre, gcur, gblk = gcur, gblk, gcur
+        tol = 2.0 * math.ulp(cur)
+        half = 0.5 * blk - 0.5 * cur
+        if abs(half) <= tol:
+            break
+        trial = math.nan
+        if abs(pre_step) > tol and abs(gcur) < abs(gpre) and \
+                math.isfinite(gpre) and math.isfinite(gblk):
+            if pre == blk:  # secant
+                num, den = -gcur * (cur - pre), gcur - gpre
+            else:  # inverse quadratic interpolation
+                d_pre = (gpre - gcur) / (pre - cur)
+                d_blk = (gblk - gcur) / (blk - cur)
+                num = -gcur * (gblk * d_blk - gpre * d_pre)
+                den = d_blk * d_pre * (gblk - gpre)
+            if den != 0.0:
+                trial = num / den
+        # a step is taken only toward blk, and only while steps shrink; a zero
+        # step (g(cur) = 0) becomes the step of tol below
+        shrinks = 2.0 * abs(trial) < min(abs(pre_step), 3.0 * abs(half) - tol)
+        if trial / half >= 0.0 and shrinks:
+            pre_step, step = step, trial
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            pre_step = step = half
+        x = cur + (step if abs(step) > tol else math.copysign(tol, half))
+        if not min(cur, blk) < x < max(cur, blk):
+            break
+        gx = g(x)
+        evals += 1
+        if (gx >= 0.0) != (gcur >= 0.0):
+            blk, gblk = cur, gcur
+            step = pre_step = x - cur
+        pre, gpre, cur, gcur = cur, gcur, x, gx
+    lo, hi = (cur, blk) if gcur >= 0.0 else (blk, cur)
+    # halve the bracket on the float lattice until its ends are adjacent floats
+    n_lo, n_hi = _ordinal(lo), _ordinal(hi)
+    while abs(n_hi - n_lo) > 1:
+        n_mid = (n_lo + n_hi) // 2
+        mid = _float_at(n_mid)
+        if g(mid) >= 0.0:
+            lo, n_lo = mid, n_mid
+        else:
+            n_hi = n_mid
+    return lo

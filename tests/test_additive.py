@@ -296,7 +296,7 @@ def test_profile_shape_matches_classic_pattern(fig32_solution):
 def test_alpha_one_fit_matches_recursion():
     # at alpha = 1 the default grid's top wage s(1+alpha) leaves no evaluated
     # consumption under full effort, so V_{t+1} is -inf in the top cell; the
-    # first-order-condition bisection must read that -inf slope as too high a
+    # first-order-condition root must read that -inf slope as too high a
     # wage instead of answering full effort (phi = 5.0 at every t < T)
     contract = ContractParams(0.2, 1.0, 0.4)
     prefs = WorkerPrefs.additive(delta=0.9)
@@ -455,7 +455,7 @@ def test_oracle_tables_match_reference_objective_fig32(fig32_solution):
        delta=st.floats(0.05, 0.99), b=st.floats(0.5, 2.0), s=st.floats(0.5, 1.5),
        T=st.integers(1, 4), n=st.integers(2, 80), cap=st.floats(0.1, 3.0))
 def test_oracle_tables_match_reference_objective(p, alpha, w0, delta, b, s, T, n, cap):
-    # p >= 1e-3 keeps the fitted phi finite, so evaluated_wage is the bisected
+    # p >= 1e-3 keeps the fitted phi finite, so evaluated_wage is the root
     # one that the value table was built from (a subnormal p replaces it by
     # the recursion's, test_subnormal_p_takes_phi_from_recursion)
     sol = solve_backward_induction(ContractParams(p, alpha, w0),

@@ -215,6 +215,29 @@ def test_employer_optimum_at_free_monitoring_flags_p_out_of_range(tmp_path):
     assert (rules["p"], rules["alpha"], rules["w0"]) == (1.0, 0.0, 1.5)
 
 
+@pytest.mark.parametrize("command", ["employer-optimum", "tech-sweep"])
+def test_full_share_firm_prices_the_zero_contract_at_zero(tmp_path, command):
+    # lam = 1: the worker captures the whole product, the one-period rules
+    # give the contract (0, 0, 0), and it earns and pays nothing
+    from wagedyn.cli import main
+
+    cfg = tmp_path / "full_share.json"
+    cfg.write_text(json.dumps({"firm": {"k": 1.5, "lambda": 1.0, "c": 0.3, "eta": 0.9},
+                               "prefs": MINIMAL["prefs"], "horizon": {"T": 3},
+                               "experiment": {"grid_step": 0.25, "refine_rounds": 0}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    cells = [cell for path in out.glob("*.csv")
+             for row in path.read_text().splitlines() for cell in row.split(",")]
+    assert not [cell for cell in cells if cell.lower() in ("inf", "-inf", "nan")]
+    payloads = {path.name: json.loads(path.read_text(), parse_constant=pytest.fail)
+                for path in out.glob("*.json")}
+    rules = payloads["optimum.json"]["analytic"] if command == "employer-optimum" \
+        else payloads["contracts.json"][0]
+    assert rules["flags"] == ["degenerate_full_share"]
+    assert rules["profit"] == 0.0
+
+
 def test_employer_optimum_runs_at_the_technology_firm(tmp_path):
     # fig4_2's firm has wage scale lam*k = 0.88; the T = 5 search runs after
     # the one-period rules
@@ -368,6 +391,8 @@ def test_additive_profile_emits_the_exact_phi(tmp_path, capsys):
                 / (c.p * (1.0 + c.alpha))
             assert np.max(np.abs(expected - recursion)) > 1e-2
         assert _phi_column(out / "solution.csv") == [repr(float(v)) for v in expected]
+    # fig3_1's last evaluated wage is exactly p*s(1+alpha)/b = 1.4, so phi_5 = 1
+    assert _phi_column(tmp_path / "fig3_1" / "solution.csv")[-1] == "1.0"
 
 
 def test_grid_oracle_runs_only_for_criterion_4(tmp_path, monkeypatch, capsys):

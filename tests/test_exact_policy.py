@@ -23,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import ContractParams, FirmParams, Horizon, WorkerPrefs, phi_series_recursive
 from wagedyn.additive import dead_corner, envelope_evaluated_wages
+from wagedyn.checks import load_scenario
 from wagedyn.distribution import responder
 from wagedyn.employer import worker_policy
 
@@ -148,3 +149,26 @@ def test_envelope_recursion_reduces_to_phi_recursion_when_unclamped(p, alpha, s,
         return
     envelope = envelope_evaluated_wages(contract, prefs, Horizon(T), s)
     np.testing.assert_allclose(envelope, x, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+       alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       s=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0), delta=st.floats(0.5, 0.95),
+       T=st.integers(1, 14))
+@example(p=1.0, alpha=0.4, s=1.0, b=1.0, delta=0.9, T=5)  # fig3_1: x*_5 = 1.4
+def test_last_envelope_root_is_the_rounded_closed_form(p, alpha, s, b, delta, T):
+    # g_T(x) = p/x - b/S has the root p*S/b, clipped to S; the largest float
+    # with g_T >= 0 lies within 2 ulps of its rounding (1 below to 2 above
+    # on 2000 random firms)
+    S = s * (1.0 + alpha)
+    x_T = envelope_evaluated_wages(ContractParams(p, alpha, 0.5),
+                                   WorkerPrefs.additive(delta=delta, b=b), Horizon(T), s)[-1]
+    exact = min(p * S / b, S)
+    assert abs(x_T - exact) <= 2.0 * math.ulp(exact)
+
+
+def test_fig3_1_last_root_is_exact():
+    # p = 1, alpha = 0.4, s = 1, b = 1: x*_5 = p*S/b = 1.4
+    sc = load_scenario("fig3_1")
+    assert envelope_evaluated_wages(sc.contract, sc.prefs, sc.horizon)[-1] == 1.4

@@ -1,5 +1,6 @@
 """golden.golden_max_vec, the package's one golden-section search, against
-the two searches it replaced.
+the two searches it replaced; golden.bisect_root, the package's one root
+finder, against its contract and the bisection it replaced.
 
 old_golden_max is a verbatim copy of the scalar search: one new interior
 point per iteration, the retained one reused. old_golden_max_vec is a verbatim
@@ -9,6 +10,11 @@ bracket, and every bracket of a family of equal widths, must give the scalar
 search's bits; brackets of mixed widths all run the widest one's iteration
 count, and must agree with the old vectorized search within tol where the
 objective resolves that finely.
+
+bisect_reference is a verbatim copy of the bisection that bisect_root
+replaced: it stopped at a 1e-15 bracket and returned the midpoint.
+bisect_root returns the largest float with g >= 0, so on the envelope's
+roots the two agree to a few ulps, not bit for bit.
 """
 import math
 from unittest import mock
@@ -17,8 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wagedyn import ContractParams, WorkerPrefs, additive, checks, statics
-from wagedyn.golden import _INV_PHI, _INV_PHI_SQ, _n_iter, golden_max_vec
+from wagedyn import ContractParams, Horizon, WorkerPrefs, additive, checks, statics
+from wagedyn.golden import (_INV_PHI, _INV_PHI_SQ, _ROOT_MAX_EVALS, _n_iter, _ordinal,
+                            bisect_root, golden_max_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -225,3 +232,181 @@ def test_oracle_table_takes_one_new_point_per_iteration(monkeypatch):
     calls.clear()
     sol.raw_effort
     assert len(calls) <= 380
+
+
+# ---------------------------------------------------------------------------
+# bisect_root: the largest float in [lo, hi] with g >= 0
+
+_BISECT_TOL = 1e-15
+_BISECT_MAX_ITER = 200
+
+
+def bisect_reference(g, lo, hi):
+    glo, ghi = g(lo), g(hi)
+    if glo < 0.0:
+        return lo
+    if ghi > 0.0:
+        return hi
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= _BISECT_TOL * max(1.0, abs(mid)):
+            return mid
+        if g(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def counting(finder, calls):
+    """finder with every evaluation of g appended to calls."""
+    def counted(g, lo, hi):
+        def g_counted(x):
+            calls.append(x)
+            return g(x)
+        return finder(g_counted, lo, hi)
+    return counted
+
+
+def check_root(g, lo, hi, x):
+    """bisect_root's contract: the end rules, else g(x) >= 0 > g(next float),
+    where a NaN counts as g < 0."""
+    if not g(lo) >= 0.0:
+        assert x == lo
+    elif g(hi) >= 0.0:
+        assert x == hi
+    else:
+        assert lo <= x < hi
+        assert g(x) >= 0.0 and not g(math.nextafter(x, math.inf)) >= 0.0
+
+
+# decreasing functions on [-10, 30], built from float arithmetic
+
+
+def linear(c, k):
+    return lambda x: c - k * x
+
+
+def pole(c, d):
+    # the shape of the envelope's g_t, p/x - b/S, with its pole left of -10
+    return lambda x: c / (x + 11.0) - d
+
+
+def cubic(c):
+    return lambda x: c - x * x * x
+
+
+def exponential(c):
+    return lambda x: math.exp(-x) - c
+
+
+def kinked(knots, drops, top):
+    """Piecewise linear through sorted knots, falling by whole drops (zero
+    drops make flat pieces, and the values reach exactly 0), constant outside
+    the knots."""
+    xs = sorted(knots)
+    ys = [float(top - sum(drops[:i])) for i in range(len(xs))]
+    return lambda x: float(np.interp(x, xs, ys))
+
+
+def step(cut):
+    # the sign-valued condition of criterion 4's oracle where its slope is infinite
+    return lambda x: 1.0 if x <= cut else -1.0
+
+
+def cliff(c, cut, beyond):
+    # finite, then -inf or NaN (which counts as g < 0) beyond the cut
+    return lambda x: c - x if x <= cut else beyond
+
+
+def alternating(x):
+    # not decreasing anywhere: the sign flips from each float to the next
+    return 1.0 if _ordinal(x) % 2 == 0 else -1.0
+
+
+levels = st.floats(-20.0, 40.0)
+root_functions = st.one_of(
+    st.builds(linear, levels, st.floats(1e-6, 1e6)),
+    st.builds(pole, st.floats(1e-6, 1e3), st.floats(-10.0, 10.0)),
+    st.builds(cubic, st.floats(-1e4, 3e4)),
+    st.builds(exponential, st.floats(-1.0, 1e5)),
+    st.builds(kinked, st.lists(st.floats(-10.0, 30.0), min_size=2, max_size=8, unique=True),
+              st.lists(st.integers(0, 3), min_size=8, max_size=8), st.integers(-2, 12)),
+    st.builds(step, st.floats(-10.0, 30.0)),
+    st.builds(cliff, levels, st.floats(-10.0, 30.0), st.sampled_from([-math.inf, math.nan])),
+    st.just(alternating))
+
+
+@settings(max_examples=500, deadline=None)
+@given(g=root_functions, lo=st.floats(-10.0, 10.0), width=st.one_of(
+    st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 20.0)))
+@example(g=step(0.5), lo=0.0, width=1.0)
+@example(g=cliff(1.0, 0.5, -math.inf), lo=0.0, width=1.0)
+@example(g=kinked([0.0, 1.0, 2.0, 3.0], [0, 1, 0, 1, 0, 0, 0, 0], 1), lo=-1.0, width=5.0)
+@example(g=alternating, lo=1.0, width=1.0 - 2.0 ** -52)  # hi, below 2, has g < 0
+def test_root_is_the_largest_float_with_g_nonnegative(g, lo, width):
+    hi = lo + width
+    calls = []
+    x = counting(bisect_root, calls)(g, lo, hi)
+    check_root(g, lo, hi, x)
+    assert len(calls) <= _ROOT_MAX_EVALS
+
+
+def test_root_end_rules():
+    assert bisect_root(lambda x: -1.0, 0.0, 1.0) == 0.0
+    assert bisect_root(lambda x: 1.0 - x, 0.0, 1.0) == 1.0   # g(hi) = 0 exactly
+    assert bisect_root(lambda x: 2.0 - x, 0.0, 1.0) == 1.0
+    assert bisect_root(lambda x: 1.0 - x, 0.5, 0.5) == 0.5
+    # the old bisection gave hi only when g(hi) > 0
+    assert bisect_reference(lambda x: 1.0 - x, 0.0, 1.0) < 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+       alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       clamp=st.floats(1.01, 4.0), s=st.floats(0.5, 2.0), delta=st.floats(0.5, 0.95),
+       T=st.integers(1, 14))
+@example(p=1.0, alpha=0.4, clamp=1.4, s=1.0, delta=0.9, T=5)  # fig3_1
+def test_envelope_roots_are_the_largest_floats_with_g_nonnegative(p, alpha, clamp, s,
+                                                                  delta, T):
+    # b = p(1+alpha)/clamp puts period T's effort at the wage x*_T to
+    # clamp > 1: every row clamps and takes the envelope recursion
+    contract = ContractParams(p, alpha, 0.5)
+    prefs = WorkerPrefs.additive(delta=delta, b=p * (1.0 + alpha) / clamp)
+    roots = []
+
+    def checked(g, lo, hi):
+        # g_t reads the loop's t, so it is checked before the loop moves on
+        calls = []
+        x = counting(bisect_root, calls)(g, lo, hi)
+        assert len(calls) <= _ROOT_MAX_EVALS
+        check_root(g, lo, hi, x)
+        roots.append(x)
+        return x
+
+    with mock.patch.object(additive, "bisect_root", checked):
+        x_star = additive.envelope_evaluated_wages(contract, prefs, Horizon(T), s)
+    assert roots == x_star[::-1].tolist()
+
+
+# the ten clamped (p, alpha) rows of the benchmark's additive contract search
+# at seed 77: T = 10, wage scale 1.2, delta = 0.9, b = 1
+SEED_77_ROWS = [(0.75, 0.5), (0.75, 0.75), (0.75, 1.0), (1.0, 0.25), (1.0, 0.5),
+                (1.0, 0.75), (1.0, 1.0), (0.625, 0.625), (0.625, 0.75), (0.625, 0.875)]
+
+
+@pytest.mark.parametrize("p, alpha", SEED_77_ROWS)
+def test_envelope_roots_match_the_old_bisection_in_half_the_evaluations(p, alpha):
+    contract = ContractParams(p, alpha, 0.0)
+    prefs = WorkerPrefs.additive(delta=0.9)
+    x_star, evaluations = {}, {}
+    for finder in (bisect_reference, bisect_root):
+        calls = []
+        with mock.patch.object(additive, "bisect_root", counting(finder, calls)):
+            x_star[finder] = additive.envelope_evaluated_wages(contract, prefs,
+                                                               Horizon(10), 1.2)
+        evaluations[finder] = len(calls)
+    ulps = [abs(_ordinal(float(a)) - _ordinal(float(b)))
+            for a, b in zip(x_star[bisect_root], x_star[bisect_reference])]
+    assert max(ulps) <= 8
+    assert 2 * evaluations[bisect_root] <= evaluations[bisect_reference]

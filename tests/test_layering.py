@@ -234,3 +234,69 @@ def test_only_the_slab_solve_holds_the_cobb_douglas_dp_loop():
     nodes = list(ast.walk(functions["solve_policy"]))
     assert not [node for node in nodes if isinstance(node, (ast.For, ast.While))]
     assert any(isinstance(node, ast.Name) and node.id == "solve_policies" for node in nodes)
+
+
+# ---------------------------------------------------------------------------
+# one root finder
+
+
+def _is_midpoint(node) -> bool:
+    """(a + b) / 2, (a + b) // 2 or 0.5 * (a + b): a bracket's midpoint."""
+    if not isinstance(node, ast.BinOp):
+        return False
+    def is_sum(n):
+        return isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+    def is_const(n, v):
+        return isinstance(n, ast.Constant) and n.value == v
+    if isinstance(node.op, (ast.Div, ast.FloorDiv)):
+        return is_sum(node.left) and is_const(node.right, 2)
+    if isinstance(node.op, ast.Mult):
+        return (is_const(node.left, 0.5) and is_sum(node.right)) or \
+            (is_sum(node.left) and is_const(node.right, 0.5))
+    return False
+
+
+def bracket_halving_loops(path: Path) -> set[str]:
+    """Top-level functions of a source file with a for or while loop that
+    takes a bracket's midpoint."""
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        for loop in ast.walk(top):
+            if isinstance(loop, (ast.For, ast.While)) and \
+                    any(_is_midpoint(node) for node in ast.walk(loop)):
+                found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_golden_holds_the_only_root_finding_loop():
+    halving = {module: bracket_halving_loops(PACKAGE / f"{module}.py")
+               for module in LAYER_OF}
+    assert {module: names for module, names in halving.items() if names} == \
+        {"golden": {"bisect_root"}}
+    # both of additive's roots come from it: the envelope recursion and the
+    # oracle's first-order condition
+    tree = ast.parse((PACKAGE / "additive.py").read_text(encoding="utf-8"))
+    callers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "bisect_root"}
+    assert callers == {"envelope_evaluated_wages", "solve_backward_induction"}
+
+
+def test_halving_reader_sees_the_old_bisection(tmp_path):
+    src = ("def bisect(g, lo, hi):\n"
+           "    for _ in range(200):\n"
+           "        mid = 0.5 * (lo + hi)\n"
+           "        if g(mid) >= 0.0:\n"
+           "            lo = mid\n"
+           "        else:\n"
+           "            hi = mid\n"
+           "    return 0.5 * (lo + hi)\n"
+           "def lattice(a, b):\n"
+           "    while b - a > 1:\n"
+           "        a = (a + b) // 2\n"
+           "def midpoint_once(a, b):\n"
+           "    return (a + b) / 2\n")
+    path = tmp_path / "probe.py"
+    path.write_text(src, encoding="utf-8")
+    assert bracket_halving_loops(path) == {"bisect", "lattice"}
