@@ -421,7 +421,8 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
 
     Per period, the objective (see _period_objective) is shared by every grid
     wage through x = s*(1+alpha)*e - alpha*w. The fitted evaluated wage W_t
-    is the largest float in [max(grid[1], 1e-12), s*(1+alpha)] where its
+    is the largest float in [lo, s*(1+alpha)], lo = max(grid[1], 1e-12)
+    capped at s*(1+alpha) (a coarse grid's grid[1] can exceed it), where its
     first-order condition in x, which reads V_{t+1} through the objective's
     interpolation (_uniform_interpolant), is >= 0 (golden.bisect_root), and
     phi_t = W_t * b / (p*(1+alpha)*s). Where the numerical slope of V_{t+1}
@@ -479,7 +480,7 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
                     return math.copysign(1.0, dV)
                 return p / x + delta * p * dV - b / ((1.0 + alpha) * s)
 
-            x_star = bisect_root(g, max(float(grid[1]), 1e-12), cap)
+            x_star = bisect_root(g, min(max(float(grid[1]), 1e-12), cap), cap)
             e_pol = np.clip((x_star + alpha * grid) / ((1.0 + alpha) * s), 0.0, 1.0)
         else:
             x_star = 0.0

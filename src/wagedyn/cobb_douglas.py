@@ -114,20 +114,18 @@ def solve_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
 
 def solve_policies(contracts, prefs: WorkerPrefs, horizon: Horizon,
                    grid: DpGrid | None = None) -> list[EffortPolicy]:
-    """One EffortPolicy per contract, for contracts that share the evaluation
-    rate p, by one backward induction over (row, effort, wage) arrays:
+    """One EffortPolicy per contract, by one backward induction over (row,
+    effort, wage) arrays:
 
     V_t(w) = max_e (1-e)^gamma * [p*c_eval^beta + (1-p)*w^beta]
              + delta * [p*V_{t+1}(e) + (1-p)*V_{t+1}(w)],
-    c_eval = max(w + alpha*(e - w), 0), terminal continuation 0. Argmax ties
-    break toward the smaller effort. Every operation is elementwise per row,
-    so a row's table and value do not depend on the other rows.
+    c_eval = max(w + alpha*(e - w), 0), terminal continuation 0, with each
+    row's own p and alpha. Argmax ties break toward the smaller effort. Every
+    operation is elementwise per row, so a row's table and value do not
+    depend on the other rows.
     """
     if prefs.family is not UtilityFamily.COBB_DOUGLAS:
         raise ValueError("solve_policy requires the Cobb-Douglas utility family")
-    p = contracts[0].p
-    if any(contract.p != p for contract in contracts):
-        raise ValueError("solve_policies requires contracts that share p")
     grid = grid or DpGrid()
     w = grid.wages
     e = grid.efforts
@@ -135,6 +133,7 @@ def solve_policies(contracts, prefs: WorkerPrefs, horizon: Horizon,
     T = horizon.T
 
     # (row, effort, wage) axes; E and W broadcast over the rows
+    p = np.array([contract.p for contract in contracts])[:, None, None]
     A = np.array([contract.alpha for contract in contracts])[:, None, None]
     W = w[None, :]
     E = e[:, None]

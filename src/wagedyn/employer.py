@@ -7,12 +7,12 @@ compensation: the wage alone under the additive scheme, wage plus nonrecurrent
 bonus under the Cobb-Douglas scheme.
 
 The worker's best response (worker_policy) depends on (p, alpha) alone in
-both families, so a multi-period grid search solves the workers of a p slab
-(all its alpha rows) once and prices them in one recursion pass: a
-Cobb-Douglas slab is one backward induction over its rows
-(cobb_douglas.solve_policies), an additive slab one exact best response per
-row, and slab_profit_values prices the starting wages of all the slab's rows
-at once, over (row, wage) pairs.
+both families, so a multi-period grid search prices whole p slabs (all
+their alpha rows) together, in bounded passes: a pass solves its workers
+once, the Cobb-Douglas rows in one backward induction
+(cobb_douglas.solve_policies), the additive rows one exact best response
+each, and slab_profit_values prices the starting wages of all the pass's
+rows in one recursion, over (row, wage) pairs.
 The additive response is additive.best_response, exact in every regime: the phi
 recursion while no evaluated wage clamps, otherwise the envelope recursion;
 no wage grid is solved.
@@ -74,8 +74,8 @@ def worker_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon
 
 def _row_policies(contracts, prefs: WorkerPrefs, horizon: Horizon, firm: FirmParams,
                   cd_grid: DpGrid) -> list:
-    """worker_policy for each of a p slab's contracts: the Cobb-Douglas rows
-    in one solve_policies pass, the additive rows one by one."""
+    """worker_policy for each of a search pass's contracts: the Cobb-Douglas
+    rows in one solve_policies call, the additive rows one by one."""
     if prefs.family is UtilityFamily.COBB_DOUGLAS:
         return [TableEffortPolicy(policy)
                 for policy in solve_policies(contracts, prefs, horizon, cd_grid)]
@@ -113,33 +113,35 @@ def profit_values(policy: WagePolicy, p: float, firm: FirmParams, horizon: Horiz
     return slab_profit_values([policy], p, firm, horizon, wages)[0]
 
 
-def slab_profit_values(policies, p: float, firm: FirmParams, horizon: Horizon,
+def slab_profit_values(policies, p, firm: FirmParams, horizon: Horizon,
                        wages) -> np.ndarray:
     """Employer value P_1 under each policy (rows) at each starting wage
-    (columns), for policies of one type that share the evaluation rate p, by
-    backward recursion:
+    (columns), for policies of one type, by backward recursion:
 
         P_{T+1} = 0,
         P_t(w) = pi_t(w) + eta*[(1-p)*P_{t+1}(w) + p*P_{t+1}(x_t(w))],
         pi_t(w) = k*e_t(w) - p*(x_t(w) + bonus_t(w)) - (1-p)*w - p*c.
 
-    A forward pass collects the (row, wage) pairs reachable in each period, as
-    exact floats with no merging, and keeps each pair's period profit and
-    successor indices; the backward pass calls the policies no further. The
-    policies answer each period in one call, through the one response their
-    type defines (AffinePolicy.stack, TableEffortPolicy.stack), of which a
-    single policy (profit_values, distribution.responder) is the one-row
-    case. Every operation is elementwise per pair, so a value does not
-    depend on the other rows and wages priced with it.
+    p is each row's evaluation rate (a scalar is every row's). A forward pass
+    collects the (row, wage) pairs reachable in each period, as exact floats
+    with no merging, and keeps each pair's period profit and successor
+    indices; the backward pass calls the policies no further. The policies
+    answer each period in one call, through the one response their type
+    defines (AffinePolicy.stack, TableEffortPolicy.stack), of which a single
+    policy (profit_values, distribution.responder) is the one-row case. Every
+    operation is elementwise per pair, so a value does not depend on the
+    other rows, rates and wages priced with it.
     """
     wages = np.asarray(wages, dtype=float)
     respond = type(policies[0]).stack(policies)
     start = np.unique(wages)
     n = len(policies)
+    rate = np.broadcast_to(np.asarray(p, dtype=float), (n,))
     rows, states = np.repeat(np.arange(n), len(start)), np.tile(start, n)
     periods = []
     for t in range(1, horizon.T + 1):
         e, x, bonus = respond(t, rows, states)
+        p = rate[rows]
         pi = firm.k * e - (p * (x + bonus) + (1.0 - p) * states + p * firm.c)
         # the reached pairs: the kept and the evaluated ones, sorted by (row,
         # wage) and de-duplicated
@@ -150,10 +152,10 @@ def slab_profit_values(policies, p: float, firm: FirmParams, horizon: Horizon,
         new[1:] = (pair_rows[1:] != pair_rows[:-1]) | (pair_wages[1:] != pair_wages[:-1])
         reached = np.empty(len(order), dtype=np.intp)
         reached[order] = np.cumsum(new) - 1
-        periods.append((pi, reached[:len(rows)], reached[len(rows):]))
+        periods.append((pi, p, reached[:len(rows)], reached[len(rows):]))
         rows, states = pair_rows[new], pair_wages[new]
     value = np.zeros(len(states))
-    for pi, keep, move in reversed(periods):
+    for pi, p, keep, move in reversed(periods):
         value = pi + firm.eta * ((1.0 - p) * value[keep] + p * value[move])
     return value.reshape(n, len(start))[:, np.searchsorted(start, wages)]
 
@@ -312,22 +314,22 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return np.round(np.linspace(lo, lo + n * step, n + 1), 12)
 
 
-def _box_search(slab, axes, h, rounds, admit):
+def _box_search(scorer, axes, h, rounds, admit):
     """(score, cell) of the best (p, alpha, w0) cell of a box: the one box
-    search of every employer search. slab(p, a_vals, w_vals) scores a p slab
-    as an (alpha, w0) array; its first argmax, the smallest cell on ties,
-    replaces the best cell only on a strict improvement. The coarse scan runs
-    over axes; each of the `rounds` refinements halves the steps h and scans
-    admit(best[d] + h[d] * arange(-3, 4), d) on each axis d. An empty slab
-    (an empty alpha or w0 axis) is skipped. Returns (-inf, None) when no
-    coarse cell beats -inf.
+    search of every employer search. scorer(p_vals, a_vals, w_vals) yields
+    one (alpha, w0) score array per p slab, in p order; a slab's first
+    argmax, the smallest cell on ties, replaces the best cell only on a
+    strict improvement. The coarse scan runs over axes; each of the `rounds`
+    refinements halves the steps h and scans
+    admit(best[d] + h[d] * arange(-3, 4), d) on each axis d. A scan with an
+    empty alpha or w0 axis is skipped. Returns (-inf, None) when no coarse
+    cell beats -inf.
     """
     def scan(p_vals, a_vals, w_vals):
         best = (-math.inf, None)
         if not (len(a_vals) and len(w_vals)):
             return best
-        for p in p_vals.tolist():
-            values = slab(p, a_vals, w_vals)
+        for p, values in zip(p_vals.tolist(), scorer(p_vals, a_vals, w_vals)):
             i, j = np.unravel_index(int(np.argmax(values)), values.shape)
             if values[i, j] > best[0]:
                 best = (float(values[i, j]), (p, float(a_vals[i]), float(w_vals[j])))
@@ -344,51 +346,86 @@ def _box_search(slab, axes, h, rounds, admit):
     return best
 
 
+def _slab_by_slab(slab):
+    """The scorer that scores each p slab in its own slab(p, a_vals, w_vals)
+    call: the one-period searches' scorer."""
+    return lambda p_vals, a_vals, w_vals: (slab(p, a_vals, w_vals) for p in p_vals.tolist())
+
+
+# starting (row, wage) pairs one pass of a multi-period search prices at most,
+# unless a single p slab holds more. A default-step additive slab (51 alpha
+# rows x 101 to 121 w0 at wage scales 1 to 1.2) stays a pass of its own: three
+# such slabs per pass took a T = 5 search on criterion 7's firm from 34 to
+# 41 MB peak RSS, and were slower.
+_PASS_PAIRS = 2 ** 13
+
+
+def _priced_slabs(p_vals, a_vals, w_vals, firm: FirmParams, prefs: WorkerPrefs,
+                  horizon: Horizon):
+    """The multi-period searches' scorer: yields the expected_profit array of
+    each p slab, in p order, pricing whole p slabs together in passes of at
+    most _PASS_PAIRS starting (row, wage) pairs (at least one slab).
+
+    A pass solves the workers of all its (p, alpha) rows, because neither
+    family's policy reads w0: Cobb-Douglas rows in one solve_policies call,
+    additive rows one best response each (worker_policy). One
+    slab_profit_values recursion then prices every row: additive rows at the
+    scan's w0 axis, Cobb-Douglas rows at the policy's whole wage grid. Each
+    cell is then one expected_profit call, in (p, alpha, w0) order, handed
+    its row. A Cobb-Douglas w0 axis off the policy grid raises ValueError
+    before any solve, with expected_profit's message.
+    """
+    grid = DpGrid()
+    cobb_douglas = prefs.family is UtilityFamily.COBB_DOUGLAS
+    wages = grid.wages if cobb_douglas else w_vals
+    if cobb_douglas:
+        grid_index(wages, w_vals)  # an off-grid w0 raises before any solve
+    a_list, w_list = a_vals.tolist(), w_vals.tolist()
+    per_pass = max(1, _PASS_PAIRS // (len(a_list) * len(wages)))
+    for first in range(0, len(p_vals), per_pass):
+        p_pass = p_vals[first:first + per_pass]
+        # the policies die with the call: an error raised below keeps this
+        # frame, and so the pass's values, alive in its traceback
+        values = slab_profit_values(
+            _row_policies([ContractParams(p, a, w_list[0])
+                           for p in p_pass.tolist() for a in a_list],
+                          prefs, horizon, firm, grid),
+            np.repeat(p_pass, len(a_list)), firm, horizon, wages)
+        for p, slab in zip(p_pass.tolist(), values.reshape(len(p_pass), len(a_list), -1)):
+            yield np.array([[expected_profit(ContractParams(p, a, w), firm, prefs, horizon,
+                                             (wages, row)) for w in w_list]
+                            for a, row in zip(a_list, slab)])
+
+
 def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
                         steps: GridSteps = GridSteps(), refine_rounds: int = 2) -> OptimalContract:
     """Argmax of expected_profit over the contract box by the one box search
     (_box_search), ties broken lexicographically by (p, alpha, w0) ascending;
     optional local refinement halves the steps around the incumbent.
 
-    One-period additive searches score a p slab with the exact closed-form
-    profit. Other searches solve the worker once per p slab, because neither
-    family's policy reads w0: a Cobb-Douglas slab in one solve_policies pass
-    over its alpha rows, an additive slab in one best response per row
-    (worker_policy). One recursion pass then prices the slab
-    (slab_profit_values over the slab's rows): an additive slab at the scan's
-    w0 axis, a Cobb-Douglas slab at the policy's whole wage grid. They then
-    call expected_profit once per cell, in (p, alpha, w0) order, handing it
-    the cell's row. Every w0 a Cobb-Douglas search reaches, refinement
-    included, must lie on the 0.1 policy grid, or expected_profit raises
-    ValueError and so does the search, after the slab holding that cell is
-    solved and priced.
+    One-period additive searches score each p slab with the exact
+    closed-form profit. Other searches price whole p slabs together
+    (_priced_slabs): one worker solve and one slab_profit_values recursion
+    per pass, then one expected_profit call per cell, in (p, alpha, w0)
+    order, handed the cell's priced row. Every w0 a Cobb-Douglas search
+    reaches, refinement included, must lie on the 0.1 policy grid, or the
+    search raises ValueError before it solves the first pass of the scan
+    holding that w0.
 
     Raises ValueError when no cell of the box has a finite profit.
     """
     w0_max = _w0_max(firm, steps)
     if prefs.family is UtilityFamily.ADDITIVE and horizon.T == 1:
-        def slab(p, a_vals, w_vals):
-            return _one_period_profit(p, a_vals[:, None], w_vals, firm, b=prefs.b)
+        scorer = _slab_by_slab(lambda p, a_vals, w_vals: _one_period_profit(
+            p, a_vals[:, None], w_vals, firm, b=prefs.b))
     else:
-        grid = DpGrid()
-        cobb_douglas = prefs.family is UtilityFamily.COBB_DOUGLAS
-
-        def slab(p, a_vals, w_vals):
-            wages = grid.wages if cobb_douglas else w_vals
-            # the policies die with the call: an error raised below keeps this
-            # frame, and so the slab's values, alive in its traceback
-            values = slab_profit_values(
-                _row_policies([ContractParams(p, a, float(w_vals[0]))
-                               for a in a_vals.tolist()], prefs, horizon, firm, grid),
-                p, firm, horizon, wages)
-            return np.array([[expected_profit(ContractParams(p, a, w), firm, prefs, horizon,
-                                              (wages, row)) for w in w_vals.tolist()]
-                             for a, row in zip(a_vals.tolist(), values)])
+        def scorer(p_vals, a_vals, w_vals):
+            return _priced_slabs(p_vals, a_vals, w_vals, firm, prefs, horizon)
 
     hi = (1.0, 1.0, w0_max)
     best_profit, best_cell = _box_search(
-        slab, [_axis(0.0, 1.0, steps.p_step), _axis(0.0, 1.0, steps.alpha_step),
-               _axis(0.0, w0_max, steps.w0_step)],
+        scorer, [_axis(0.0, 1.0, steps.p_step), _axis(0.0, 1.0, steps.alpha_step),
+                 _axis(0.0, w0_max, steps.w0_step)],
         np.array([steps.p_step, steps.alpha_step, steps.w0_step]), refine_rounds,
         lambda vals, d: np.unique(np.clip(vals, 0.0, hi[d])))
     if best_cell is None:
@@ -431,7 +468,7 @@ def stationary_grid_search(firm: FirmParams) -> ContractParams:
         return -(dp ** 2 + da ** 2 + dw ** 2)
 
     axes = [inside(_axis(0.0, hi[d], _STATIONARY_STEP), d) for d in range(3)]
-    _, cell = _box_search(slab, axes, np.full(3, _STATIONARY_STEP),
+    _, cell = _box_search(_slab_by_slab(slab), axes, np.full(3, _STATIONARY_STEP),
                           _STATIONARY_REFINE_ROUNDS, inside)
     if cell is None:
         raise ValueError(

@@ -113,9 +113,8 @@ def bisect_root(g: Callable[[float], float], lo: float, hi: float) -> float:
     ends are adjacent floats, and returns the low end. For a g that is not
     decreasing it returns some x with g(x) >= 0 > g(nextafter(x, +inf)).
     Kinks and infinite values of g cost only bisection steps. It evaluates g
-    at most _ROOT_MAX_EVALS times. A reversed bracket (hi < lo, which a
-    coarse oracle grid can pass) takes the same end rules, and otherwise
-    gives a sign change of g between them.
+    at most _ROOT_MAX_EVALS times. A reversed bracket (hi < lo) takes the
+    same end rules, and otherwise gives a sign change of g between them.
 
     The name is older than the method; the benchmark's tracer wraps this
     function by name.

@@ -466,6 +466,20 @@ def test_oracle_tables_match_reference_objective(p, alpha, w0, delta, b, s, T, n
     assert np.array_equal(sol.raw_effort, raw)
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(1e-3, 1.0), alpha=st.floats(0.0, 1.0), delta=st.floats(0.05, 0.99),
+       b=st.floats(0.5, 2.0), s=st.floats(0.1, 1.5), T=st.integers(1, 4),
+       n=st.integers(2, 6), top=st.floats(0.1, 3.0))
+@example(p=0.5, alpha=0.0, delta=0.9, b=1.0, s=0.5, T=2, n=2, top=3.0)
+def test_oracle_evaluated_wage_within_the_cap(p, alpha, delta, b, s, T, n, top):
+    # a coarse grid can put grid[1] above the largest attainable evaluated
+    # wage s(1+alpha); the fitted evaluated wage must stay at or below it
+    sol = solve_backward_induction(ContractParams(p, alpha, 0.5),
+                                   WorkerPrefs.additive(delta=delta, b=b), Horizon(T),
+                                   wage_grid=np.linspace(0.0, top, n), wage_scale=s)
+    assert np.all(sol.evaluated_wage <= s * (1.0 + alpha))
+
+
 def test_oracle_table_is_built_only_when_read(monkeypatch):
     calls = []
 

@@ -242,8 +242,26 @@ def test_one_row_solve_is_the_reference(policy):
     assert policy.value.tobytes() == ref.value.tobytes()
 
 
-def test_slab_solve_rejects_mixed_p_and_the_wrong_family():
-    with pytest.raises(ValueError, match="share p"):
-        solve_policies([CONTRACT, ContractParams(0.3, 0.1, 0.4)], PREFS, T10)
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 1.0]), unit),
+                               st.one_of(st.sampled_from([0.0, 1.0]), unit)),
+                     min_size=1, max_size=12),
+       step=st.sampled_from([0.1, 0.05]), T=st.integers(1, 6))
+@example(rows=[(0.0, 1.0), (1.0, 1.0), (0.2, 0.1), (0.3, 0.1), (0.2, 0.1)], step=0.1, T=6)
+def test_mixed_p_rows_equal_one_row_solves(rows, step, T):
+    # rows with different p in one backward induction: each row is its own
+    # one-row solve, and the one-row reference loop, to the byte
+    grid = DpGrid(step, step, 1.0)
+    contracts = [ContractParams(p, a, 0.0) for p, a in rows]
+    policies = solve_policies(contracts, PREFS, Horizon(T), grid)
+    for contract, policy in zip(contracts, policies):
+        assert policy.contract is contract
+        for one in (solve_policy(contract, PREFS, Horizon(T), grid),
+                    solve_policy_reference(contract, PREFS, Horizon(T), grid)):
+            assert policy.table.tobytes() == one.table.tobytes()
+            assert policy.value.tobytes() == one.value.tobytes()
+
+
+def test_slab_solve_rejects_the_wrong_family():
     with pytest.raises(ValueError, match="Cobb-Douglas"):
         solve_policies([CONTRACT], WorkerPrefs.additive(delta=0.9), T10)

@@ -683,13 +683,14 @@ def test_cobb_douglas_search_matches_per_cell_scan(profit_calls):
     assert search_calls == profit_calls[0] - search_calls
 
 
-def test_cobb_douglas_search_solves_one_policy_per_row(monkeypatch, profit_calls):
-    # one slab solve per p, holding the slab's 5 alpha rows; no per-row solve
-    slabs = []
+def test_cobb_douglas_search_solves_one_policy_per_pass(monkeypatch, profit_calls):
+    # the 5 x 5 coarse scan (275 starting pairs) is one pass: one solve
+    # holding all 25 rows in (p, alpha) order; no per-row solve
+    passes = []
     original = employer.solve_policies
 
     def counted(contracts, *args, **kwargs):
-        slabs.append([(c.p, c.alpha) for c in contracts])
+        passes.append([(c.p, c.alpha) for c in contracts])
         return original(contracts, *args, **kwargs)
 
     def no_row_solve(*args, **kwargs):
@@ -700,20 +701,76 @@ def test_cobb_douglas_search_solves_one_policy_per_row(monkeypatch, profit_calls
     grid_search_optimum(CD_FIRM, CD_PREFS, Horizon(3),
                         GridSteps(0.25, 0.25, 0.5, w0_max=1.0), refine_rounds=0)
     axis = [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert slabs == [[(p, a) for a in axis] for p in axis]
+    assert passes == [[(p, a) for p in axis for a in axis]]
     assert profit_calls[0] == 5 * 5 * 3
 
 
-def test_off_grid_search_raises_at_the_per_cell_scans_cell(profit_calls):
-    # refinement halves the 0.5 w0 step to 0.25, off the 0.1 policy grid
+def test_off_grid_search_raises_at_the_per_cell_scans_cell(monkeypatch, profit_calls):
+    # refinement halves the 0.5 w0 step to 0.25, off the 0.1 policy grid: the
+    # search raises on the wage the per-cell scan raises on, after every
+    # coarse cell and before any refinement solve
+    solves = []
+    original = employer.solve_policies
+
+    def counted(contracts, *args, **kwargs):
+        solves.append(len(contracts))
+        return original(contracts, *args, **kwargs)
+
+    monkeypatch.setattr(employer, "solve_policies", counted)
     steps, horizon = GridSteps(0.25, 0.25, 0.5, w0_max=1.0), Horizon(3)
-    with pytest.raises(ValueError, match="not on the policy grid"):
+    with pytest.raises(ValueError, match="not on the policy grid") as search_error:
         grid_search_optimum(CD_FIRM, CD_PREFS, horizon, steps, refine_rounds=1)
     search_calls = profit_calls[0]
-    with pytest.raises(ValueError, match="not on the policy grid"):
+    assert solves == [5 * 5]  # the coarse pass alone
+    assert search_calls == 5 * 5 * 3
+    with pytest.raises(ValueError, match="not on the policy grid") as per_cell_error:
         per_cell_search(CD_FIRM, CD_PREFS, horizon, steps, 1)
-    assert search_calls == profit_calls[0] - search_calls
-    assert search_calls > 5 * 5 * 3  # it fails in the refinement, past the coarse grid
+    # the per-cell scan names the grid's step after the same message
+    assert str(per_cell_error.value).startswith(str(search_error.value))
+    assert profit_calls[0] - search_calls > search_calls  # it failed in the refinement
+
+
+def test_off_grid_coarse_axis_raises_before_any_solve(monkeypatch, profit_calls):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the search solved a pass of an off-grid scan")
+
+    monkeypatch.setattr(employer, "solve_policies", no_solve)
+    with pytest.raises(ValueError, match=r"^wage 0.02 is not on the policy grid$"):
+        grid_search_optimum(CD_FIRM, CD_PREFS, Horizon(10))
+    assert profit_calls[0] == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(cobb_douglas=st.booleans(), p_step=st.sampled_from([0.25, 0.5]),
+       alpha_step=st.sampled_from([0.25, 0.5, 1.0]), T=st.integers(2, 4),
+       pass_pairs=st.sampled_from([1, 7, 30, 100]), refine_rounds=st.integers(0, 1))
+@example(cobb_douglas=True, p_step=0.25, alpha_step=0.25, T=3, pass_pairs=100,
+         refine_rounds=1)  # 55 pairs per slab: one slab per pass
+@example(cobb_douglas=False, p_step=0.25, alpha_step=0.5, T=4, pass_pairs=30,
+         refine_rounds=1)
+def test_search_over_several_passes_matches_per_cell_scan(
+        cobb_douglas, p_step, alpha_step, T, pass_pairs, refine_rounds):
+    # a small pass cap splits each scan into passes of one or more whole
+    # slabs; the cells, their order and the optimum stay the per-cell scan's
+    prefs = CD_PREFS if cobb_douglas else PREFS
+    # halving the 0.4 w0 step keeps every Cobb-Douglas refinement cell on the grid
+    steps = GridSteps(p_step, alpha_step, 0.4, w0_max=0.8)
+    cells = []
+    original = employer.expected_profit
+
+    def recorded(contract, *args, **kwargs):
+        cells.append(contract)
+        return original(contract, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(employer, "_PASS_PAIRS", pass_pairs)
+        mp.setattr(employer, "expected_profit", recorded)
+        opt = grid_search_optimum(CD_FIRM, prefs, Horizon(T), steps, refine_rounds)
+        search_cells = list(cells)
+        ref = per_cell_search(CD_FIRM, prefs, Horizon(T), steps, refine_rounds)
+    assert_same_optimum(opt, ref)
+    assert opt.profit.hex() == ref.profit.hex()
+    assert search_cells == cells[len(search_cells):]
 
 
 def test_additive_search_matches_per_cell_scan(monkeypatch, profit_calls):
@@ -792,17 +849,27 @@ def reached_wages(policy, T, wages):
 @given(p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
        alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
        wage_draws=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-       T=st.integers(1, 8), cobb_douglas=st.booleans())
+       T=st.integers(1, 8), cobb_douglas=st.booleans(),
+       rates=st.one_of(st.none(), st.lists(st.one_of(st.just(0.0), st.just(1.0),
+                                                     st.floats(0.0, 1.0)),
+                                           min_size=4, max_size=4)))
 @example(p=0.9, alphas=[0.0, 0.9, 1.0], wage_draws=[0.5], T=5,
-         cobb_douglas=False)  # clamped rows take the envelope recursion
-@example(p=0.0, alphas=[0.0, 1.0], wage_draws=[0.0, 1.0], T=8, cobb_douglas=False)
+         cobb_douglas=False, rates=None)  # clamped rows take the envelope recursion
+@example(p=0.0, alphas=[0.0, 1.0], wage_draws=[0.0, 1.0], T=8, cobb_douglas=False,
+         rates=None)
 @example(p=0.7, alphas=[0.0, 0.4], wage_draws=[0.4583], T=2,
-         cobb_douglas=False)  # row 0's largest reached wage is row 1's smallest
-@example(p=1.0, alphas=[0.5, 1.0], wage_draws=[0.0, 0.3], T=8, cobb_douglas=True)
-def test_slab_rows_equal_one_row_passes(p, alphas, wage_draws, T, cobb_douglas):
+         cobb_douglas=False, rates=None)  # row 0's largest reached wage is row 1's smallest
+@example(p=1.0, alphas=[0.5, 1.0], wage_draws=[0.0, 0.3], T=8, cobb_douglas=True,
+         rates=None)
+@example(p=0.0, alphas=[0.9, 0.9, 1.0], wage_draws=[0.5], T=5, cobb_douglas=False,
+         rates=[0.9, 0.0, 1.0, 0.5])  # rows of one alpha at different p
+@example(p=0.0, alphas=[0.5, 0.5, 1.0, 0.0], wage_draws=[0.0, 0.3], T=8,
+         cobb_douglas=True, rates=[1.0, 0.2, 0.0, 0.7])
+def test_slab_rows_equal_one_row_passes(p, alphas, wage_draws, T, cobb_douglas, rates):
     # a slab prices every row in one recursion over (row, wage) pairs; each
     # row must be its one-row pass to the bit, and the per-row recursion it
-    # replaced, whatever the other rows reach
+    # replaced, whatever the other rows reach and whether the rows share p
+    # (rates None) or each has its own
     horizon = Horizon(T)
     s = CD_FIRM.wage_scale
     if cobb_douglas:
@@ -815,17 +882,19 @@ def test_slab_rows_equal_one_row_passes(p, alphas, wage_draws, T, cobb_douglas):
         corners = [s * (1.0 + a) / a for a in alphas if a >= 0.5]
         wages = np.array([2.0 * s * w for w in wage_draws] + corners
                          + [1.05 * w for w in corners])
-    policies = [worker_policy(ContractParams(p, a, 0.5), prefs, horizon, CD_FIRM)
-                for a in alphas]
-    slab = slab_profit_values(policies, p, CD_FIRM, horizon, wages)
+    row_p = [p] * len(alphas) if rates is None else rates[:len(alphas)]
+    policies = [worker_policy(ContractParams(q, a, 0.5), prefs, horizon, CD_FIRM)
+                for q, a in zip(row_p, alphas)]
+    slab = slab_profit_values(policies, p if rates is None else np.array(row_p), CD_FIRM,
+                              horizon, wages)
     assert slab.shape == (len(alphas), len(wages))
-    for a, policy, row in zip(alphas, policies, slab):
-        one = profit_values(policy, p, CD_FIRM, horizon, wages)
+    for q, a, policy, row in zip(row_p, alphas, policies, slab):
+        one = profit_values(policy, q, CD_FIRM, horizon, wages)
         assert row.tobytes() == one.tobytes()
-        assert row.tobytes() == profit_values_per_row(policy, p, CD_FIRM, horizon,
+        assert row.tobytes() == profit_values_per_row(policy, q, CD_FIRM, horizon,
                                                       wages).tobytes()
         for w, value in zip(wages.tolist(), row.tolist()):
-            enumerated = profit_by_history_enumeration(ContractParams(p, a, w), CD_FIRM,
+            enumerated = profit_by_history_enumeration(ContractParams(q, a, w), CD_FIRM,
                                                        prefs, horizon, policy)
             assert abs(value - enumerated) <= 1e-12
 
