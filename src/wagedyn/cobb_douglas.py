@@ -67,8 +67,9 @@ def grid_index(points: np.ndarray, wages, grid: str = "the policy grid") -> np.n
     wage's nearest point, the lower one on a tie. A wage more than 1e-9 from
     every point raises ValueError naming the first such wage and the grid.
 
-    The one wage-to-index lookup: DpGrid.index and the employer's priced
-    profit rows (employer.expected_profit) both use it.
+    The one wage-to-index lookup: DpGrid.index and the multi-period employer
+    search (employer._priced_slabs, once per Cobb-Douglas scan, to pick the
+    scan's w0 columns of the priced wage grid) both use it.
     """
     w = np.asarray(wages, dtype=float)
     # the midpoints split the line into each point's nearest region

@@ -83,25 +83,22 @@ def _row_policies(contracts, prefs: WorkerPrefs, horizon: Horizon, firm: FirmPar
 
 
 def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPrefs,
-                    horizon: Horizon, row=None) -> float:
+                    horizon: Horizon, value=None) -> float:
     """Discounted expected profit: the employer value P_1(w0) of profit_values
     under the worker's best response.
 
-    row = (wages, values) hands in P_1 priced by profit_values or
-    slab_profit_values at the increasing starting wages `wages` under the
-    policy of the contract's (p, alpha): a Cobb-Douglas policy's whole wage
-    grid, or an additive search's w0 axis. The cell is then values[grid_index(wages, w0)]; a w0
-    off those wages raises ValueError. A Cobb-Douglas w0 must lie on the
-    policy grid (0.1 steps by default) either way. An additive contract with
-    w0 = 0 and p < 1 (the never-evaluated worker consumes nothing) yields
-    -inf, row or not.
+    value hands in P_1(w0) already priced (by profit_values or
+    slab_profit_values) under the policy of the contract's (p, alpha); the
+    call then returns it as a float. Without it, the call solves the worker
+    and prices w0, which for a Cobb-Douglas contract must lie on the default
+    0.1 policy grid. An additive contract with w0 = 0 and p < 1
+    (the never-evaluated worker consumes nothing) yields -inf, value or not.
     """
     if (prefs.family is UtilityFamily.ADDITIVE
             and zero_base_consumption(contract.p, contract.w0)):
         return -math.inf
-    if row is not None:
-        wages, values = row
-        return float(values[grid_index(wages, contract.w0)])
+    if value is not None:
+        return float(value)
     policy = worker_policy(contract, prefs, horizon, firm)
     return float(profit_values(policy, contract.p, firm, horizon, [contract.w0])[0])
 
@@ -361,44 +358,43 @@ _PASS_PAIRS = 2 ** 13
 
 
 def _priced_slabs(p_vals, a_vals, w_vals, firm: FirmParams, prefs: WorkerPrefs,
-                  horizon: Horizon):
+                  horizon: Horizon, grid: DpGrid):
     """The multi-period searches' scorer: yields the expected_profit array of
     each p slab, in p order, pricing whole p slabs together in passes of at
     most _PASS_PAIRS starting (row, wage) pairs (at least one slab).
 
     A pass solves the workers of all its (p, alpha) rows, because neither
-    family's policy reads w0: Cobb-Douglas rows in one solve_policies call,
-    additive rows one best response each (worker_policy). One
+    family's policy reads w0: Cobb-Douglas rows in one solve_policies call on
+    `grid`, additive rows one best response each (worker_policy). One
     slab_profit_values recursion then prices every row: additive rows at the
-    scan's w0 axis, Cobb-Douglas rows at the policy's whole wage grid. Each
+    scan's w0 axis, Cobb-Douglas rows at the policy's whole wage grid, of
+    which one lookup per scan (grid_index) picks the w0 axis's columns. Each
     cell is then one expected_profit call, in (p, alpha, w0) order, handed
-    its row. A Cobb-Douglas w0 axis off the policy grid raises ValueError
-    before any solve, with expected_profit's message.
+    its priced value. A Cobb-Douglas w0 axis off the policy grid raises
+    ValueError before any solve.
     """
-    grid = DpGrid()
     cobb_douglas = prefs.family is UtilityFamily.COBB_DOUGLAS
     wages = grid.wages if cobb_douglas else w_vals
-    if cobb_douglas:
-        grid_index(wages, w_vals)  # an off-grid w0 raises before any solve
+    # an off-grid w0 raises here, before any pass array exists
+    cols = grid_index(wages, w_vals) if cobb_douglas else slice(None)
     a_list, w_list = a_vals.tolist(), w_vals.tolist()
     per_pass = max(1, _PASS_PAIRS // (len(a_list) * len(wages)))
     for first in range(0, len(p_vals), per_pass):
         p_pass = p_vals[first:first + per_pass]
-        # the policies die with the call: an error raised below keeps this
-        # frame, and so the pass's values, alive in its traceback
         values = slab_profit_values(
             _row_policies([ContractParams(p, a, w_list[0])
                            for p in p_pass.tolist() for a in a_list],
                           prefs, horizon, firm, grid),
-            np.repeat(p_pass, len(a_list)), firm, horizon, wages)
+            np.repeat(p_pass, len(a_list)), firm, horizon, wages)[:, cols]
         for p, slab in zip(p_pass.tolist(), values.reshape(len(p_pass), len(a_list), -1)):
-            yield np.array([[expected_profit(ContractParams(p, a, w), firm, prefs, horizon,
-                                             (wages, row)) for w in w_list]
-                            for a, row in zip(a_list, slab)])
+            yield np.array([[expected_profit(ContractParams(p, a, w), firm, prefs, horizon, v)
+                             for w, v in zip(w_list, row)]
+                            for a, row in zip(a_list, slab.tolist())])
 
 
 def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
-                        steps: GridSteps = GridSteps(), refine_rounds: int = 2) -> OptimalContract:
+                        steps: GridSteps = GridSteps(), refine_rounds: int = 2,
+                        cd_grid: DpGrid | None = None) -> OptimalContract:
     """Argmax of expected_profit over the contract box by the one box search
     (_box_search), ties broken lexicographically by (p, alpha, w0) ascending;
     optional local refinement halves the steps around the incumbent.
@@ -407,10 +403,10 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
     closed-form profit. Other searches price whole p slabs together
     (_priced_slabs): one worker solve and one slab_profit_values recursion
     per pass, then one expected_profit call per cell, in (p, alpha, w0)
-    order, handed the cell's priced row. Every w0 a Cobb-Douglas search
-    reaches, refinement included, must lie on the 0.1 policy grid, or the
-    search raises ValueError before it solves the first pass of the scan
-    holding that w0.
+    order, handed the cell's priced value. A Cobb-Douglas worker solves on
+    cd_grid (DpGrid() by default), and every w0 its search reaches,
+    refinement included, must lie on that grid's wages, or the search raises
+    ValueError before it solves the first pass of the scan holding that w0.
 
     Raises ValueError when no cell of the box has a finite profit.
     """
@@ -419,8 +415,10 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
         scorer = _slab_by_slab(lambda p, a_vals, w_vals: _one_period_profit(
             p, a_vals[:, None], w_vals, firm, b=prefs.b))
     else:
+        grid = cd_grid or DpGrid()
+
         def scorer(p_vals, a_vals, w_vals):
-            return _priced_slabs(p_vals, a_vals, w_vals, firm, prefs, horizon)
+            return _priced_slabs(p_vals, a_vals, w_vals, firm, prefs, horizon, grid)
 
     hi = (1.0, 1.0, w0_max)
     best_profit, best_cell = _box_search(

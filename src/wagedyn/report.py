@@ -236,8 +236,8 @@ def run_employer_optimum(scenario: Scenario, outdir: Path) -> None:
     prefs = scenario.prefs
     horizon = scenario.horizon or Horizon(1)
     refine = int(scenario.experiment.get("refine_rounds", 2))
-    grid_opt = grid_search_optimum(firm, prefs, horizon, steps, refine_rounds=refine) \
-        if prefs is not None else None
+    grid_opt = grid_search_optimum(firm, prefs, horizon, steps, refine_rounds=refine,
+                                   cd_grid=scenario.grid) if prefs is not None else None
     # the admissible contract: the raw rule values can be infinite (p* at c = 0)
     payload = {"analytic": {"alpha": rules.contract.alpha, "p": rules.contract.p,
                             "w0": rules.contract.w0, "profit": rules.profit,

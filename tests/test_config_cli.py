@@ -255,6 +255,32 @@ def test_employer_optimum_runs_at_the_technology_firm(tmp_path):
     assert sorted(payload) == ["analytic", "grid_search"]
 
 
+def test_employer_optimum_searches_on_the_scenario_grid(tmp_path):
+    # the 0.05 w0 axis lies on the scenario's 0.05 grid but not on the
+    # default 0.1 one: the Cobb-Douglas search solves on the scenario's grid
+    from wagedyn.cli import main
+    from wagedyn.employer import profit_by_history_enumeration, worker_policy
+    from wagedyn.params import ContractParams
+
+    raw = json.loads((SCENARIOS / "table3_2.json").read_text())
+    config = {"prefs": raw["prefs"], "firm": {"k": 1.0, "lambda": 0.25, "c": 0.1},
+              "horizon": {"T": 3},
+              "grid": {"wage_step": 0.05, "effort_step": 0.05, "wage_max": 1.0},
+              "experiment": {"grid_step": 0.05, "refine_rounds": 0}}
+    cfg = tmp_path / "fine_grid.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["employer-optimum", "--config", str(cfg), "--out", str(out)]) == 0
+    found = json.loads((out / "optimum.json").read_text())["grid_search"]
+    scenario = validate_config(config)
+    contract = ContractParams(found["p"], found["alpha"], found["w0"])
+    policy = worker_policy(contract, scenario.prefs, scenario.horizon, scenario.firm,
+                           cd_grid=scenario.grid)
+    enumerated = profit_by_history_enumeration(contract, scenario.firm, scenario.prefs,
+                                               scenario.horizon, policy)
+    assert abs(found["profit"] - enumerated) <= 1e-12
+
+
 @pytest.mark.parametrize("command, scenario, key, value, expected", [
     ("tech-sweep", "fig4_1", "k_values", 1.2, "a list of numbers"),
     ("tech-shock", "fig4_2", "k_after", [1.2], "a number"),

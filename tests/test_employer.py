@@ -616,9 +616,9 @@ def test_grid_profit_matches_enumeration_and_distribution_loop(p, alpha, w0_step
     grid = DpGrid()
     values = profit_values(policy, p, CD_FIRM, Horizon(T), grid.wages)
     assert values[w0_step] == single
-    if cobb_douglas:
-        assert expected_profit(contract, CD_FIRM, prefs, Horizon(T),
-                               (grid.wages, values)) == single
+    # handed that priced value, the call returns it
+    assert expected_profit(contract, CD_FIRM, prefs, Horizon(T),
+                           value=values[w0_step]) == single
 
 
 def test_grid_profit_rejects_off_grid_w0():
@@ -740,6 +740,31 @@ def test_off_grid_coarse_axis_raises_before_any_solve(monkeypatch, profit_calls)
     assert profit_calls[0] == 0
 
 
+@pytest.mark.parametrize("cobb_douglas", [True, False])
+@pytest.mark.parametrize("steps, refine_rounds", [
+    (GridSteps(0.5, 0.5, 0.4, w0_max=0.8), 0),
+    (GridSteps(0.25, 0.2, 0.2, w0_max=1.0), 0),
+    (GridSteps(0.25, 0.25, 0.4, w0_max=0.8), 1),
+])
+def test_search_looks_the_w0_axis_up_once_per_scan(monkeypatch, profit_calls, cobb_douglas,
+                                                   steps, refine_rounds):
+    # a Cobb-Douglas scan picks its w0 columns with one grid_index call,
+    # whatever its cell count; an additive scan is priced at its w0 axis and
+    # looks nothing up
+    lookups = []
+    original = employer.grid_index
+
+    def counted(points, wages, *args):
+        lookups.append(len(wages))
+        return original(points, wages, *args)
+
+    monkeypatch.setattr(employer, "grid_index", counted)
+    grid_search_optimum(CD_FIRM, CD_PREFS if cobb_douglas else PREFS, Horizon(3), steps,
+                        refine_rounds)
+    assert profit_calls[0] > len(lookups)
+    assert len(lookups) == (1 + refine_rounds if cobb_douglas else 0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(cobb_douglas=st.booleans(), p_step=st.sampled_from([0.25, 0.5]),
        alpha_step=st.sampled_from([0.25, 0.5, 1.0]), T=st.integers(2, 4),
@@ -751,26 +776,40 @@ def test_off_grid_coarse_axis_raises_before_any_solve(monkeypatch, profit_calls)
 def test_search_over_several_passes_matches_per_cell_scan(
         cobb_douglas, p_step, alpha_step, T, pass_pairs, refine_rounds):
     # a small pass cap splits each scan into passes of one or more whole
-    # slabs; the cells, their order and the optimum stay the per-cell scan's
+    # slabs; the cells, their order and the optimum stay the per-cell scan's,
+    # and each cell's handed value prices it to the bit as the standalone
+    # call, which solves and prices the one contract. A Cobb-Douglas value is
+    # P_1 at the policy-grid wage its w0 looks up: a refinement wage such as
+    # 0.6000000000000001 is priced as 0.6
     prefs = CD_PREFS if cobb_douglas else PREFS
     # halving the 0.4 w0 step keeps every Cobb-Douglas refinement cell on the grid
     steps = GridSteps(p_step, alpha_step, 0.4, w0_max=0.8)
-    cells = []
+    cells = []  # (contract, handed value, profit) per call
     original = employer.expected_profit
 
-    def recorded(contract, *args, **kwargs):
-        cells.append(contract)
-        return original(contract, *args, **kwargs)
+    def recorded(contract, firm, prefs, horizon, value=None):
+        profit = original(contract, firm, prefs, horizon, value)
+        cells.append((contract, value, profit))
+        return profit
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(employer, "_PASS_PAIRS", pass_pairs)
         mp.setattr(employer, "expected_profit", recorded)
         opt = grid_search_optimum(CD_FIRM, prefs, Horizon(T), steps, refine_rounds)
-        search_cells = list(cells)
+        search_cells, cells = cells, []
         ref = per_cell_search(CD_FIRM, prefs, Horizon(T), steps, refine_rounds)
     assert_same_optimum(opt, ref)
     assert opt.profit.hex() == ref.profit.hex()
-    assert search_cells == cells[len(search_cells):]
+    assert [c for c, _, _ in search_cells] == [c for c, _, _ in cells]
+    assert all(value is not None for _, value, _ in search_cells)
+    assert all(value is None for _, value, _ in cells)
+    grid = DpGrid()
+    for (contract, _, profit), (_, _, standalone) in zip(search_cells, cells):
+        w0 = float(grid.wages[grid.index(contract.w0)]) if cobb_douglas else contract.w0
+        if w0 != contract.w0:
+            standalone = original(ContractParams(contract.p, contract.alpha, w0), CD_FIRM,
+                                  prefs, Horizon(T))
+        assert profit.hex() == standalone.hex()
 
 
 def test_additive_search_matches_per_cell_scan(monkeypatch, profit_calls):
