@@ -6,7 +6,10 @@ coefficients phi_t come from a recursion derived from the log-linear structure
 of the value function (phi_series_recursive), which holds while the affine
 policy never clamps on reachable states, and otherwise from an envelope
 recursion on the value function's slope (envelope_evaluated_wages), which
-holds in every regime. No wage grid is solved for it.
+holds in every regime. No wage grid is solved for it. best_responses solves
+many contracts at once: one phi recursion and one clamp check over arrays,
+and the envelope recursion for the clamped rows alone; best_response and
+phi_series_recursive are its one-row cases.
 
 A numerical backward induction on a wage grid (solve_backward_induction:
 value iteration with linear interpolation of continuation values) fits phi
@@ -59,25 +62,33 @@ def single_period_variance(contract: ContractParams, b: float = 1.0,
 
 def phi_series_recursive(contract: ContractParams, prefs: WorkerPrefs,
                          horizon: Horizon) -> np.ndarray:
-    """Exact phi_t from the value-function recursion.
+    """Exact phi_t from the value-function recursion: the one-row case of
+    _phi_series, the recursion best_responses runs over all its rows.
 
     V_t(w) = C_t + A_t ln(w) + D_t w propagates exactly under the additive
     family, giving phi_t = S_t / (1 + alpha*delta*p*S_{t+1}) with
     S_t = sum_{j=0}^{T-t} (delta*(1-p))^j and S_{T+1} = 0.
     """
     _require_additive(prefs)
-    p, alpha, delta = contract.p, contract.alpha, prefs.delta
-    T = horizon.T
+    return _phi_series(np.array([contract.p]), np.array([contract.alpha]), prefs.delta,
+                       horizon.T)[0]
+
+
+def _phi_series(p: np.ndarray, alpha: np.ndarray, delta: float, T: int) -> np.ndarray:
+    """phi_series_recursive's phi for rows of (p, alpha) at once, as an (n, T)
+    array; every operation is elementwise per row, so a row's phi does not
+    depend on the other rows. S is kept period by row, so each step of the
+    recursion is one contiguous row."""
     q = delta * (1.0 - p)
-    S = np.zeros(T + 2)
+    S = np.zeros((T + 2, len(p)))
     for t in range(T, 0, -1):
         S[t] = 1.0 + q * S[t + 1]
-    phi = np.array([S[t] / (1.0 + alpha * delta * p * S[t + 1]) for t in range(1, T + 1)])
-    return phi
+    return np.ascontiguousarray((S[1:T + 1] / (1.0 + alpha * delta * p * S[2:])).T)
 
 
 def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
-                             horizon: Horizon, wage_scale: float = 1.0) -> np.ndarray:
+                             horizon: Horizon, wage_scale: float = 1.0,
+                             guesses=None) -> np.ndarray:
     """Exact evaluated wages x*_1..x*_T in every regime, clamped or not, by an
     envelope recursion on the value function's slope.
 
@@ -96,7 +107,11 @@ def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
     The period objective is jointly concave in (e, w), so every V_t is concave,
     g_t decreases and its root is unique. Everything is closed form except
     that scalar root per period: x*_t is the largest float in [1e-12*S, S]
-    with g_t >= 0, found by golden.bisect_root. At the last period
+    with g_t >= 0, found by golden.bisect_root from the half of that bracket
+    which g_t's sign at guesses[t-1] picks; for a decreasing g_t the root
+    does not depend on the guess. The guesses default to the unclamped
+    evaluated wages s(1+alpha)(p/b)phi_t of phi_series_recursive, which
+    best_responses hands in from its array. At the last period
     g_T(x) = p/x - b/S, so x*_T is within 2 ulps of min(p*S/b, S). V'_t(w)
     reads V'_{t+1} only at w and y(w), so one evaluation of g_t visits the
     chain x, y(x), y(y(x)), ...; memoised per evaluation, it costs O(T^2).
@@ -112,25 +127,36 @@ def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
     T = horizon.T
     x_star = [0.0] * (T + 1)  # x_star[t] for t = 1..T, filled backwards
 
+    # the weights of the never-evaluated branch, the interior slope term and
+    # the full-effort branch, computed once
+    keep, interior, full = 1.0 - p, b * alpha / S, p * alpha
+
     def slope(t: int, w: float, memo: dict) -> float:
-        """V'_t(w), memoised by (t, w) within one evaluation of g."""
-        if t > T:
-            return 0.0
+        """V'_t(w) for t <= T, memoised by (t, w) within one evaluation of g;
+        V'_{T+1} = 0 is read as a constant, not called."""
         key = (t, w)
-        if key not in memo:
-            d = (1.0 - p) * (1.0 / w + delta * slope(t + 1, w, memo)) if p < 1.0 else 0.0
+        d = memo.get(key)
+        if d is None:
+            later = t < T
+            d = keep * (1.0 / w + delta * (slope(t + 1, w, memo) if later else 0.0)) \
+                if p < 1.0 else 0.0
             if x_star[t] + alpha * w <= S:
-                d -= b * alpha / S
+                d -= interior
             else:
                 y = S - alpha * w
                 d = -math.inf if y <= 0.0 else \
-                    d - p * alpha * (1.0 / y + delta * slope(t + 1, y, memo))
+                    d - full * (1.0 / y + delta * (slope(t + 1, y, memo) if later else 0.0))
             memo[key] = d
-        return memo[key]
+        return d
 
+    if guesses is None:
+        guesses = (p / b) * (1.0 + alpha) * wage_scale * phi_series_recursive(
+            contract, prefs, horizon)
+    guesses = np.asarray(guesses, dtype=float).tolist()
     for t in range(T, 0, -1):
         x_star[t] = bisect_root(
-            lambda x: p / x + delta * p * slope(t + 1, x, {}) - b / S, 1e-12 * S, S)
+            lambda x: p / x + delta * p * (slope(t + 1, x, {}) if t < T else 0.0) - b / S,
+            1e-12 * S, S, guesses[t - 1])
     return np.array(x_star[1:])
 
 
@@ -228,28 +254,45 @@ def _affine_response(p, alpha, w, phi_t, b, s):
 
 def best_response(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
                   wage_scale: float = 1.0) -> AffinePolicy:
-    """The additive worker's exact best response, which depends on (p, alpha)
-    alone: the first-order condition pins each period's evaluated wage x*_t
-    whatever the previous wage, so w0 is never read.
+    """The additive worker's exact best response: the one-row case of
+    best_responses. It depends on (p, alpha) alone; w0 is never read."""
+    return best_responses([contract], prefs, horizon, wage_scale)[0]
 
-    When no evaluated wage x_j = s(1+alpha)(p/b)phi_j clamps the affine
-    effort in any period, phi is phi_series_recursive's. Otherwise x*_t comes
-    from the envelope recursion (envelope_evaluated_wages) and
-    phi_t = x*_t*b/(p*s(1+alpha)). Either way the policy is exact; no grid
-    is solved.
+
+def best_responses(contracts, prefs: WorkerPrefs, horizon: Horizon,
+                   wage_scale: float = 1.0) -> list[AffinePolicy]:
+    """The additive worker's exact best response to each contract, which
+    depends on (p, alpha) alone: the first-order condition pins each period's
+    evaluated wage x*_t whatever the previous wage, so w0 is never read.
+
+    One array recursion (_phi_series) gives every row's phi, and one clamp
+    check runs on (row, period t, evaluated wage j) arrays: the affine effort
+    (p/b)*phi_t + (alpha/(1+alpha))*x_j/s at each evaluated wage
+    x_j = s(1+alpha)(p/b)phi_j. A row whose efforts all lie in [0, 1] keeps
+    that phi. Only a row where one leaves [0, 1] runs the envelope recursion
+    (envelope_evaluated_wages), its roots seeded at those unclamped x_j, and
+    takes phi_t = x*_t*b/(p*s(1+alpha)). Either way the policy is exact; no
+    grid is solved. Every operation is elementwise per row, so a row's phi
+    is its one-row solve's (best_response) to the bit.
     """
-    p, alpha, b = contract.p, contract.alpha, prefs.b
-    s = wage_scale
-    phi = phi_series_recursive(contract, prefs, horizon)
+    _require_additive(prefs)
+    b, s = prefs.b, wage_scale
+    p = np.array([contract.p for contract in contracts])
+    alpha = np.array([contract.alpha for contract in contracts])
+    phi = _phi_series(p, alpha, prefs.delta, horizon.T)
+    p, alpha = p[:, None], alpha[:, None]
     A = alpha / (1.0 + alpha)
-    # effort in period t at evaluated wage j; an inf or NaN (p/b overflowing)
-    # fails the check silently
+    # effort in period t at evaluated wage j, per row; an inf or NaN (p/b
+    # overflowing) fails the check silently
     with np.errstate(over="ignore", invalid="ignore"):
         wages = (p / b) * (1.0 + alpha) * s * phi
-        effort = (p / b) * phi[:, None] + A * wages[None, :] / s
-    if not ((0.0 <= effort) & (effort <= 1.0)).all():
-        phi = envelope_evaluated_wages(contract, prefs, horizon, s) * b / (p * (1.0 + alpha) * s)
-    return AffinePolicy(contract, b, s, phi)
+        effort = ((p / b) * phi)[:, :, None] + (A * wages / s)[:, None, :]
+    unclamped = ((0.0 <= effort) & (effort <= 1.0)).all(axis=(1, 2))
+    for i in np.flatnonzero(~unclamped).tolist():
+        c = contracts[i]
+        phi[i] = envelope_evaluated_wages(c, prefs, horizon, s, wages[i]) * b / (
+            c.p * (1.0 + c.alpha) * s)
+    return [AffinePolicy(contract, b, s, row) for contract, row in zip(contracts, phi)]
 
 
 def wage_support(policy: AffinePolicy) -> list[tuple[float, int, float]]:

@@ -228,8 +228,10 @@ class TableEffortPolicy:
         """The policy type's one response, for several policies on one grid:
         respond(t, rows, w) returns the effort, the evaluated next wage and the
         bonus at each pair (policies[rows[i]], w[i]) from one grid lookup of w
-        (ValueError off the grid). rows and w broadcast;
-        distribution.responder answers one policy as rows = 0."""
+        (ValueError off the grid). rows and w broadcast: the employer's dense
+        pricing passes rows as a column and the wages as a row, and
+        distribution.responder answers one policy as rows = 0. The evaluated
+        next wage is an effort, exactly a point of state_grid."""
         grid = policies[0].policy.grid
         if any(pol.policy.grid != grid for pol in policies):
             raise ValueError("stacked effort tables must share one grid")
@@ -243,3 +245,11 @@ class TableEffortPolicy:
             return e, e, alpha[rows] * (e - w)
 
         return respond
+
+    @staticmethod
+    def state_grid(policies):
+        """The wages an evaluation can set under these policies: the effort
+        grid, whose points are wage-grid points. The starting wages and these
+        are every state the policies reach, so employer.slab_profit_values
+        prices them as one dense (row, wage) array."""
+        return policies[0].policy.grid.efforts

@@ -36,7 +36,9 @@ _DRAW_PATHS = 1 << 12
 class WagePolicy(Protocol):
     """A worker policy type, answered through the one response it stacks:
     stack(policies) returns respond(t, rows, w), the effort, the evaluated
-    next wage and the bonus in period t at each pair (policies[rows[i]], w[i])."""
+    next wage and the bonus in period t at each pair (policies[rows[i]], w[i]).
+    A type whose evaluated wages lie on a fixed grid also names that grid,
+    state_grid(policies) (TableEffortPolicy), for the employer's pricing."""
 
     @staticmethod
     def stack(policies: Sequence["WagePolicy"]) -> Callable: ...

@@ -10,12 +10,13 @@ The worker's best response (worker_policy) depends on (p, alpha) alone in
 both families, so a multi-period grid search prices whole p slabs (all
 their alpha rows) together, in bounded passes: a pass solves its workers
 once, the Cobb-Douglas rows in one backward induction
-(cobb_douglas.solve_policies), the additive rows one exact best response
-each, and slab_profit_values prices the starting wages of all the pass's
-rows in one recursion, over (row, wage) pairs.
-The additive response is additive.best_response, exact in every regime: the phi
-recursion while no evaluated wage clamps, otherwise the envelope recursion;
-no wage grid is solved.
+(cobb_douglas.solve_policies), the additive rows in one array solve
+(additive.best_responses), and slab_profit_values prices the starting wages
+of all the pass's rows in one recursion, over (row, wage) pairs: the dense
+array of them on the Cobb-Douglas policy grid.
+The additive response is additive.best_response, the one-row case of
+best_responses, exact in every regime: the phi recursion while no evaluated
+wage clamps, otherwise the envelope recursion; no wage grid is solved.
 
 A structural warning, verified numerically and by hand: the one-period rules
 (alpha*, p*, w0*) are the unique interior stationary point of the profit
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .additive import _affine_response, best_response
+from .additive import _affine_response, best_response, best_responses
 from .cobb_douglas import (DpGrid, TableEffortPolicy, grid_index, solve_policies,
                            solve_policy)
 from .distribution import WageDistribution, WagePolicy, profile, propagate, responder
@@ -74,12 +75,12 @@ def worker_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon
 
 def _row_policies(contracts, prefs: WorkerPrefs, horizon: Horizon, firm: FirmParams,
                   cd_grid: DpGrid) -> list:
-    """worker_policy for each of a search pass's contracts: the Cobb-Douglas
-    rows in one solve_policies call, the additive rows one by one."""
+    """worker_policy for each of a search pass's contracts, all in one solve:
+    solve_policies for Cobb-Douglas rows, best_responses for additive rows."""
     if prefs.family is UtilityFamily.COBB_DOUGLAS:
         return [TableEffortPolicy(policy)
                 for policy in solve_policies(contracts, prefs, horizon, cd_grid)]
-    return [worker_policy(contract, prefs, horizon, firm) for contract in contracts]
+    return best_responses(contracts, prefs, horizon, firm.wage_scale)
 
 
 def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPrefs,
@@ -119,27 +120,43 @@ def slab_profit_values(policies, p, firm: FirmParams, horizon: Horizon,
         P_t(w) = pi_t(w) + eta*[(1-p)*P_{t+1}(w) + p*P_{t+1}(x_t(w))],
         pi_t(w) = k*e_t(w) - p*(x_t(w) + bonus_t(w)) - (1-p)*w - p*c.
 
-    p is each row's evaluation rate (a scalar is every row's). A forward pass
-    collects the (row, wage) pairs reachable in each period, as exact floats
-    with no merging, and keeps each pair's period profit and successor
-    indices; the backward pass calls the policies no further. The policies
+    p is each row's evaluation rate (a scalar is every row's). The policies
     answer each period in one call, through the one response their type
     defines (AffinePolicy.stack, TableEffortPolicy.stack), of which a single
-    policy (profit_values, distribution.responder) is the one-row case. Every
+    policy (profit_values, distribution.responder) is the one-row case. A
+    type with a closed state grid (TableEffortPolicy.state_grid: every wage
+    an evaluation can set) is priced over the dense (row, wage) array of the
+    starting wages and that grid, each evaluated pair moving to its x's
+    column. Without one (AffinePolicy), a forward pass collects the (row,
+    wage) pairs reachable in each period, as exact floats with no merging.
+    Either way each period keeps every pair's period profit and successor
+    indices, and one backward pass calls the policies no further. Every
     operation is elementwise per pair, so a value does not depend on the
-    other rows, rates and wages priced with it.
+    other rows, rates and wages priced with it, nor on the pairs priced
+    beside the reachable ones.
     """
     wages = np.asarray(wages, dtype=float)
-    respond = type(policies[0]).stack(policies)
-    start = np.unique(wages)
+    policy_type = type(policies[0])
+    respond = policy_type.stack(policies)
+    state_grid = getattr(policy_type, "state_grid", None)
     n = len(policies)
     rate = np.broadcast_to(np.asarray(p, dtype=float), (n,))
-    rows, states = np.repeat(np.arange(n), len(start)), np.tile(start, n)
+    if state_grid is None:
+        start = np.unique(wages)
+        rows, states = np.repeat(np.arange(n), len(start)), np.tile(start, n)
+    else:
+        # the (row, wage) array, by broadcasting
+        start = np.union1d(wages, state_grid(policies))
+        rows, states = np.arange(n)[:, None], start[None, :]
     periods = []
     for t in range(1, horizon.T + 1):
         e, x, bonus = respond(t, rows, states)
         p = rate[rows]
         pi = firm.k * e - (p * (x + bonus) + (1.0 - p) * states + p * firm.c)
+        if state_grid is not None:
+            # every pair keeps its column; an evaluation moves to x's column
+            periods.append((pi, p, slice(None), (rows, start.searchsorted(x))))
+            continue
         # the reached pairs: the kept and the evaluated ones, sorted by (row,
         # wage) and de-duplicated
         pair_rows, pair_wages = np.concatenate([rows, rows]), np.concatenate([states, x])
@@ -151,7 +168,7 @@ def slab_profit_values(policies, p, firm: FirmParams, horizon: Horizon,
         reached[order] = np.cumsum(new) - 1
         periods.append((pi, p, reached[:len(rows)], reached[len(rows):]))
         rows, states = pair_rows[new], pair_wages[new]
-    value = np.zeros(len(states))
+    value = np.zeros(np.broadcast(rows, states).shape)
     for pi, p, keep, move in reversed(periods):
         value = pi + firm.eta * ((1.0 - p) * value[keep] + p * value[move])
     return value.reshape(n, len(start))[:, np.searchsorted(start, wages)]
@@ -363,15 +380,16 @@ def _priced_slabs(p_vals, a_vals, w_vals, firm: FirmParams, prefs: WorkerPrefs,
     each p slab, in p order, pricing whole p slabs together in passes of at
     most _PASS_PAIRS starting (row, wage) pairs (at least one slab).
 
-    A pass solves the workers of all its (p, alpha) rows, because neither
-    family's policy reads w0: Cobb-Douglas rows in one solve_policies call on
-    `grid`, additive rows one best response each (worker_policy). One
-    slab_profit_values recursion then prices every row: additive rows at the
-    scan's w0 axis, Cobb-Douglas rows at the policy's whole wage grid, of
-    which one lookup per scan (grid_index) picks the w0 axis's columns. Each
-    cell is then one expected_profit call, in (p, alpha, w0) order, handed
-    its priced value. A Cobb-Douglas w0 axis off the policy grid raises
-    ValueError before any solve.
+    A pass solves the workers of all its (p, alpha) rows in one call, because
+    neither family's policy reads w0: Cobb-Douglas rows in solve_policies on
+    `grid`, additive rows in best_responses, which runs the envelope
+    recursion for the clamped rows alone. One slab_profit_values recursion
+    then prices every row: additive rows at the scan's w0 axis by reachable
+    pairs, Cobb-Douglas rows over the dense array of the policy's whole wage
+    grid, of which one lookup per scan (grid_index) picks the w0 axis's
+    columns. Each cell is then one expected_profit call, in (p, alpha, w0)
+    order, handed its priced value. A Cobb-Douglas w0 axis off the policy
+    grid raises ValueError before any solve.
     """
     cobb_douglas = prefs.family is UtilityFamily.COBB_DOUGLAS
     wages = grid.wages if cobb_douglas else w_vals
@@ -397,7 +415,10 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
                         cd_grid: DpGrid | None = None) -> OptimalContract:
     """Argmax of expected_profit over the contract box by the one box search
     (_box_search), ties broken lexicographically by (p, alpha, w0) ascending;
-    optional local refinement halves the steps around the incumbent.
+    optional local refinement halves the steps around the incumbent. Every
+    axis, coarse or refined, is rounded to 12 decimals (_axis), so a
+    refinement reaches 0.6 rather than 0.6000000000000001, and each cell is
+    priced at the w0 it reports.
 
     One-period additive searches score each p slab with the exact
     closed-form profit. Other searches price whole p slabs together
@@ -425,7 +446,7 @@ def grid_search_optimum(firm: FirmParams, prefs: WorkerPrefs, horizon: Horizon,
         scorer, [_axis(0.0, 1.0, steps.p_step), _axis(0.0, 1.0, steps.alpha_step),
                  _axis(0.0, w0_max, steps.w0_step)],
         np.array([steps.p_step, steps.alpha_step, steps.w0_step]), refine_rounds,
-        lambda vals, d: np.unique(np.clip(vals, 0.0, hi[d])))
+        lambda vals, d: np.unique(np.clip(np.round(vals, 12), 0.0, hi[d])))
     if best_cell is None:
         raise ValueError(
             f"no contract in the box p in [0, 1] step {steps.p_step}, alpha in [0, 1] "

@@ -10,11 +10,12 @@ the smaller argument.
 
 bisect_root is the package's one root finder. For g decreasing on [lo, hi]
 it returns the largest float x in [lo, hi] with g(x) >= 0: lo when
-g(lo) < 0, hi when g(hi) >= 0. Brent's zeroin steps (Brent 1973, ch. 4)
-bring the bracket to a few ulps, and halving on the float lattice ends it
-at adjacent floats, in at most _ROOT_MAX_EVALS evaluations of g. It keeps
-the name of the bisection it replaced because the benchmark's tracer wraps
-it by that name.
+g(lo) < 0, hi when g(hi) >= 0. A guess inside the bracket seeds it: the
+sign of g there picks the half the answer lies in. Brent's zeroin steps
+(Brent 1973, ch. 4) bring the bracket to a few ulps, and halving on the
+float lattice ends it at adjacent floats, in at most _ROOT_MAX_EVALS
+evaluations of g. It keeps the name of the bisection it replaced because the
+benchmark's tracer wraps it by that name.
 """
 from __future__ import annotations
 
@@ -101,10 +102,16 @@ def _float_at(n: int) -> float:
     return x if n >= 0 else -x
 
 
-def bisect_root(g: Callable[[float], float], lo: float, hi: float) -> float:
+def bisect_root(g: Callable[[float], float], lo: float, hi: float,
+                guess: float | None = None) -> float:
     """The largest float x in [lo, hi] with g(x) >= 0, for g decreasing on
     [lo, hi]: lo when g(lo) < 0 or is NaN, hi when g(hi) >= 0 (g(hi) = 0
     included).
+
+    A guess strictly inside (lo, hi) is evaluated first and becomes the low
+    end of the bracket where g(guess) >= 0, else its high end; for a
+    decreasing g the answer is the same, and a guess near it saves the
+    evaluations that would narrow the far half.
 
     Otherwise it keeps a bracket with g >= 0 at its low end and g < 0 (or
     NaN) at its high end, takes Brent's zeroin steps (inverse quadratic,
@@ -119,12 +126,21 @@ def bisect_root(g: Callable[[float], float], lo: float, hi: float) -> float:
     The name is older than the method; the benchmark's tracer wraps this
     function by name.
     """
-    glo = g(lo)
-    if not glo >= 0.0:
-        return lo
-    ghi = g(hi)
-    if ghi >= 0.0:
-        return hi
+    glo = ghi = None
+    if guess is not None and lo < guess < hi:
+        gx = g(guess)
+        if gx >= 0.0:
+            lo, glo = guess, gx
+        else:
+            hi, ghi = guess, gx
+    if glo is None:
+        glo = g(lo)
+        if not glo >= 0.0:
+            return lo
+    if ghi is None:
+        ghi = g(hi)
+        if ghi >= 0.0:
+            return hi
     # Brent's zeroin: cur is the bracket end with the smaller |g|, blk the
     # other end, pre the iterate before cur; step and pre_step are the last
     # two steps taken

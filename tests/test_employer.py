@@ -9,7 +9,7 @@ from wagedyn import (ContractParams, FirmParams, GridSteps, Horizon, WageDistrib
                      grid_search_optimum, optimal_effort, phi_series_recursive,
                      profit_by_history_enumeration, stationary_grid_search,
                      stationary_one_period_optimum, tech_shock, tech_sweep)
-from wagedyn.cobb_douglas import DpGrid
+from wagedyn.cobb_douglas import DpGrid, TableEffortPolicy, solve_policies
 from wagedyn.additive import best_response, envelope_evaluated_wages
 from wagedyn.checks import one_period_second_forms
 from wagedyn.distribution import responder
@@ -393,6 +393,12 @@ def test_stationary_search_matches_its_reference(k, lam, c):
     assert outcome(stationary_grid_search, firm) == outcome(stationary_search_reference, firm)
 
 
+def refinement_axis(center, step, top):
+    """A refinement scan's axis: center + step*(-3..3), rounded to 12
+    decimals as the coarse axes are (_axis), clipped to [0, top]."""
+    return np.unique(np.clip(np.round(center + step * np.arange(-3, 4), 12), 0.0, top))
+
+
 def one_period_search_reference(firm, prefs, steps, refine_rounds):
     """Reference one-period additive search: one _one_period_profit row per
     (p, alpha), the first max of each row, and the incumbent replaced only on
@@ -417,9 +423,8 @@ def one_period_search_reference(firm, prefs, steps, refine_rounds):
     for _ in range(refine_rounds):
         h = h / 2.0
         p0, a0, w0 = best_cell
-        profit, cell = scan(np.unique(np.clip(p0 + h[0] * np.arange(-3, 4), 0.0, 1.0)),
-                            np.unique(np.clip(a0 + h[1] * np.arange(-3, 4), 0.0, 1.0)),
-                            np.unique(np.clip(w0 + h[2] * np.arange(-3, 4), 0.0, w0_max)))
+        profit, cell = scan(refinement_axis(p0, h[0], 1.0), refinement_axis(a0, h[1], 1.0),
+                            refinement_axis(w0, h[2], w0_max))
         if profit > best_profit:
             best_profit, best_cell = profit, cell
     flags = tuple(f"{name}_at_bound" for name, val, hi in
@@ -650,9 +655,8 @@ def per_cell_search(firm, prefs, horizon, steps, refine_rounds):
     for _ in range(refine_rounds):
         h = h / 2.0
         p0, a0, w0 = best[1]
-        found = scan(np.unique(np.clip(p0 + h[0] * np.arange(-3, 4), 0.0, 1.0)),
-                     np.unique(np.clip(a0 + h[1] * np.arange(-3, 4), 0.0, 1.0)),
-                     np.unique(np.clip(w0 + h[2] * np.arange(-3, 4), 0.0, w0_max)))
+        found = scan(refinement_axis(p0, h[0], 1.0), refinement_axis(a0, h[1], 1.0),
+                     refinement_axis(w0, h[2], w0_max))
         if found[0] > best[0]:
             best = found
     flags = tuple(f"{name}_at_bound" for name, val, hi in
@@ -765,6 +769,31 @@ def test_search_looks_the_w0_axis_up_once_per_scan(monkeypatch, profit_calls, co
     assert len(lookups) == (1 + refine_rounds if cobb_douglas else 0)
 
 
+def test_search_prices_each_cell_at_the_wage_it_reports():
+    # refinement axes are rounded to 12 decimals as the coarse axes are, so a
+    # refinement from w0 = 0.4 or 0.8 by 0.2 reaches the policy-grid wage 0.6,
+    # not 0.6000000000000001: every cell, the reported optimum included, is
+    # priced at the w0 it names, to the bit of the standalone call
+    cells = []
+    original = employer.expected_profit
+
+    def recorded(contract, firm, prefs, horizon, value=None):
+        profit = original(contract, firm, prefs, horizon, value)
+        cells.append((contract, profit))
+        return profit
+
+    horizon, grid = Horizon(3), DpGrid()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(employer, "expected_profit", recorded)
+        opt = grid_search_optimum(CD_FIRM, CD_PREFS, horizon,
+                                  GridSteps(0.25, 0.25, 0.4, w0_max=0.8), refine_rounds=1)
+    assert 0.6 in {contract.w0 for contract, _ in cells}
+    for contract, profit in cells:
+        assert contract.w0 == grid.wages[grid.index(contract.w0)]
+        assert profit.hex() == original(contract, CD_FIRM, CD_PREFS, horizon).hex()
+    assert opt.profit.hex() == original(opt.contract, CD_FIRM, CD_PREFS, horizon).hex()
+
+
 @settings(max_examples=25, deadline=None)
 @given(cobb_douglas=st.booleans(), p_step=st.sampled_from([0.25, 0.5]),
        alpha_step=st.sampled_from([0.25, 0.5, 1.0]), T=st.integers(2, 4),
@@ -778,9 +807,7 @@ def test_search_over_several_passes_matches_per_cell_scan(
     # a small pass cap splits each scan into passes of one or more whole
     # slabs; the cells, their order and the optimum stay the per-cell scan's,
     # and each cell's handed value prices it to the bit as the standalone
-    # call, which solves and prices the one contract. A Cobb-Douglas value is
-    # P_1 at the policy-grid wage its w0 looks up: a refinement wage such as
-    # 0.6000000000000001 is priced as 0.6
+    # call, which solves and prices the one contract at the w0 it names
     prefs = CD_PREFS if cobb_douglas else PREFS
     # halving the 0.4 w0 step keeps every Cobb-Douglas refinement cell on the grid
     steps = GridSteps(p_step, alpha_step, 0.4, w0_max=0.8)
@@ -803,12 +830,7 @@ def test_search_over_several_passes_matches_per_cell_scan(
     assert [c for c, _, _ in search_cells] == [c for c, _, _ in cells]
     assert all(value is not None for _, value, _ in search_cells)
     assert all(value is None for _, value, _ in cells)
-    grid = DpGrid()
-    for (contract, _, profit), (_, _, standalone) in zip(search_cells, cells):
-        w0 = float(grid.wages[grid.index(contract.w0)]) if cobb_douglas else contract.w0
-        if w0 != contract.w0:
-            standalone = original(ContractParams(contract.p, contract.alpha, w0), CD_FIRM,
-                                  prefs, Horizon(T))
+    for (_, _, profit), (_, _, standalone) in zip(search_cells, cells):
         assert profit.hex() == standalone.hex()
 
 
@@ -834,24 +856,36 @@ def test_additive_search_matches_per_cell_scan(monkeypatch, profit_calls):
 
 
 def test_additive_search_solves_one_exact_policy_per_row(monkeypatch, profit_calls):
-    grid_solves, solves = [0], [0]
+    # the 5 x 5 coarse scan (125 starting pairs) is one pass: one array solve
+    # (best_responses) holding all 25 rows in (p, alpha) order, each row the
+    # exact policy of its one-row solve; no per-row solve and no grid
+    grid_solves, passes = [0], []
 
     def no_grid_solve(*args, **kwargs):
         grid_solves[0] += 1
         raise AssertionError("the employer search solved a grid")
 
-    original = employer.worker_policy
+    def no_row_solve(*args, **kwargs):
+        raise AssertionError("the search solved an additive row on its own")
 
-    def counted(*args, **kwargs):
-        solves[0] += 1
-        return original(*args, **kwargs)
+    original = employer.best_responses
+
+    def counted(contracts, *args, **kwargs):
+        policies = original(contracts, *args, **kwargs)
+        passes.append([(c.p, c.alpha) for c in contracts])
+        for contract, policy in zip(contracts, policies):
+            one = best_response(contract, PREFS, Horizon(10), CD_FIRM.wage_scale)
+            assert policy.phi.tobytes() == one.phi.tobytes()
+        return policies
 
     monkeypatch.setattr(additive, "solve_backward_induction", no_grid_solve)
-    monkeypatch.setattr(employer, "worker_policy", counted)
+    monkeypatch.setattr(employer, "best_responses", counted)
+    monkeypatch.setattr(employer, "worker_policy", no_row_solve)
     grid_search_optimum(CD_FIRM, PREFS, Horizon(10), GridSteps(0.25, 0.25, 0.5),
                         refine_rounds=0)
+    axis = [0.0, 0.25, 0.5, 0.75, 1.0]
     assert grid_solves[0] == 0
-    assert solves[0] == 5 * 5
+    assert passes == [[(p, a) for p in axis for a in axis]]
     assert profit_calls[0] == 5 * 5 * 5  # w0 in 0, 0.5, ..., 2.0
 
 
@@ -884,36 +918,57 @@ def reached_wages(policy, T, wages):
     return len(states)
 
 
-@settings(max_examples=60, deadline=None)
+# policy grids of the dense Cobb-Douglas pricing: effort steps unequal to the
+# wage step, and wage grids reaching past 1
+SLAB_GRIDS = (DpGrid(), DpGrid(0.05, 0.1), DpGrid(0.025, 0.25), DpGrid(0.1, 0.1, 2.0),
+              DpGrid(0.05, 0.2, 1.5), DpGrid(0.1, 0.5, 1.2))
+
+
+@settings(max_examples=80, deadline=None)
 @given(p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
        alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
        wage_draws=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
        T=st.integers(1, 8), cobb_douglas=st.booleans(),
        rates=st.one_of(st.none(), st.lists(st.one_of(st.just(0.0), st.just(1.0),
                                                      st.floats(0.0, 1.0)),
-                                           min_size=4, max_size=4)))
-@example(p=0.9, alphas=[0.0, 0.9, 1.0], wage_draws=[0.5], T=5,
-         cobb_douglas=False, rates=None)  # clamped rows take the envelope recursion
+                                           min_size=4, max_size=4)),
+       grid=st.sampled_from(SLAB_GRIDS), nudged=st.booleans())
+@example(p=0.9, alphas=[0.0, 0.9, 1.0], wage_draws=[0.5], T=5, cobb_douglas=False,
+         rates=None, grid=DpGrid(), nudged=False)  # clamped rows take the envelope recursion
 @example(p=0.0, alphas=[0.0, 1.0], wage_draws=[0.0, 1.0], T=8, cobb_douglas=False,
-         rates=None)
-@example(p=0.7, alphas=[0.0, 0.4], wage_draws=[0.4583], T=2,
-         cobb_douglas=False, rates=None)  # row 0's largest reached wage is row 1's smallest
+         rates=None, grid=DpGrid(), nudged=False)
+@example(p=0.7, alphas=[0.0, 0.4], wage_draws=[0.4583], T=2, cobb_douglas=False,
+         rates=None, grid=DpGrid(), nudged=False)  # row 0's largest reached wage is row 1's smallest
 @example(p=1.0, alphas=[0.5, 1.0], wage_draws=[0.0, 0.3], T=8, cobb_douglas=True,
-         rates=None)
+         rates=None, grid=DpGrid(), nudged=False)
 @example(p=0.0, alphas=[0.9, 0.9, 1.0], wage_draws=[0.5], T=5, cobb_douglas=False,
-         rates=[0.9, 0.0, 1.0, 0.5])  # rows of one alpha at different p
+         rates=[0.9, 0.0, 1.0, 0.5], grid=DpGrid(), nudged=False)  # rows of one alpha at different p
 @example(p=0.0, alphas=[0.5, 0.5, 1.0, 0.0], wage_draws=[0.0, 0.3], T=8,
-         cobb_douglas=True, rates=[1.0, 0.2, 0.0, 0.7])
-def test_slab_rows_equal_one_row_passes(p, alphas, wage_draws, T, cobb_douglas, rates):
-    # a slab prices every row in one recursion over (row, wage) pairs; each
-    # row must be its one-row pass to the bit, and the per-row recursion it
+         cobb_douglas=True, rates=[1.0, 0.2, 0.0, 0.7], grid=DpGrid(), nudged=False)
+@example(p=0.0, alphas=[0.3, 1.0, 0.0], wage_draws=[0.0, 0.55, 1.0], T=6,
+         cobb_douglas=True, rates=[0.6, 1.0, 0.25, 0.0], grid=DpGrid(0.05, 0.2, 1.5),
+         nudged=True)  # dense pricing on a wide grid, a wage one ulp off it
+def test_slab_rows_equal_one_row_passes(p, alphas, wage_draws, T, cobb_douglas, rates, grid,
+                                        nudged):
+    # a slab prices every row in one recursion; each row must be its one-row
+    # pass to the bit, and the per-row recursion over reached wages it
     # replaced, whatever the other rows reach and whether the rows share p
-    # (rates None) or each has its own
+    # (rates None) or each has its own. Cobb-Douglas rows, solved on grid, are
+    # priced over the dense (row, wage) array of the starting wages and the
+    # effort grid; a nudged starting wage lies one ulp above a grid wage, on
+    # the grid within its tolerance, and keeps its own column
     horizon = Horizon(T)
     s = CD_FIRM.wage_scale
+    row_p = [p] * len(alphas) if rates is None else rates[:len(alphas)]
+    contracts = [ContractParams(q, a, 0.5) for q, a in zip(row_p, alphas)]
     if cobb_douglas:
         prefs = CD_PREFS
-        wages = DpGrid().wages[np.round(np.array(wage_draws) * 10).astype(int)]
+        points = grid.wages
+        wages = points[np.round(np.array(wage_draws) * (len(points) - 1)).astype(int)]
+        if nudged:
+            wages = np.append(wages, np.nextafter(wages[0], math.inf))
+        policies = [TableEffortPolicy(policy)
+                    for policy in solve_policies(contracts, prefs, horizon, grid)]
     else:
         prefs = PREFS
         # draws on [0, 2s], and for alpha >= 0.5 the row's dead-corner wage
@@ -921,9 +976,7 @@ def test_slab_rows_equal_one_row_passes(p, alphas, wage_draws, T, cobb_douglas, 
         corners = [s * (1.0 + a) / a for a in alphas if a >= 0.5]
         wages = np.array([2.0 * s * w for w in wage_draws] + corners
                          + [1.05 * w for w in corners])
-    row_p = [p] * len(alphas) if rates is None else rates[:len(alphas)]
-    policies = [worker_policy(ContractParams(q, a, 0.5), prefs, horizon, CD_FIRM)
-                for q, a in zip(row_p, alphas)]
+        policies = [worker_policy(contract, prefs, horizon, CD_FIRM) for contract in contracts]
     slab = slab_profit_values(policies, p if rates is None else np.array(row_p), CD_FIRM,
                               horizon, wages)
     assert slab.shape == (len(alphas), len(wages))

@@ -22,7 +22,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import ContractParams, FirmParams, Horizon, WorkerPrefs, phi_series_recursive
-from wagedyn.additive import dead_corner, envelope_evaluated_wages
+from wagedyn.additive import (best_response, best_responses, dead_corner,
+                              envelope_evaluated_wages)
 from wagedyn.checks import load_scenario
 from wagedyn.distribution import responder
 from wagedyn.employer import worker_policy
@@ -172,3 +173,51 @@ def test_fig3_1_last_root_is_exact():
     # p = 1, alpha = 0.4, s = 1, b = 1: x*_5 = p*S/b = 1.4
     sc = load_scenario("fig3_1")
     assert envelope_evaluated_wages(sc.contract, sc.prefs, sc.horizon)[-1] == 1.4
+
+
+def phi_loop_reference(p, alpha, delta, T):
+    """phi_series_recursive as it was before the array recursion: one scalar
+    row, S_t built by a loop and phi_t by a list."""
+    q = delta * (1.0 - p)
+    S = np.zeros(T + 2)
+    for t in range(T, 0, -1):
+        S[t] = 1.0 + q * S[t + 1]
+    return np.array([S[t] / (1.0 + alpha * delta * p * S[t + 1]) for t in range(1, T + 1)])
+
+
+edge = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(edge, edge), min_size=1, max_size=6),
+       s=st.one_of(st.just(1.0), st.floats(0.3, 2.5)), b=st.sampled_from([0.25, 1.0, 2.0]),
+       delta=st.floats(0.3, 0.99), T=st.integers(1, 12))
+@example(rows=[(0.75, 0.5), (0.2, 0.5), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)],
+         s=1.2, b=1.0, delta=0.9, T=10)  # clamped bench rows among unclamped ones
+@example(rows=[(1.0, 0.4)], s=1.0, b=1.0, delta=0.9, T=5)  # fig3_1, clamped
+def test_array_solve_rows_equal_one_row_solves(rows, s, b, delta, T):
+    # best_responses runs phi and the clamp check for all rows at once, and
+    # the envelope recursion for the clamped ones: each row's phi is its
+    # one-row solve's to the bit, and an unclamped row keeps the phi of the
+    # scalar loop the array recursion replaced
+    prefs = WorkerPrefs.additive(delta=delta, b=b)
+    contracts = [ContractParams(p, alpha, 0.5) for p, alpha in rows]
+    policies = best_responses(contracts, prefs, Horizon(T), s)
+    assert len(policies) == len(contracts)
+    for contract, policy in zip(contracts, policies):
+        one = best_response(contract, prefs, Horizon(T), s)
+        assert policy.contract == contract and policy.wage_scale == s and policy.b == b
+        assert policy.phi.tobytes() == one.phi.tobytes()
+        loop = phi_loop_reference(contract.p, contract.alpha, delta, T)
+        assert phi_series_recursive(contract, prefs, Horizon(T)).tobytes() == loop.tobytes()
+        # the scalar clamp check: some affine effort at an evaluated wage
+        # leaves [0, 1]; only then the envelope recursion's roots
+        p, alpha = contract.p, contract.alpha
+        wages = [(p / b) * (1.0 + alpha) * s * ph for ph in loop]
+        if all(0.0 <= (p / b) * ph + alpha / (1.0 + alpha) * w / s <= 1.0
+               for ph in loop for w in wages):
+            expected = loop
+        else:
+            x = envelope_evaluated_wages(contract, prefs, Horizon(T), s)
+            expected = x * b / (p * (1.0 + alpha) * s)
+        assert policy.phi.tobytes() == expected.tobytes()

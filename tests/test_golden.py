@@ -14,7 +14,9 @@ objective resolves that finely.
 bisect_reference is a verbatim copy of the bisection that bisect_root
 replaced: it stopped at a 1e-15 bracket and returned the midpoint.
 bisect_root returns the largest float with g >= 0, so on the envelope's
-roots the two agree to a few ulps, not bit for bit.
+roots the two agree to a few ulps, not bit for bit. lattice_root finds that
+float by halving the float lattice from the cold bracket alone: the seeded
+envelope roots must equal it.
 """
 import math
 from unittest import mock
@@ -24,8 +26,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import ContractParams, Horizon, WorkerPrefs, additive, checks, statics
-from wagedyn.golden import (_INV_PHI, _INV_PHI_SQ, _ROOT_MAX_EVALS, _n_iter, _ordinal,
-                            bisect_root, golden_max_vec)
+from wagedyn.golden import (_INV_PHI, _INV_PHI_SQ, _ROOT_MAX_EVALS, _float_at, _n_iter,
+                            _ordinal, bisect_root, golden_max_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +243,8 @@ _BISECT_TOL = 1e-15
 _BISECT_MAX_ITER = 200
 
 
-def bisect_reference(g, lo, hi):
+def bisect_reference(g, lo, hi, guess=None):
+    # the old bisection took no guess: it always starts from [lo, hi]
     glo, ghi = g(lo), g(hi)
     if glo < 0.0:
         return lo
@@ -260,11 +263,11 @@ def bisect_reference(g, lo, hi):
 
 def counting(finder, calls):
     """finder with every evaluation of g appended to calls."""
-    def counted(g, lo, hi):
+    def counted(g, lo, hi, guess=None):
         def g_counted(x):
             calls.append(x)
             return g(x)
-        return finder(g_counted, lo, hi)
+        return finder(g_counted, lo, hi, guess)
     return counted
 
 
@@ -352,6 +355,24 @@ def test_root_is_the_largest_float_with_g_nonnegative(g, lo, width):
     assert len(calls) <= _ROOT_MAX_EVALS
 
 
+@settings(max_examples=300, deadline=None)
+@given(g=root_functions.filter(lambda g: g is not alternating), lo=st.floats(-10.0, 10.0),
+       width=st.floats(0.0, 20.0), at=st.floats(-0.5, 1.5))
+@example(g=step(0.5), lo=0.0, width=1.0, at=0.5)  # the guess is the root
+@example(g=linear(1.0, 1.0), lo=0.0, width=1.0, at=0.99)  # g(hi) = 0: hi
+@example(g=cliff(1.0, 0.5, math.nan), lo=0.0, width=1.0, at=0.75)  # NaN at the guess
+def test_guess_leaves_a_decreasing_roots_answer_unchanged(g, lo, width, at):
+    # a guess inside the bracket (or outside it, where it is ignored) changes
+    # the evaluations, not the largest float with g >= 0
+    hi = lo + width
+    guess = lo + at * width
+    calls = []
+    x = counting(bisect_root, calls)(g, lo, hi, guess)
+    assert x == bisect_root(g, lo, hi)
+    check_root(g, lo, hi, x)
+    assert len(calls) <= _ROOT_MAX_EVALS
+
+
 def test_root_end_rules():
     assert bisect_root(lambda x: -1.0, 0.0, 1.0) == 0.0
     assert bisect_root(lambda x: 1.0 - x, 0.0, 1.0) == 1.0   # g(hi) = 0 exactly
@@ -375,10 +396,10 @@ def test_envelope_roots_are_the_largest_floats_with_g_nonnegative(p, alpha, clam
     prefs = WorkerPrefs.additive(delta=delta, b=p * (1.0 + alpha) / clamp)
     roots = []
 
-    def checked(g, lo, hi):
+    def checked(g, lo, hi, guess=None):
         # g_t reads the loop's t, so it is checked before the loop moves on
         calls = []
-        x = counting(bisect_root, calls)(g, lo, hi)
+        x = counting(bisect_root, calls)(g, lo, hi, guess)
         assert len(calls) <= _ROOT_MAX_EVALS
         check_root(g, lo, hi, x)
         roots.append(x)
@@ -410,3 +431,53 @@ def test_envelope_roots_match_the_old_bisection_in_half_the_evaluations(p, alpha
             for a, b in zip(x_star[bisect_root], x_star[bisect_reference])]
     assert max(ulps) <= 8
     assert 2 * evaluations[bisect_root] <= evaluations[bisect_reference]
+
+
+def lattice_root(g, lo, hi):
+    """The largest float in [lo, hi] with g >= 0 for a decreasing g, by the
+    end rules and then halving the float lattice between lo and hi: the cold
+    bracket, no guess and no interpolation."""
+    if not g(lo) >= 0.0:
+        return lo
+    if g(hi) >= 0.0:
+        return hi
+    n_lo, n_hi = _ordinal(lo), _ordinal(hi)
+    while n_hi - n_lo > 1:
+        n_mid = (n_lo + n_hi) // 2
+        if g(_float_at(n_mid)) >= 0.0:
+            n_lo = n_mid
+        else:
+            n_hi = n_mid
+    return _float_at(n_lo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+       alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       clamp=st.floats(1.01, 4.0), s=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+       delta=st.floats(0.5, 0.95), T=st.integers(1, 14))
+@example(p=1.0, alpha=0.4, clamp=1.4, s=1.0, delta=0.9, T=5)  # fig3_1
+@example(p=0.75, alpha=0.75, clamp=1.05, s=1.2, delta=0.9, T=10)
+def test_seeded_envelope_roots_equal_the_cold_bracket_roots(p, alpha, clamp, s, delta, T):
+    # b = p(1+alpha)/clamp clamps every row, so best_response runs the
+    # envelope recursion with each root's bracket seeded at the unclamped
+    # evaluated wage of the array recursion
+    contract = ContractParams(p, alpha, 0.5)
+    prefs = WorkerPrefs.additive(delta=delta, b=p * (1.0 + alpha) / clamp)
+    roots = []
+
+    def seeded(g, lo, hi, guess=None):
+        # g_t reads the loop's t, so it is checked before the loop moves on
+        assert guess is not None
+        x = bisect_root(g, lo, hi, guess)
+        assert x == lattice_root(g, lo, hi)
+        if lo < x < hi:
+            assert g(x) >= 0.0 > g(math.nextafter(x, math.inf))
+        roots.append(x)
+        return x
+
+    with mock.patch.object(additive, "bisect_root", seeded):
+        policy = additive.best_response(contract, prefs, Horizon(T), s)
+    assert len(roots) == T
+    x_star = np.array(roots[::-1])
+    assert policy.phi.tobytes() == (x_star * prefs.b / (p * (1.0 + alpha) * s)).tobytes()

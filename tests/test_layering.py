@@ -236,6 +236,82 @@ def test_only_the_slab_solve_holds_the_cobb_douglas_dp_loop():
     assert any(isinstance(node, ast.Name) and node.id == "solve_policies" for node in nodes)
 
 
+def _functions(module: str) -> dict:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+
+def _one_row_case(fn, solver: str) -> bool:
+    """fn holds no loop or comprehension of its own and calls solver."""
+    nodes = list(ast.walk(fn))
+    loops = [node for node in nodes
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    return not loops and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                             and node.func.id == solver for node in nodes)
+
+
+# ---------------------------------------------------------------------------
+# one additive solve over rows
+
+
+def test_the_additive_one_row_solves_call_the_array_solve():
+    functions = _functions("additive")
+    assert _one_row_case(functions["best_response"], "best_responses")
+    assert _one_row_case(functions["phi_series_recursive"], "_phi_series")
+    # the array solve runs the one phi recursion for all its rows
+    assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_phi_series"
+               for node in ast.walk(functions["best_responses"]))
+
+
+def test_one_row_case_reader_sees_loops_and_calls(tmp_path):
+    src = ("def solve(rows):\n    return rows\n"
+           "def one(row):\n    return solve([row])[0]\n"
+           "def looped(row):\n    return [solve([r]) for r in row]\n"
+           "def other(row):\n    return row\n")
+    tree = ast.parse(src)
+    functions = {top.name: top for top in tree.body}
+    assert _one_row_case(functions["one"], "solve")
+    assert not _one_row_case(functions["looped"], "solve")
+    assert not _one_row_case(functions["other"], "solve")
+
+
+# ---------------------------------------------------------------------------
+# one employer profit recursion
+
+
+def _backward_loops(fn) -> list:
+    """The loops of fn that run backwards: over reversed(...) or a range with
+    a negative step."""
+    def backward(it):
+        if not isinstance(it, ast.Call) or not isinstance(it.func, ast.Name):
+            return False
+        if it.func.id == "reversed":
+            return True
+        step = it.args[2] if it.func.id == "range" and len(it.args) == 3 else None
+        return isinstance(step, ast.UnaryOp) and isinstance(step.op, ast.USub)
+    return [node for node in ast.walk(fn)
+            if isinstance(node, (ast.For, ast.comprehension)) and backward(node.iter)]
+
+
+def test_employer_keeps_one_backward_profit_loop():
+    functions = _functions("employer")
+    backward = {name: len(_backward_loops(fn)) for name, fn in functions.items()
+                if _backward_loops(fn)}
+    assert backward == {"slab_profit_values": 1}
+    # the one-row pricing is its one-row case
+    assert _one_row_case(functions["profit_values"], "slab_profit_values")
+
+
+def test_backward_loop_reader_sees_reversed_and_negative_ranges():
+    src = ("def f(periods, T):\n"
+           "    for a in reversed(periods):\n        pass\n"
+           "    for t in range(T, 0, -1):\n        pass\n"
+           "    for t in range(1, T + 1):\n        pass\n"
+           "    return [t for t in range(T, 0, -2)]\n")
+    assert len(_backward_loops(ast.parse(src).body[0])) == 3
+
+
 # ---------------------------------------------------------------------------
 # one root finder
 
