@@ -70,25 +70,26 @@ def phi_series_recursive(contract: ContractParams, prefs: WorkerPrefs,
     S_t = sum_{j=0}^{T-t} (delta*(1-p))^j and S_{T+1} = 0.
     """
     _require_additive(prefs)
-    return _phi_series(np.array([contract.p]), np.array([contract.alpha]), prefs.delta,
-                       horizon.T)[0]
+    return _phi_series(contract.p, contract.alpha, prefs.delta, horizon.T)
 
 
-def _phi_series(p: np.ndarray, alpha: np.ndarray, delta: float, T: int) -> np.ndarray:
-    """phi_series_recursive's phi for rows of (p, alpha) at once, as an (n, T)
-    array; every operation is elementwise per row, so a row's phi does not
-    depend on the other rows. S is kept period by row, so each step of the
-    recursion is one contiguous row."""
+def _phi_series(p, alpha, delta: float, T: int) -> np.ndarray:
+    """phi_series_recursive's phi_1..phi_T, period first: of shape (T,) for
+    one row's floats p and alpha, (T, n) for arrays of n rows. Every
+    operation is elementwise per row, so a row's phi does not depend on the
+    other rows, and one row runs on floats, not on 1-element arrays."""
     q = delta * (1.0 - p)
-    S = np.zeros((T + 2, len(p)))
-    for t in range(T, 0, -1):
-        S[t] = 1.0 + q * S[t + 1]
-    return np.ascontiguousarray((S[1:T + 1] / (1.0 + alpha * delta * p * S[2:])).T)
+    s = 0.0 * q  # S_{T+1} = 0, shaped like q
+    S = [s]
+    for _ in range(T):
+        s = 1.0 + q * s
+        S.append(s)
+    S = np.array(S[::-1])  # S_1..S_{T+1}
+    return S[:-1] / (1.0 + alpha * delta * p * S[1:])
 
 
 def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
-                             horizon: Horizon, wage_scale: float = 1.0,
-                             guesses=None) -> np.ndarray:
+                             horizon: Horizon, wage_scale: float = 1.0) -> np.ndarray:
     """Exact evaluated wages x*_1..x*_T in every regime, clamped or not, by an
     envelope recursion on the value function's slope.
 
@@ -108,10 +109,9 @@ def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
     g_t decreases and its root is unique. Everything is closed form except
     that scalar root per period: x*_t is the largest float in [1e-12*S, S]
     with g_t >= 0, found by golden.bisect_root from the half of that bracket
-    which g_t's sign at guesses[t-1] picks; for a decreasing g_t the root
-    does not depend on the guess. The guesses default to the unclamped
-    evaluated wages s(1+alpha)(p/b)phi_t of phi_series_recursive, which
-    best_responses hands in from its array. At the last period
+    which g_t's sign at the unclamped evaluated wage s(1+alpha)(p/b)phi_t
+    (phi_series_recursive) picks; for a decreasing g_t the root does not
+    depend on that guess. At the last period
     g_T(x) = p/x - b/S, so x*_T is within 2 ulps of min(p*S/b, S). V'_t(w)
     reads V'_{t+1} only at w and y(w), so one evaluation of g_t visits the
     chain x, y(x), y(y(x)), ...; memoised per evaluation, it costs O(T^2).
@@ -149,10 +149,8 @@ def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
             memo[key] = d
         return d
 
-    if guesses is None:
-        guesses = (p / b) * (1.0 + alpha) * wage_scale * phi_series_recursive(
-            contract, prefs, horizon)
-    guesses = np.asarray(guesses, dtype=float).tolist()
+    guesses = ((p / b) * (1.0 + alpha) * wage_scale * phi_series_recursive(
+        contract, prefs, horizon)).tolist()
     for t in range(T, 0, -1):
         x_star[t] = bisect_root(
             lambda x: p / x + delta * p * (slope(t + 1, x, {}) if t < T else 0.0) - b / S,
@@ -255,8 +253,12 @@ def _affine_response(p, alpha, w, phi_t, b, s):
 def best_response(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
                   wage_scale: float = 1.0) -> AffinePolicy:
     """The additive worker's exact best response: the one-row case of
-    best_responses. It depends on (p, alpha) alone; w0 is never read."""
-    return best_responses([contract], prefs, horizon, wage_scale)[0]
+    best_responses, whose solve (_exact_phi) it runs on the contract's floats.
+    It depends on (p, alpha) alone; w0 is never read."""
+    _require_additive(prefs)
+    return AffinePolicy(contract, prefs.b, wage_scale,
+                        _exact_phi([contract], contract.p, contract.alpha, prefs, horizon,
+                                   wage_scale))
 
 
 def best_responses(contracts, prefs: WorkerPrefs, horizon: Horizon,
@@ -264,35 +266,46 @@ def best_responses(contracts, prefs: WorkerPrefs, horizon: Horizon,
     """The additive worker's exact best response to each contract, which
     depends on (p, alpha) alone: the first-order condition pins each period's
     evaluated wage x*_t whatever the previous wage, so w0 is never read.
+    All rows are solved at once (_exact_phi), each to the bit of its one-row
+    solve (best_response)."""
+    _require_additive(prefs)
+    p = np.array([contract.p for contract in contracts])
+    alpha = np.array([contract.alpha for contract in contracts])
+    phi = _exact_phi(contracts, p, alpha, prefs, horizon, wage_scale)
+    return [AffinePolicy(contract, prefs.b, wage_scale, row)
+            for contract, row in zip(contracts, phi)]
 
-    One array recursion (_phi_series) gives every row's phi, and one clamp
-    check runs on (row, period t, evaluated wage j) arrays: the affine effort
+
+def _exact_phi(contracts, p, alpha, prefs: WorkerPrefs, horizon: Horizon,
+               s: float) -> np.ndarray:
+    """The exact phi of the contracts, whose p and alpha are floats (one
+    contract; phi of shape (T,)) or arrays (phi of shape (n, T)).
+
+    One phi recursion (_phi_series) gives every row's phi, and one clamp
+    check runs on (period t, evaluated wage j, row) arrays: the affine effort
     (p/b)*phi_t + (alpha/(1+alpha))*x_j/s at each evaluated wage
     x_j = s(1+alpha)(p/b)phi_j. A row whose efforts all lie in [0, 1] keeps
     that phi. Only a row where one leaves [0, 1] runs the envelope recursion
-    (envelope_evaluated_wages), its roots seeded at those unclamped x_j, and
-    takes phi_t = x*_t*b/(p*s(1+alpha)). Either way the policy is exact; no
-    grid is solved. Every operation is elementwise per row, so a row's phi
-    is its one-row solve's (best_response) to the bit.
+    (envelope_evaluated_wages) and takes phi_t = x*_t*b/(p*s(1+alpha)).
+    Either way the policy is exact; no grid is solved. Every operation is
+    elementwise per row.
     """
-    _require_additive(prefs)
-    b, s = prefs.b, wage_scale
-    p = np.array([contract.p for contract in contracts])
-    alpha = np.array([contract.alpha for contract in contracts])
-    phi = _phi_series(p, alpha, prefs.delta, horizon.T)
-    p, alpha = p[:, None], alpha[:, None]
+    b, T = prefs.b, horizon.T
+    phi = _phi_series(p, alpha, prefs.delta, T)
     A = alpha / (1.0 + alpha)
     # effort in period t at evaluated wage j, per row; an inf or NaN (p/b
     # overflowing) fails the check silently
     with np.errstate(over="ignore", invalid="ignore"):
         wages = (p / b) * (1.0 + alpha) * s * phi
-        effort = ((p / b) * phi)[:, :, None] + (A * wages / s)[:, None, :]
-    unclamped = ((0.0 <= effort) & (effort <= 1.0)).all(axis=(1, 2))
-    for i in np.flatnonzero(~unclamped).tolist():
-        c = contracts[i]
-        phi[i] = envelope_evaluated_wages(c, prefs, horizon, s, wages[i]) * b / (
-            c.p * (1.0 + c.alpha) * s)
-    return [AffinePolicy(contract, b, s, row) for contract, row in zip(contracts, phi)]
+        effort = ((p / b) * phi)[:, None] + (A * wages / s)[None, :]
+    unclamped = ((0.0 <= effort) & (effort <= 1.0)).all(axis=(0, 1))
+    columns = phi.reshape(T, -1)  # a view: one column per row
+    for i, ok in enumerate(unclamped.reshape(-1).tolist()):
+        if not ok:
+            c = contracts[i]
+            columns[:, i] = envelope_evaluated_wages(c, prefs, horizon, s) * b / (
+                c.p * (1.0 + c.alpha) * s)
+    return np.ascontiguousarray(phi.T)
 
 
 def wage_support(policy: AffinePolicy) -> list[tuple[float, int, float]]:

@@ -127,8 +127,10 @@ def slab_profit_values(policies, p, firm: FirmParams, horizon: Horizon,
     type with a closed state grid (TableEffortPolicy.state_grid: every wage
     an evaluation can set) is priced over the dense (row, wage) array of the
     starting wages and that grid, each evaluated pair moving to its x's
-    column. Without one (AffinePolicy), a forward pass collects the (row,
-    wage) pairs reachable in each period, as exact floats with no merging.
+    column; an x that is not exactly a point of that array (a hand-built
+    table off the effort grid) raises ValueError. Without one (AffinePolicy),
+    a forward pass collects the (row, wage) pairs reachable in each period,
+    as exact floats with no merging.
     Either way each period keeps every pair's period profit and successor
     indices, and one backward pass calls the policies no further. Every
     operation is elementwise per pair, so a value does not depend on the
@@ -154,8 +156,14 @@ def slab_profit_values(policies, p, firm: FirmParams, horizon: Horizon,
         p = rate[rows]
         pi = firm.k * e - (p * (x + bonus) + (1.0 - p) * states + p * firm.c)
         if state_grid is not None:
-            # every pair keeps its column; an evaluation moves to x's column
-            periods.append((pi, p, slice(None), (rows, start.searchsorted(x))))
+            # every pair keeps its column; an evaluation moves to x's column,
+            # which must hold x itself
+            move = start.searchsorted(x)
+            off = start.take(move, mode="clip") != x
+            if off.any():
+                raise ValueError(f"evaluated wage {float(x[off][0])!r} is not a point "
+                                 "of the policies' state grid")
+            periods.append((pi, p, slice(None), (rows, move)))
             continue
         # the reached pairs: the kept and the evaluated ones, sorted by (row,
         # wage) and de-duplicated

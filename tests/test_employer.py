@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -989,6 +990,24 @@ def test_slab_rows_equal_one_row_passes(p, alphas, wage_draws, T, cobb_douglas, 
             enumerated = profit_by_history_enumeration(ContractParams(q, a, w), CD_FIRM,
                                                        prefs, horizon, policy)
             assert abs(value - enumerated) <= 1e-12
+
+
+@pytest.mark.parametrize("direction", [math.inf, -math.inf])
+def test_dense_pricing_refuses_an_effort_off_the_state_grid(direction):
+    # dense pricing moves an evaluated pair to the column of its effort; a
+    # hand-built table whose effort lies one ulp off a grid effort has no such
+    # column, and the pricing refuses it rather than read a neighbour's value
+    grid = DpGrid()
+    policy = solve_policies([ContractParams(0.5, 0.5, 0.5)], CD_PREFS, Horizon(3), grid)[0]
+    table = np.array(policy.table)
+    table[0, :] = np.nextafter(0.3, direction)
+    off = TableEffortPolicy(replace(policy, table=table))
+    with pytest.raises(ValueError, match="not a point of the policies' state grid"):
+        profit_values(off, 0.5, CD_FIRM, Horizon(3), [0.5])
+    # on the grid efforts the same table prices
+    table[0, :] = 0.3
+    profit_values(TableEffortPolicy(replace(policy, table=table)), 0.5, CD_FIRM,
+                  Horizon(3), [0.5])
 
 
 def test_slab_with_unequal_reach_matches_per_cell_scan(profit_calls):

@@ -221,9 +221,26 @@ def test_both_searches_call_the_box_search(monkeypatch):
 # one Cobb-Douglas backward induction
 
 
+def _functions(module: str) -> dict:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+
+def _calls(fn, name: str) -> bool:
+    """fn calls the function name."""
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == name for node in ast.walk(fn))
+
+
+def _one_row_case(fn, solver: str) -> bool:
+    """fn holds no loop or comprehension of its own and calls solver."""
+    loops = [node for node in ast.walk(fn)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    return not loops and _calls(fn, solver)
+
+
 def test_only_the_slab_solve_holds_the_cobb_douglas_dp_loop():
-    tree = ast.parse((PACKAGE / "cobb_douglas.py").read_text(encoding="utf-8"))
-    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    functions = _functions("cobb_douglas")
     # the DP: a loop whose body takes an argmax over efforts
     dp_loops = {name for name, fn in functions.items() for loop in ast.walk(fn)
                 if isinstance(loop, (ast.For, ast.While))
@@ -231,23 +248,7 @@ def test_only_the_slab_solve_holds_the_cobb_douglas_dp_loop():
                         for node in ast.walk(loop))}
     assert dp_loops == {"solve_policies"}
     # solve_policy is its one-row case, with no loop of its own
-    nodes = list(ast.walk(functions["solve_policy"]))
-    assert not [node for node in nodes if isinstance(node, (ast.For, ast.While))]
-    assert any(isinstance(node, ast.Name) and node.id == "solve_policies" for node in nodes)
-
-
-def _functions(module: str) -> dict:
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    return {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
-
-
-def _one_row_case(fn, solver: str) -> bool:
-    """fn holds no loop or comprehension of its own and calls solver."""
-    nodes = list(ast.walk(fn))
-    loops = [node for node in nodes
-             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
-    return not loops and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                             and node.func.id == solver for node in nodes)
+    assert _one_row_case(functions["solve_policy"], "solve_policies")
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +257,12 @@ def _one_row_case(fn, solver: str) -> bool:
 
 def test_the_additive_one_row_solves_call_the_array_solve():
     functions = _functions("additive")
-    assert _one_row_case(functions["best_response"], "best_responses")
+    # best_response runs the solve of best_responses on one contract's floats
+    assert _one_row_case(functions["best_response"], "_exact_phi")
     assert _one_row_case(functions["phi_series_recursive"], "_phi_series")
-    # the array solve runs the one phi recursion for all its rows
-    assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-               and node.func.id == "_phi_series"
-               for node in ast.walk(functions["best_responses"]))
+    # the solve runs the one phi recursion for all its rows
+    assert _calls(functions["best_responses"], "_exact_phi")
+    assert _calls(functions["_exact_phi"], "_phi_series")
 
 
 def test_one_row_case_reader_sees_loops_and_calls(tmp_path):
