@@ -11,7 +11,7 @@ from .additive import (AdditiveSolution, AffineEffortPolicy, AffinePolicy,
 from .cobb_douglas import (DpGrid, EffortPolicy, TableEffortPolicy,
                            always_sampled_path, policy_monotonicity_report,
                            solve_policy)
-from .distribution import (Histogram, ProfileSeries, WageDistribution, bracketize,
+from .distribution import (ProfileSeries, WageDistribution, bracketize,
                            enumerate_histories, profile, propagate, simulate)
 from .employer import (GridSteps, OptimalContract, expected_profit,
                        grid_search_optimum, profit_by_history_enumeration,

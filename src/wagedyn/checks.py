@@ -475,6 +475,9 @@ def check_determinism(runners: Mapping[str, Callable], workdir: Path | None = No
             d2 = base / f"{scenario_name}-run2"
             runners[command](sc, d1)
             runners[command](sc, d2)
+            if sorted(f.name for f in d1.iterdir()) != sorted(f.name for f in d2.iterdir()):
+                identical = False
+                detail = f"file sets differ in {scenario_name}"
             for f1 in sorted(d1.iterdir()):
                 n_files += 1
                 f2 = d2 / f1.name

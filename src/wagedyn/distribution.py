@@ -327,43 +327,24 @@ def profile(distributions: Sequence[WageDistribution]) -> ProfileSeries:
     return ProfileSeries(means, variances, ratio)
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Half-open brackets (low, high]; a wage of exactly 0 keeps its own
-    degenerate [0, 0] bracket."""
-
-    lows: np.ndarray
-    highs: np.ndarray
-    masses: np.ndarray
-
-    def labels(self) -> list[str]:
-        out = []
-        for lo, hi in zip(self.lows, self.highs):
-            out.append("0" if hi == lo else f"{lo:g}-{hi:g}")
-        return out
-
-
-def bracketize(dist: WageDistribution, bracket_width: float) -> Histogram:
+def bracketize(dist: WageDistribution, bracket_width: float) -> dict[str, float]:
+    """Mass per bracket, {label: mass} in bracket order: a wage of exactly 0
+    keeps its own degenerate bracket "0", first; the rest fall in half-open
+    brackets (low, high], labelled "low-high" with %g."""
     if bracket_width <= 0.0:
         raise ValueError("bracket_width must be positive")
     cells: dict[int, float] = {}
     zero_mass = 0.0
-    for w, m in zip(dist.support, dist.probs):
+    for w, m in zip(dist.support.tolist(), dist.probs.tolist()):
         if w <= 0.0:
             zero_mass += m
             continue
         idx = int(math.ceil(round(w / bracket_width, 9))) - 1
         cells[idx] = cells.get(idx, 0.0) + m
-    lows, highs, masses = [], [], []
-    if zero_mass > 0.0:
-        lows.append(0.0)
-        highs.append(0.0)
-        masses.append(zero_mass)
+    out = {"0": zero_mass} if zero_mass > 0.0 else {}
     for idx in sorted(cells):
-        lows.append(idx * bracket_width)
-        highs.append((idx + 1) * bracket_width)
-        masses.append(cells[idx])
-    return Histogram(np.array(lows), np.array(highs), np.array(masses))
+        out[f"{idx * bracket_width:g}-{(idx + 1) * bracket_width:g}"] = cells[idx]
+    return out
 
 
 def cd_bracket_columns(dists: list[WageDistribution], w0: float,
@@ -371,11 +352,5 @@ def cd_bracket_columns(dists: list[WageDistribution], w0: float,
     """Published-layout columns: column t is the distribution entering period t
     (the point mass at the starting wage w0 first, then the first T-1
     propagated rounds), bracketed at the given width."""
-    out = []
-    for d in [WageDistribution.point_mass(w0)] + list(dists[:-1]):
-        hist = bracketize(d, width)
-        col: dict[str, float] = {}
-        for label, mass in zip(hist.labels(), hist.masses):
-            col[label] = col.get(label, 0.0) + float(mass)
-        out.append(col)
-    return out
+    return [bracketize(d, width)
+            for d in [WageDistribution.point_mass(w0)] + list(dists[:-1])]

@@ -39,8 +39,8 @@ def affine_effort(p, alpha, w, phi=1.0, b=1.0, s=1.0):
     """The additive worker's best response e_t(w) = (p/b)*phi_t + alpha/(1+alpha)*w/s,
     clamped to [0, 1]; phi_t = 1 in the one-period case.
 
-    Vectorised over every argument. It has no p = 0 case, so it stays smooth
-    in p there (statics differences across p = 0); the policy of a worker who
+    Vectorised over every argument. It has no p = 0 case, so it stays affine
+    in p there (the statics' slopes hold at p = 0); the policy of a worker who
     is never evaluated returns zero effort itself (additive.AffinePolicy).
     """
     return np.clip((p / b) * phi + alpha / (1.0 + alpha) * w / s, 0.0, 1.0)

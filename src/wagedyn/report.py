@@ -51,11 +51,15 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 
 
 def write_json(path: Path, obj: Any) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
+    """Write obj as sorted, indented JSON; numpy values and tuples become
+    JSON values and arrays, and NaN becomes null."""
+    path.write_text(json.dumps(_jsonify(obj), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _jsonify(value: Any) -> Any:
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         f = float(value)
         return None if math.isnan(f) else f
@@ -120,12 +124,12 @@ def run_additive_profile(scenario: Scenario, outdir: Path) -> None:
     write_csv(outdir / "distribution.csv", ["period", "wage", "probability"],
               [[t + 1, w, pr] for t, d in enumerate(dists)
                for w, pr in zip(d.support, d.probs)])
-    write_json(outdir / "solution.json", _jsonify({
+    write_json(outdir / "solution.json", {
         "phi": policy.phi, "evaluated_wage": policy.evaluated_wages,
         "support": [{"wage": w, "last_evaluated_period": t, "probability": p}
                     for (w, t, p) in support],
         "profile": {"mean": prof.mean, "variance": prof.variance,
-                    "std_over_mean": prof.std_over_mean}}))
+                    "std_over_mean": prof.std_over_mean}})
     write_line_chart(outdir / "profile.svg", range(1, horizon.T + 1),
                      {"expectancy": prof.mean.tolist(),
                       "variance": prof.variance.tolist()},
@@ -170,10 +174,10 @@ def run_cd_policy(scenario: Scenario, outdir: Path) -> None:
     write_csv(outdir / "value.csv", header,
               [[w] + policy.value[:, i].tolist()
                for i, w in enumerate(policy.grid.wages)])
-    write_json(outdir / "monotonicity.json", _jsonify({
+    write_json(outdir / "monotonicity.json", {
         "decreasing_in_wage": mono.decreasing_in_wage,
         "decreasing_over_periods": mono.decreasing_over_periods,
-        "checked_rows": mono.checked_rows}))
+        "checked_rows": mono.checked_rows})
 
 
 def run_cd_path(scenario: Scenario, outdir: Path) -> None:
@@ -185,9 +189,9 @@ def run_cd_path(scenario: Scenario, outdir: Path) -> None:
               ["period", "effort", "wage", "bonus", "total_compensation"],
               [[t + 1, path.efforts[t], path.wages[t], path.bonuses[t],
                 path.totals[t]] for t in range(horizon.T)])
-    write_json(outdir / "path.json", _jsonify({
+    write_json(outdir / "path.json", {
         "effort": path.efforts, "wage": path.wages, "bonus": path.bonuses,
-        "total_compensation": path.totals}))
+        "total_compensation": path.totals})
 
 
 def run_cd_distribution(scenario: Scenario, outdir: Path) -> None:
@@ -215,12 +219,12 @@ def run_cd_distribution(scenario: Scenario, outdir: Path) -> None:
                   ["period", "mean", "variance", "std_over_mean"],
                   [[t + 1, prof.mean[t], prof.variance[t], prof.std_over_mean[t]]
                    for t in range(T)])
-        write_json(outdir / f"distribution{suffix}.json", _jsonify({
+        write_json(outdir / f"distribution{suffix}.json", {
             "periods": [{"period": t + 1, "wages": d.support,
                          "probabilities": d.probs}
                         for t, d in enumerate(dists)],
             "profile": {"mean": prof.mean, "variance": prof.variance},
-            "bracket_columns": cols}))
+            "bracket_columns": cols})
         write_line_chart(outdir / f"profile{suffix}.svg", range(1, T + 1),
                          {"expectancy": prof.mean.tolist(),
                           "variance": prof.variance.tolist()},
@@ -248,7 +252,7 @@ def run_employer_optimum(scenario: Scenario, outdir: Path) -> None:
                                   "w0": grid_opt.contract.w0,
                                   "profit": grid_opt.profit,
                                   "flags": list(grid_opt.flags)}
-    write_json(outdir / "optimum.json", _jsonify(payload))
+    write_json(outdir / "optimum.json", payload)
 
 
 def run_tech_sweep(scenario: Scenario, outdir: Path) -> None:
@@ -266,10 +270,10 @@ def run_tech_sweep(scenario: Scenario, outdir: Path) -> None:
               [[r.k, r.contract.p, r.contract.alpha, r.contract.w0, r.profit,
                 r.effort, r.wage_mean, r.wage_variance, r.std_over_mean,
                 "|".join(r.flags)] for r in rows])
-    write_json(outdir / "contracts.json", _jsonify([
+    write_json(outdir / "contracts.json", [
         {"k": r.k, "p": r.contract.p, "alpha": r.contract.alpha,
          "w0": r.contract.w0, "profit": r.profit, "flags": list(r.flags)}
-        for r in rows]))
+        for r in rows])
     write_line_chart(outdir / "sweep.svg", k_values,
                      {"expectancy": [r.wage_mean for r in rows],
                       "variance": [r.wage_variance for r in rows],
@@ -297,13 +301,13 @@ def run_tech_shock(scenario: Scenario, outdir: Path) -> None:
                 report.profile_after.mean[t], report.profile_after.variance[t],
                 report.profile_after.employment_cost[t],
                 report.turnover[t]] for t in range(horizon.T)])
-    write_json(outdir / "contracts.json", _jsonify({
+    write_json(outdir / "contracts.json", {
         "before": {"k": k_before, "p": report.contract_before.p,
                    "alpha": report.contract_before.alpha,
                    "w0": report.contract_before.w0},
         "after": {"k": k_after, "p": report.contract_after.p,
                   "alpha": report.contract_after.alpha,
-                  "w0": report.contract_after.w0}}))
+                  "w0": report.contract_after.w0}})
     write_line_chart(outdir / "shock.svg", range(1, horizon.T + 1),
                      {"expectancy before": report.profile_before.mean.tolist(),
                       "expectancy after": report.profile_after.mean.tolist(),
@@ -321,7 +325,9 @@ def run_statics(scenario: Scenario, outdir: Path) -> None:
     w_values = [float(v) for v in exp.get("w0_values", [0.2, 0.5, 0.8])]
     cells = statics.sensitivity_grid(p_values, a_values, w_values, prefs)
     # the alpha sign is asserted in the penalty regime only; elsewhere it
-    # is observed and reported
+    # is observed and reported. The slopes are exact right derivatives, so the
+    # one_sided column is always empty; it stays because bench/reference pins
+    # the file's shape.
     write_csv(outdir / "statics.csv",
               ["p", "alpha", "w0", "effort", "de_dp", "de_dw0", "de_dalpha",
                "regime", "dalpha_sign", "interior", "foc_residual",
@@ -331,8 +337,7 @@ def run_statics(scenario: Scenario, outdir: Path) -> None:
                 c.sensitivity.de_dalpha, c.sensitivity.regime,
                 "asserted" if c.sensitivity.regime == statics.PENALTY_REGIME
                 else "observed",
-                c.interior, c.foc_residual_at_optimum,
-                "|".join(c.sensitivity.one_sided)] for c in cells])
+                c.interior, c.foc_residual_at_optimum, ""] for c in cells])
 
 
 RUNNERS = {

@@ -1,10 +1,12 @@
-"""Sensitivity of the single-period optimal effort to the contract parameters.
+"""Comparative statics of the single-period optimal effort.
 
-The single-period optimum solves p = v'(e) / [u'(c_eval(e)) * (1+alpha) *
-w_hat'(e)] with c_eval(e) = (1+alpha)*w_hat(e) - alpha*w0. Derivative
-estimates use central finite differences on the smooth root-solved optimum,
-falling back to one-sided differences (flagged) when a bump would cross a
-parameter boundary. The regime label compares the deserved wage at the
+The additive worker's one-period optimum is the affine rule
+e* = clip(p/b + alpha/(1+alpha)*w0/s, 0, 1) (model.affine_effort), so its
+slopes are exact: de/dp = 1/b, de/dw0 = alpha/((1+alpha)s) and
+de/dalpha = w0/((1+alpha)^2 s) where e* < 1, and 0 where e* = 1. They are
+right derivatives, so they hold at the parameter bounds p = 0 and alpha = 0
+too. The golden-section search and the first-order-condition residual check
+the rule independently. The regime label compares the deserved wage at the
 optimum against the base wage: w_hat(e*) <= w0 is the penalty regime.
 """
 from __future__ import annotations
@@ -85,45 +87,24 @@ class EffortSensitivity:
     de_dalpha: float
     regime: str
     boundary: bool                # optimum at an effort bound
-    one_sided: tuple[str, ...]    # parameters whose bump crossed a boundary
 
 
 def effort_sensitivity(contract: ContractParams, prefs: WorkerPrefs,
-                       bump: float = 1e-5, wage_scale: float = 1.0) -> EffortSensitivity:
-    """Signed derivatives of the optimal effort with respect to p, w0, alpha."""
-    _require_additive(prefs)
+                       wage_scale: float = 1.0) -> EffortSensitivity:
+    """Exact right derivatives of the optimal effort with respect to p, w0
+    and alpha: the affine rule's slopes below full effort, 0 at it."""
     e_star = optimal_effort(contract, prefs, wage_scale)
-    boundary = e_star in (0.0, 1.0)
-
-    one_sided: list[str] = []
-
-    def solved(p: float, alpha: float, w0: float) -> float:
-        return optimal_effort(ContractParams(p, alpha, w0), prefs, wage_scale)
-
-    def derivative(name: str, value: float, lo: float, hi: float | None, f) -> float:
-        h = max(abs(value) * bump, bump * 1e-3)
-        lo_ok = value - h >= lo
-        hi_ok = hi is None or value + h <= hi
-        if lo_ok and hi_ok:
-            return (f(value + h) - f(value - h)) / (2.0 * h)
-        one_sided.append(name)
-        if hi_ok:
-            # second-order one-sided difference at the lower boundary
-            return (-3.0 * f(value) + 4.0 * f(value + h) - f(value + 2.0 * h)) / (2.0 * h)
-        return (3.0 * f(value) - 4.0 * f(value - h) + f(value - 2.0 * h)) / (2.0 * h)
-
-    de_dp = derivative("p", contract.p, 0.0, 1.0,
-                       lambda v: solved(v, contract.alpha, contract.w0))
-    de_dw0 = derivative("w0", contract.w0, 0.0, None,
-                        lambda v: solved(contract.p, contract.alpha, v))
-    de_da = derivative("alpha", contract.alpha, 0.0, 1.0,
-                       lambda v: solved(contract.p, v, contract.w0))
-
+    alpha, s = contract.alpha, wage_scale
+    if e_star < 1.0:
+        de_dp, de_dw0 = 1.0 / prefs.b, alpha / ((1.0 + alpha) * s)
+        de_da = contract.w0 / ((1.0 + alpha) ** 2 * s)
+    else:
+        de_dp = de_dw0 = de_da = 0.0
     deserved = wage_scale * e_star
     regime = PENALTY_REGIME if deserved <= contract.w0 + 1e-9 else BONUS_REGIME
     return EffortSensitivity(effort=e_star, de_dp=de_dp, de_dw0=de_dw0,
-                             de_dalpha=de_da, regime=regime, boundary=boundary,
-                             one_sided=tuple(one_sided))
+                             de_dalpha=de_da, regime=regime,
+                             boundary=e_star in (0.0, 1.0))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ Criterion 7's one-period rules are a saddle of the profit, so its grid search
 clause looks for the stationary point rather than the profit argmax; the
 degenerate corner that the argmax finds is reported as a warning.
 """
+import csv
 import json
 import os
 import subprocess
@@ -21,6 +22,8 @@ from pathlib import Path
 import wagedyn
 from wagedyn import checks
 from wagedyn.report import RUNNERS
+
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
 def _assert_criterion(result):
@@ -97,6 +100,22 @@ def test_criterion_10_removes_its_temporary_directory(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_criterion_10_sees_an_extra_file_in_the_second_run(tmp_path):
+    calls = []
+
+    def statics_with_extra_file(scenario, outdir):
+        RUNNERS["statics"](scenario, outdir)
+        calls.append(outdir)
+        if len(calls) == 2:
+            (outdir / "extra.csv").write_text("x\n", encoding="utf-8")
+
+    result = checks.check_determinism(dict(RUNNERS, statics=statics_with_extra_file),
+                                      tmp_path)
+    item = next(i for i in result.items if i.name == "rerun_outputs_byte_identical")
+    assert not item.passed
+    assert "appendix1" in item.detail
+
+
 def test_criterion_10_reproduce_all_byte_identical(tmp_path, capsys):
     from wagedyn.cli import main
 
@@ -109,5 +128,17 @@ def test_criterion_10_reproduce_all_byte_identical(tmp_path, capsys):
         fb = tmp_path / "b" / fa.relative_to(tmp_path / "a")
         assert fb.is_file(), f"missing {fb}"
         assert fa.read_bytes() == fb.read_bytes(), f"rerun differs: {fa.name}"
+    # the scenario artifacts keep the shape the benchmark reference pins: the
+    # same file set, and each CSV with its reference's header and row count
+    out = tmp_path / "a"
+    artifacts = sorted(p.relative_to(out).as_posix() for p in files_a if p.parent != out)
+    manifest = json.loads((BENCH_REFERENCE / "manifest.json").read_text(encoding="utf-8"))
+    assert artifacts == sorted(manifest["sha256"])
+    for rel in artifacts:
+        if rel.endswith(".csv"):
+            rows, ref = (list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+                         for path in (out / rel, BENCH_REFERENCE / "artifacts" / rel))
+            assert rows[0] == ref[0], f"{rel}: header {rows[0]} vs reference {ref[0]}"
+            assert len(rows) == len(ref), f"{rel}: {len(rows)} rows vs {len(ref)}"
     print("criterion 10 [PASS] reproduce-all reruns byte-identical "
           f"({len(files_a)} files)")

@@ -111,6 +111,16 @@ def test_cli_runs_bundled_scenario(tmp_path):
     assert len(header.split(",")) == 11
 
 
+def test_monotonicity_json_holds_booleans(tmp_path):
+    from wagedyn.report import RUNNERS
+
+    RUNNERS["cd-policy"](load_scenario("table3_2"), tmp_path)
+    payload = json.loads((tmp_path / "monotonicity.json").read_text())
+    for key in ("decreasing_in_wage", "decreasing_over_periods"):
+        assert payload[key], key
+        assert all(type(flag) is bool for flag in payload[key]), payload[key]
+
+
 def test_cli_employer_optimum(tmp_path):
     cfg = tmp_path / "employer.json"
     cfg.write_text(json.dumps({

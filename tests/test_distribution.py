@@ -344,25 +344,21 @@ def test_profile_T1_variance_matches_formula():
 def test_bracketize_conventions():
     d = WageDistribution(np.array([0.0, 0.4, 0.45, 0.5]),
                          np.array([0.1, 0.4, 0.2, 0.3]))
-    hist = bracketize(d, 0.1)
-    labels = hist.labels()
-    assert labels[0] == "0"  # degenerate zero bracket
-    assert hist.masses[0] == pytest.approx(0.1)
-    # a wage of exactly 0.4 lands in the (0.3, 0.4] bracket
-    idx = labels.index("0.3-0.4")
-    assert hist.masses[idx] == pytest.approx(0.4)
-    idx = labels.index("0.4-0.5")
-    assert hist.masses[idx] == pytest.approx(0.5)
-    assert hist.masses.sum() == pytest.approx(1.0)
+    masses = bracketize(d, 0.1)
+    # the degenerate zero bracket first, then the brackets in wage order; a
+    # wage of exactly 0.4 lands in the (0.3, 0.4] bracket
+    assert list(masses) == ["0", "0.3-0.4", "0.4-0.5"]
+    assert masses["0"] == pytest.approx(0.1)
+    assert masses["0.3-0.4"] == pytest.approx(0.4)
+    assert masses["0.4-0.5"] == pytest.approx(0.5)
+    assert sum(masses.values()) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         bracketize(d, 0.0)
 
 
 def test_bracketize_point_mass():
-    hist = bracketize(WageDistribution(np.array([0.25]), np.array([1.0])), 0.1)
-    assert len(hist.masses) == 1
-    assert hist.masses[0] == 1.0
-    assert hist.labels() == ["0.2-0.3"]
+    masses = bracketize(WageDistribution(np.array([0.25]), np.array([1.0])), 0.1)
+    assert masses == {"0.2-0.3": 1.0}
 
 
 @settings(max_examples=25, deadline=None)

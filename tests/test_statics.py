@@ -1,6 +1,8 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wagedyn import (ContractParams, WorkerPrefs, effort_sensitivity, foc_residual,
                      optimal_effort, optimal_effort_search, sensitivity_grid)
@@ -12,22 +14,48 @@ PREFS = WorkerPrefs.additive(delta=0.9)
 
 def test_analytic_derivative_values():
     # affine optimum: de/dp = 1/b, de/dw0 = alpha/(1+alpha), de/dalpha =
-    # w0/(1+alpha)^2; finite differences must match to 1e-6
+    # w0/(1+alpha)^2, exactly
     contract = ContractParams(0.3, 0.5, 0.4)
     sens = effort_sensitivity(contract, PREFS)
-    assert sens.de_dp == pytest.approx(1.0, abs=1e-6)
-    assert sens.de_dw0 == pytest.approx(0.5 / 1.5, abs=1e-6)
-    assert sens.de_dalpha == pytest.approx(0.4 / 1.5 ** 2, abs=1e-6)
-    assert not sens.one_sided
+    assert sens.de_dp == 1.0
+    assert sens.de_dw0 == 0.5 / 1.5
+    assert sens.de_dalpha == 0.4 / 1.5 ** 2
     assert not sens.boundary
 
 
 def test_one_sided_at_boundary():
-    sens = effort_sensitivity(ContractParams(0.0, 0.5, 0.4), PREFS)
-    assert "p" in sens.one_sided
-    assert sens.de_dp == pytest.approx(1.0, abs=1e-5)
-    sens = effort_sensitivity(ContractParams(0.3, 0.0, 0.4), PREFS)
-    assert "alpha" in sens.one_sided
+    # right derivatives at the parameter bounds p = 0 and alpha = 0
+    prefs = WorkerPrefs.additive(delta=0.9, b=2.0)
+    sens = effort_sensitivity(ContractParams(0.0, 0.5, 0.4), prefs)
+    assert sens.de_dp == 1.0 / 2.0
+    sens = effort_sensitivity(ContractParams(0.3, 0.0, 0.4), PREFS, wage_scale=2.0)
+    assert sens.de_dalpha == 0.4 / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(0.01, 0.99), alpha=st.floats(0.01, 0.99), w0=st.floats(0.01, 2.0),
+       b=st.floats(0.5, 3.0).filter(lambda v: v != 1.0),
+       s=st.floats(0.5, 3.0).filter(lambda v: v != 1.0))
+def test_exact_slopes_match_central_differences(p, alpha, w0, b, s):
+    prefs = WorkerPrefs.additive(delta=0.9, b=b)
+    contract = ContractParams(p, alpha, w0)
+    sens = effort_sensitivity(contract, prefs, wage_scale=s)
+    if sens.effort == 1.0:
+        assert (sens.de_dp, sens.de_dw0, sens.de_dalpha) == (0.0, 0.0, 0.0)
+        return
+    # a bump of h moves the effort by at most 4h, so it stays below the clamp
+    assume(sens.effort < 1.0 - 1e-4)
+    h = 1e-6
+
+    def central(name):
+        v = getattr(contract, name)
+        up, down = (optimal_effort(replace(contract, **{name: x}), prefs, s)
+                    for x in (v + h, v - h))
+        return (up - down) / (2.0 * h)
+
+    assert sens.de_dp == pytest.approx(central("p"), abs=1e-6)
+    assert sens.de_dw0 == pytest.approx(central("w0"), abs=1e-6)
+    assert sens.de_dalpha == pytest.approx(central("alpha"), abs=1e-6)
 
 
 def test_regime_classification():
