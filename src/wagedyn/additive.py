@@ -53,10 +53,9 @@ def _require_additive(prefs: WorkerPrefs) -> None:
 # closed-form building blocks
 
 
-def single_period_variance(contract: ContractParams, b: float = 1.0,
-                           wage_scale: float = 1.0) -> float:
-    """End-of-period wage variance p(1-p)[p(1+alpha)s/b - w0]^2."""
-    gap = contract.p * (1.0 + contract.alpha) * wage_scale / b - contract.w0
+def single_period_variance(contract: ContractParams, b: float = 1.0) -> float:
+    """End-of-period wage variance p(1-p)[p(1+alpha)/b - w0]^2."""
+    gap = contract.p * (1.0 + contract.alpha) / b - contract.w0
     return contract.p * (1.0 - contract.p) * gap * gap
 
 
@@ -563,7 +562,7 @@ class AffineEffortPolicy(AffinePolicy):
 
     No package run path builds it; the benchmark's tracer and its
     distributions check import it by name, so it stays until the benchmark
-    reads the package's own trace (ROADMAP item 5 step B)."""
+    reads the package's own trace (ROADMAP item 2)."""
 
     def __init__(self, solution: AdditiveSolution):
         super().__init__(solution.contract, solution.prefs.b, solution.wage_scale,

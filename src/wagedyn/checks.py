@@ -6,7 +6,6 @@ and the run report) fail honestly here rather than being patched over.
 """
 from __future__ import annotations
 
-import contextlib
 import importlib.resources
 import json
 import math
@@ -51,22 +50,33 @@ class CriterionResult:
         self.items.append(CheckItem(name, bool(passed), detail))
 
 
-# the bundled scenario each subcommand runs without --config, in the order
-# criterion 10 reruns them
-BUNDLED = {
-    "additive-profile": "fig3_2",
-    "cd-policy": "table3_2",
-    "cd-path": "table3_3",
-    "cd-distribution": "table3_4",
-    "tech-sweep": "fig4_1",
-    "tech-shock": "fig4_2",
-    "statics": "appendix1",
-}
+# every bundled scenario with the subcommand that renders it: reproduce-all
+# writes them in this order, and a subcommand run without --config takes its
+# first entry
+PLAN = (
+    ("fig3_2", "additive-profile"),
+    ("fig3_1", "additive-profile"),
+    ("fig3_3", "additive-profile"),
+    ("table3_2", "cd-policy"),
+    ("table3_3", "cd-path"),
+    ("table3_4", "cd-distribution"),
+    ("fig3_4", "cd-distribution"),
+    ("fig4_1", "tech-sweep"),
+    ("fig4_2", "tech-shock"),
+    ("appendix1", "statics"),
+)
 
 
 def load_scenario(name: str) -> Scenario:
     res = importlib.resources.files("wagedyn").joinpath(f"scenarios/{name}.json")
     return validate_config(json.loads(res.read_text(encoding="utf-8")))
+
+
+def write_plan(runners: Mapping[str, Callable], tree: Path) -> None:
+    """Run every plan entry into tree/<scenario> (the CLI passes
+    report.RUNNERS)."""
+    for name, command in PLAN:
+        runners[command](load_scenario(name), tree / name)
 
 
 def _policy_for(scenario: Scenario):
@@ -95,7 +105,7 @@ def check_policy_table() -> CriterionResult:
             f"{exact}/{n_cells} exact")
     out.add("all_cells_within_one_step", max_steps <= 1,
             f"max deviation {max_steps} step(s)")
-    quoted = policy.effort(5, 0.4)
+    quoted = float(policy.table[4, policy.grid.index(0.4)])
     out.add("quoted_cell_t5_w04_exact", abs(quoted - 0.5) < 1e-12,
             f"effort(5, 0.4) = {quoted}")
     # measured seconds stay out of the detail so reports are byte-stable
@@ -446,11 +456,10 @@ def check_statics() -> CriterionResult:
     return out
 
 
-def check_determinism(runners: Mapping[str, Callable], workdir: Path | None = None
-                      ) -> CriterionResult:
-    """Criterion 10: byte-identical reruns of the scenario runners (the CLI
-    passes report.RUNNERS) and chunk-invariant simulation. Without a workdir
-    the reruns go to a temporary directory that is removed afterwards."""
+def check_determinism(runners: Mapping[str, Callable], tree: Path) -> CriterionResult:
+    """Criterion 10: chunk-invariant simulation, and one rerun of the plan into
+    a temporary directory that writes the same files, byte for byte, as the
+    tree reproduce-all wrote."""
     out = CriterionResult(10, "determinism")
     scenario = load_scenario("fig3_2")
     pol = additive.best_response(scenario.contract, scenario.prefs, scenario.horizon)
@@ -463,29 +472,24 @@ def check_determinism(runners: Mapping[str, Callable], workdir: Path | None = No
         for a, b in zip(sim1, sim8))
     out.add("simulation_invariant_to_chunking", chunk_ok, "1 vs 8 chunks")
 
-    identical = True
-    detail = ""
+    problems = []
     n_files = 0
-    with contextlib.ExitStack() as stack:
-        base = workdir if workdir is not None else Path(stack.enter_context(
-            tempfile.TemporaryDirectory(prefix="wagedyn-determinism-")))
-        for command, scenario_name in BUNDLED.items():
-            sc = load_scenario(scenario_name)
-            d1 = base / f"{scenario_name}-run1"
-            d2 = base / f"{scenario_name}-run2"
-            runners[command](sc, d1)
-            runners[command](sc, d2)
-            if sorted(f.name for f in d1.iterdir()) != sorted(f.name for f in d2.iterdir()):
-                identical = False
-                detail = f"file sets differ in {scenario_name}"
-            for f1 in sorted(d1.iterdir()):
+    with tempfile.TemporaryDirectory(prefix="wagedyn-determinism-") as tmp:
+        rerun = Path(tmp)
+        write_plan(runners, rerun)
+        for name, _ in PLAN:
+            written = {f.name for f in (tree / name).iterdir()}
+            again = {f.name for f in (rerun / name).iterdir()}
+            for file in sorted(written | again):
                 n_files += 1
-                f2 = d2 / f1.name
-                if not f2.exists() or f1.read_bytes() != f2.read_bytes():
-                    identical = False
-                    detail = f"mismatch in {scenario_name}/{f1.name}"
-    out.add("rerun_outputs_byte_identical", identical,
-            detail or f"{n_files} files compared across {len(BUNDLED)} scenarios")
+                if file not in again:
+                    problems.append(f"{name}/{file} not written by the rerun")
+                elif file not in written:
+                    problems.append(f"{name}/{file} missing from the tree")
+                elif (tree / name / file).read_bytes() != (rerun / name / file).read_bytes():
+                    problems.append(f"mismatch in {name}/{file}")
+    out.add("rerun_outputs_byte_identical", not problems,
+            "; ".join(problems) or f"{n_files} files compared across {len(PLAN)} scenarios")
     return out
 
 
@@ -495,7 +499,8 @@ ALL_CHECKS = (check_policy_table, check_sampled_path, check_distribution_table,
               check_determinism)
 
 
-def run_all_checks(runners: Mapping[str, Callable]) -> list[CriterionResult]:
-    """Every criterion in order; criterion 10 reruns the given scenario runners."""
-    return [check(runners) if check is check_determinism else check()
+def run_all_checks(runners: Mapping[str, Callable], tree: Path) -> list[CriterionResult]:
+    """Every criterion in order; criterion 10 reruns the plan with the given
+    runners against the tree they wrote."""
+    return [check(runners, tree) if check is check_determinism else check()
             for check in ALL_CHECKS]

@@ -10,25 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .checks import BUNDLED, load_scenario, run_all_checks
+from .checks import PLAN, load_scenario, run_all_checks, write_plan
 from .config import ConfigError, validate_config
 from .report import RUNNERS, write_json
 
 SUBCOMMANDS = tuple(RUNNERS) + ("reproduce-all",)
-
-# every bundled scenario with the subcommand that renders it
-_REPRODUCE_PLAN = (
-    ("fig3_1", "additive-profile"),
-    ("fig3_2", "additive-profile"),
-    ("fig3_3", "additive-profile"),
-    ("table3_2", "cd-policy"),
-    ("table3_3", "cd-path"),
-    ("table3_4", "cd-distribution"),
-    ("fig3_4", "cd-distribution"),
-    ("fig4_1", "tech-sweep"),
-    ("fig4_2", "tech-shock"),
-    ("appendix1", "statics"),
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,10 +41,10 @@ def _load(args) -> "Scenario":
     if args.config is not None:
         scenario = validate_config(args.config)
     else:
-        bundled = BUNDLED.get(args.command)
-        if bundled is None:
+        bundled = [name for name, command in PLAN if command == args.command]
+        if not bundled:
             raise ConfigError([f"{args.command}: --config is required"])
-        scenario = load_scenario(bundled)
+        scenario = load_scenario(bundled[0])
     if args.seed is not None:
         raw = dict(scenario.raw)
         raw["simulation"] = dict(raw.get("simulation", {}), seed=args.seed)
@@ -69,10 +55,8 @@ def _load(args) -> "Scenario":
 def _reproduce_all(args) -> int:
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    for scenario_name, command in _REPRODUCE_PLAN:
-        scenario = load_scenario(scenario_name)
-        RUNNERS[command](scenario, outdir / scenario_name)
-    results = run_all_checks(RUNNERS)
+    write_plan(RUNNERS, outdir)
+    results = run_all_checks(RUNNERS, outdir)
     lines = []
     n_warn = 0
     for res in results:

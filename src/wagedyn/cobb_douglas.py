@@ -100,11 +100,6 @@ class EffortPolicy:
     table: np.ndarray
     value: np.ndarray
 
-    def effort(self, t: int, prev_wage: float) -> float:
-        if not 1 <= t <= self.horizon.T:
-            raise ValueError(f"period {t} outside 1..{self.horizon.T}")
-        return float(self.table[t - 1, int(self.grid.index(prev_wage))])
-
 
 def solve_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
                  grid: DpGrid | None = None) -> EffortPolicy:
@@ -176,14 +171,13 @@ def always_sampled_path(policy: EffortPolicy, w0: float) -> SampledPath:
     """Trace the path of a worker evaluated every period from base wage w0.
 
     Reported wage is the reset wage (the effort), bonus is alpha*(e - w_prev),
-    total is their sum.
+    total is their sum; effort and bonus are read from the policy's response.
     """
-    alpha = policy.contract.alpha
+    respond = TableEffortPolicy.stack([TableEffortPolicy(policy)])
     efforts, wages, bonuses, totals = [], [], [], []
     w = w0
     for t in range(1, policy.horizon.T + 1):
-        e = policy.effort(t, w)
-        b = alpha * (e - w)
+        e, _, b = (float(x) for x in respond(t, 0, w))
         efforts.append(e)
         wages.append(e)
         bonuses.append(b)

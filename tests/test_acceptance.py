@@ -14,10 +14,13 @@ degenerate corner that the argmax finds is reported as a warning.
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 import wagedyn
 from wagedyn import checks
@@ -89,31 +92,72 @@ def test_criterion_09_comparative_statics():
     _assert_criterion(checks.check_statics())
 
 
-def test_criterion_10_determinism(tmp_path):
-    _assert_criterion(checks.check_determinism(RUNNERS, tmp_path / "runners"))
+@pytest.fixture(scope="module")
+def plan_tree(tmp_path_factory):
+    """The scenario tree reproduce-all writes, written once for the module."""
+    tree = tmp_path_factory.mktemp("plan")
+    checks.write_plan(RUNNERS, tree)
+    return tree
 
 
-def test_criterion_10_removes_its_temporary_directory(tmp_path, monkeypatch):
-    # without a workdir the reruns go to a temporary directory, which must go
+def _copied(tree, tmp_path):
+    copy = tmp_path / "tree"
+    shutil.copytree(tree, copy)
+    return copy
+
+
+def _determinism_detail(runners, tree):
+    result = checks.check_determinism(runners, tree)
+    item = next(i for i in result.items if i.name == "rerun_outputs_byte_identical")
+    assert not item.passed
+    return item.detail
+
+
+def test_criterion_10_determinism(plan_tree):
+    result = checks.check_determinism(RUNNERS, plan_tree)
+    _assert_criterion(result)
+    # every plan entry is compared once, file by file
+    n_files = sum(1 for p in plan_tree.rglob("*") if p.is_file())
+    assert result.items[-1].detail == (f"{n_files} files compared across "
+                                       f"{len(checks.PLAN)} scenarios")
+
+
+def test_criterion_10_removes_its_temporary_directory(plan_tree, tmp_path, monkeypatch):
+    # the rerun goes to a temporary directory, which must go
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    _assert_criterion(checks.check_determinism(RUNNERS))
+    _assert_criterion(checks.check_determinism(RUNNERS, plan_tree))
     assert list(tmp_path.iterdir()) == []
 
 
-def test_criterion_10_sees_an_extra_file_in_the_second_run(tmp_path):
-    calls = []
-
+def test_criterion_10_sees_an_extra_file_in_the_second_run(plan_tree):
     def statics_with_extra_file(scenario, outdir):
         RUNNERS["statics"](scenario, outdir)
-        calls.append(outdir)
-        if len(calls) == 2:
-            (outdir / "extra.csv").write_text("x\n", encoding="utf-8")
+        (outdir / "extra.csv").write_text("x\n", encoding="utf-8")
 
-    result = checks.check_determinism(dict(RUNNERS, statics=statics_with_extra_file),
-                                      tmp_path)
-    item = next(i for i in result.items if i.name == "rerun_outputs_byte_identical")
-    assert not item.passed
-    assert "appendix1" in item.detail
+    detail = _determinism_detail(dict(RUNNERS, statics=statics_with_extra_file),
+                                 plan_tree)
+    assert detail == "appendix1/extra.csv missing from the tree"
+
+
+def test_criterion_10_sees_a_changed_byte_in_the_tree(plan_tree, tmp_path):
+    tree = _copied(plan_tree, tmp_path)
+    path = tree / "table3_3" / "path.csv"
+    data = bytearray(path.read_bytes())
+    data[-2] ^= 1
+    path.write_bytes(bytes(data))
+    assert _determinism_detail(RUNNERS, tree) == "mismatch in table3_3/path.csv"
+
+
+def test_criterion_10_sees_a_stale_file_in_the_tree(plan_tree, tmp_path):
+    tree = _copied(plan_tree, tmp_path)
+    (tree / "fig4_1" / "stale.csv").write_text("x\n", encoding="utf-8")
+    assert _determinism_detail(RUNNERS, tree) == "fig4_1/stale.csv not written by the rerun"
+
+
+def test_criterion_10_sees_a_file_the_tree_lacks(plan_tree, tmp_path):
+    tree = _copied(plan_tree, tmp_path)
+    (tree / "fig3_1" / "solution.csv").unlink()
+    assert _determinism_detail(RUNNERS, tree) == "fig3_1/solution.csv missing from the tree"
 
 
 def test_criterion_10_reproduce_all_byte_identical(tmp_path, capsys):

@@ -330,11 +330,11 @@ def test_responder_matches_deleted_table_methods_bit_for_bit(p, alpha, T, steps)
     # an off-grid wage, alone or among grid wages
     for w in (0.45, np.append(wages, 0.45)):
         assert_same_error(lambda: respond(1, w), lambda: methods.effort(1, w))
-    # the table's own lookup raises for a period outside 1..T; the deleted
-    # methods read the table's last row at t = 0 instead
+    # a period outside 1..T raises with the message the deleted table lookup
+    # gave; the deleted methods read the table's last row at t = 0 instead
     for t in (0, T + 1):
-        assert_same_error(lambda: respond(t, contract.w0),
-                          lambda: table.effort(t, contract.w0))
+        with pytest.raises(ValueError, match=rf"^period {t} outside 1\.\.{T}$"):
+            respond(t, contract.w0)
 
 # ---------------------------------------------------------------------------
 # one-period profit and sweep: within the reordering bound

@@ -121,11 +121,12 @@ def test_terminal_period_behavior(policy):
 
 
 def test_policy_lookup_and_errors(policy):
-    assert policy.effort(5, 0.4) == pytest.approx(0.5)
+    respond = responder(TableEffortPolicy(policy))
+    assert respond(5, 0.4)[0] == pytest.approx(0.5)
+    with pytest.raises(ValueError, match=r"^period 0 outside 1\.\.10$"):
+        respond(0, 0.4)
     with pytest.raises(ValueError):
-        policy.effort(0, 0.4)
-    with pytest.raises(ValueError):
-        policy.effort(1, 0.45)  # off the grid
+        respond(1, 0.45)  # off the grid
 
 
 def test_monotonicity_report(policy):
@@ -143,6 +144,7 @@ def test_monotonicity_report_single_period():
 
 def test_always_sampled_path_accounting(policy):
     path = always_sampled_path(policy, 0.4)
+    assert all(type(x) is float for x in path.efforts + path.bonuses + path.totals)
     assert path.wages == path.efforts
     prev = [0.4] + path.wages[:-1]
     for t in range(10):
@@ -167,10 +169,11 @@ def test_adapter_vectorizes(policy):
     wages = np.array([0.0, 0.4, 1.0])
     e, nxt, _ = respond(1, wages)
     assert e.shape == (3,)
-    assert respond(1, 0.4)[0] == policy.effort(1, 0.4)
+    cell = policy.table[0, policy.grid.index(0.4)]
+    assert respond(1, 0.4)[0] == cell
     assert np.array_equal(nxt, e)
     b = respond(1, 0.4)[2]
-    assert b == pytest.approx(CONTRACT.alpha * (policy.effort(1, 0.4) - 0.4))
+    assert b == pytest.approx(CONTRACT.alpha * (cell - 0.4))
     with pytest.raises(ValueError):
         respond(1, 0.42)
 

@@ -99,6 +99,41 @@ def test_cli_config_error_exit_code(tmp_path):
     assert "contract.p" in proc.stderr
 
 
+# the bundled scenario each subcommand runs without --config; employer-optimum
+# has none and asks for one
+DEFAULT_SCENARIOS = {
+    "additive-profile": "fig3_2",
+    "cd-policy": "table3_2",
+    "cd-path": "table3_3",
+    "cd-distribution": "table3_4",
+    "employer-optimum": None,
+    "tech-sweep": "fig4_1",
+    "tech-shock": "fig4_2",
+    "statics": "appendix1",
+}
+
+
+def test_each_subcommand_without_config_runs_its_bundled_scenario(tmp_path, monkeypatch,
+                                                                  capsys):
+    from wagedyn import cli
+
+    assert set(DEFAULT_SCENARIOS) == set(cli.RUNNERS)
+    seen = {}
+    for command in DEFAULT_SCENARIOS:
+        monkeypatch.setitem(cli.RUNNERS, command,
+                            lambda scenario, outdir, command=command:
+                            seen.setdefault(command, scenario))
+    for command, name in DEFAULT_SCENARIOS.items():
+        code = cli.main([command, "--out", str(tmp_path / command)])
+        if name is None:
+            assert code == 1
+            assert f"{command}: --config is required" in capsys.readouterr().err
+            assert command not in seen
+        else:
+            assert code == 0, capsys.readouterr().err
+            assert seen[command].raw == load_scenario(name).raw, command
+
+
 def test_cli_runs_bundled_scenario(tmp_path):
     out = tmp_path / "out"
     proc = run_cli("cd-policy", "--config", str(SCENARIOS / "table3_2.json"),

@@ -81,6 +81,17 @@ def test_import_reader_sees_function_level_and_package_imports(tmp_path):
                                      "cli", "distribution"}
 
 
+def test_the_plan_alone_names_the_bundled_scenarios():
+    # checks.PLAN is the one (scenario, subcommand) table: it names every
+    # bundled scenario once, and the CLI takes its defaults from it
+    from wagedyn.checks import PLAN
+
+    bundled = sorted(path.stem for path in (PACKAGE / "scenarios").glob("*.json"))
+    assert sorted(name for name, _ in PLAN) == bundled
+    cli_source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert [name for name in bundled if name in cli_source] == []
+
+
 ORACLE_NAMES = {"solve_backward_induction", "AffineEffortPolicy"}
 ORACLE_USERS = {("checks", "check_additive_oracle")}
 
