@@ -17,8 +17,8 @@ from .employer import (GridSteps, OptimalContract, expected_profit,
                        grid_search_optimum, profit_by_history_enumeration,
                        stationary_grid_search, stationary_one_period_optimum,
                        tech_shock, tech_sweep)
-from .model import (DomainError, affine_effort, deserved_wage,
-                    require_base_consumption, wage_update, zero_base_consumption)
+from .model import (DomainError, affine_effort, require_base_consumption,
+                    zero_base_consumption)
 from .params import (ContractParams, FirmParams, Horizon, UtilityFamily,
                      WorkerPrefs)
 from .statics import (EffortSensitivity, effort_sensitivity, foc_residual,

@@ -54,7 +54,12 @@ def _require_additive(prefs: WorkerPrefs) -> None:
 
 
 def single_period_variance(contract: ContractParams, b: float = 1.0) -> float:
-    """End-of-period wage variance p(1-p)[p(1+alpha)/b - w0]^2."""
+    """End-of-period wage variance p(1-p)[p(1+alpha)/b - w0]^2.
+
+    Exact only where the one-period effort p/b + alpha*w0/(1+alpha) is at
+    most 1: the formula takes the unclamped evaluated wage p(1+alpha)/b.
+    Where the effort clamps at 1 the evaluated wage is (1+alpha) - alpha*w0,
+    which is lower, and so is the true variance (README known limit 7)."""
     gap = contract.p * (1.0 + contract.alpha) / b - contract.w0
     return contract.p * (1.0 - contract.p) * gap * gap
 
@@ -157,17 +162,16 @@ def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
     return np.array(x_star[1:])
 
 
-def deterministic_path(contract: ContractParams, efforts: list[float],
-                       wage_scale: float = 1.0) -> list[float]:
-    """Wage path when the worker is evaluated every period."""
-    from .model import wage_update
-
+def deterministic_path(contract: ContractParams, efforts: list[float]) -> list[float]:
+    """Wage path when the worker is evaluated every period, at unit wage
+    scale: each evaluation resets the wage to max(e + alpha*(e - w), 0), the
+    deserved wage e plus the bonus on the previous wage w."""
     wages = []
     w = contract.w0
     for e in efforts:
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"effort outside [0, 1]: {e}")
-        w = wage_update(w, e, contract, evaluated=True, wage_scale=wage_scale)
+        w = max(e + contract.alpha * (e - w), 0.0)
         wages.append(w)
     return wages
 

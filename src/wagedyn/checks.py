@@ -243,7 +243,7 @@ def check_single_period() -> CriterionResult:
     prefs = WorkerPrefs.additive(delta=0.9, b=1.0)
     contract = ContractParams(0.2, 0.5, 0.4)
     e_formula = statics.optimal_effort(contract, prefs)
-    e_search = statics.optimal_effort_search(contract, prefs, tol=1e-10)
+    e_search = statics.optimal_effort_search(contract, prefs)
     out.add("effort_matches_search_1e-6", abs(e_formula - e_search) <= 1e-6,
             f"formula {e_formula!r} vs search {e_search!r}")
     dist = propagate(additive.best_response(contract, prefs, Horizon(1)), contract,

@@ -1,8 +1,8 @@
 """Command-line scenario runner.
 
 Exit codes: 0 success, 1 configuration error (the message names the offending
-key), 2 reproduction-check failure from reproduce-all (or, with --strict,
-reproduction warnings).
+key), 2 usage error (argparse) or reproduction-check failure from
+reproduce-all (or, with --strict, reproduction warnings).
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from .checks import PLAN, load_scenario, run_all_checks, write_plan
 from .config import ConfigError, validate_config
 from .report import RUNNERS, write_json
 
-SUBCOMMANDS = tuple(RUNNERS) + ("reproduce-all",)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -23,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="supervision-and-incentive wage model: solvers, "
                     "distributions, employer optimization")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in RUNNERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=Path, default=None,
                         help="scenario JSON (defaults to the bundled scenario "
@@ -32,8 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override simulation.seed")
-        sp.add_argument("--strict", action="store_true",
-                        help="treat reproduction warnings as failures")
+    sp = sub.add_parser("reproduce-all")
+    sp.add_argument("--out", type=Path, default=Path("out"),
+                    help="output directory")
+    sp.add_argument("--strict", action="store_true",
+                    help="treat reproduction warnings as failures")
     return parser
 
 

@@ -133,14 +133,12 @@ def _merge(wages: np.ndarray, masses: np.ndarray) -> WageDistribution:
     return WageDistribution(support, mass / total)
 
 
-def propagate(policy: WagePolicy, contract: ContractParams, horizon: Horizon,
-              initial: WageDistribution | None = None) -> list[WageDistribution]:
+def propagate(policy: WagePolicy, contract: ContractParams,
+              horizon: Horizon) -> list[WageDistribution]:
     """End-of-period distributions P_1..P_T starting from a point mass at w0."""
-    if initial is None:
-        initial = WageDistribution.point_mass(contract.w0)
     respond = responder(policy)
     dists = []
-    current = initial
+    current = WageDistribution.point_mass(contract.w0)
     for t in range(1, horizon.T + 1):
         current = step(current, respond, contract.p, t)
         dists.append(current)

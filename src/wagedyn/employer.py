@@ -65,12 +65,12 @@ class OptimalContract:
 
 
 def worker_policy(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,
-                  firm: FirmParams, cd_grid: DpGrid | None = None):
-    """Best-response policy for either utility family under wage scale lam*k."""
+                  firm: FirmParams):
+    """Best-response policy for either utility family under wage scale lam*k;
+    a Cobb-Douglas worker solves on the default DpGrid."""
     if prefs.family is UtilityFamily.ADDITIVE:
         return best_response(contract, prefs, horizon, firm.wage_scale)
-    grid = cd_grid or DpGrid()
-    return TableEffortPolicy(solve_policy(contract, prefs, horizon, grid))
+    return TableEffortPolicy(solve_policy(contract, prefs, horizon, DpGrid()))
 
 
 def _row_policies(contracts, prefs: WorkerPrefs, horizon: Horizon, firm: FirmParams,

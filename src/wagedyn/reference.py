@@ -10,9 +10,9 @@ alpha values). No dynamic program reproduces the printed cells at those
 values, while gamma = 0.4, beta = 0.6, delta = 0.90 reproduces 103 of 110
 cells exactly, the highlighted path, and the terminal-column structure
 (the zero-wage final-period cell pins beta/(beta+gamma) = 0.6 under any
-timing). The bundled scenarios therefore carry the reconstructed parameters;
-the caption values are kept here for the diagnostic comparison the
-reproduction report prints.
+timing). The bundled scenarios therefore carry the reconstructed parameters,
+and the scenario JSONs are the one store of parameters; criterion 1's
+warning in the reproduction report quotes the caption values.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ PATH_TABLE_3_3_WAGE = PATH_TABLE_3_3_EFFORT
 # bonus row as published; signs in periods 2-4 disagree with the bonus rule
 # alpha*(e_t - w_{t-1}) applied to the published efforts (see the report)
 PATH_TABLE_3_3_BONUS_PRINTED = (0.02, 0.02, -0.02, 0.02, 0.01, -0.01, 0.0, -0.01, -0.01, None)
-PATH_TABLE_3_3_TOTAL_PRINTED = (0.62, 0.42, 0.58, 0.42, 0.51, 0.39, 0.40, 0.29, 0.19, 0.0)
 
 # wage-bracket masses per period column; key = bracket row label
 BRACKETS_TABLE_3_4: dict[int, dict[str, float]] = {
@@ -54,17 +53,6 @@ BRACKETS_TABLE_3_4: dict[int, dict[str, float]] = {
     10: {"0-0.1": 0.15, "0.1-0.2": 0.07, "0.2-0.3": 0.18, "0.3-0.4": 0.21,
          "0.4-0.5": 0.28, "0.5-0.6": 0.11},
 }
-BRACKET_ROWS_3_4 = ("0-0.1", "0.1-0.2", "0.2-0.3", "0.3-0.4", "0.4-0.5", "0.5-0.6")
-
-# distribution structure after two periods: probability column
-TABLE_2_1_PROBS = ("(1-p)^2", "p(1-p)", "p(1-p)", "p^2")
-
-# reconstructed parameters generating the policy/path tables
-TABLE_3_2_PARAMS = dict(p=0.2, alpha=0.1, gamma=0.4, beta=0.6, delta=0.90, T=10, w0=0.4)
-# caption values kept for the diagnostic run
-TABLE_3_2_CAPTION_PARAMS = dict(p=0.2, alpha=0.1, gamma=0.3, beta=0.7, delta=0.95, T=10,
-                                w0=0.4)
-TABLE_3_4_PARAMS = dict(p=0.2, alpha=0.1, gamma=0.4, beta=0.6, delta=0.95, T=10, w0=0.4)
 
 # one-period employer optimum at k = 1.5, c = 0.3, unit wage scale
 EMPLOYER_OPTIMUM_REFERENCE = dict(alpha=0.341641, p=0.618034, w0=0.458359)

@@ -9,10 +9,10 @@ _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 60, 20, 30, 45
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5  # about five ticks per axis
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     start = math.ceil(lo / step) * step

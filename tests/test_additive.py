@@ -112,6 +112,18 @@ def test_single_period_variance():
     assert single_period_variance(ContractParams(0.2, 0.5, 0.3)) == pytest.approx(0.0)
 
 
+@pytest.mark.xfail(strict=True, reason="single_period_variance takes the unclamped "
+                   "evaluated wage; the fix moves fig3_3/variance_surface.csv past the "
+                   "bench's artifact gate, so it waits for ROADMAP item 2's rebuild")
+def test_single_period_variance_matches_distribution_where_effort_clamps():
+    # fig3_3's cell (w0, p) = (0.9, 0.8): p + alpha*w0/(1+alpha) = 1.1 > 1
+    contract = ContractParams(0.8, 0.5, 0.9)
+    dist = propagate(best_response(contract, PREFS, Horizon(1)), contract, Horizon(1))[0]
+    assert dist.variance() == pytest.approx(0.0036, abs=1e-12)
+    assert single_period_variance(contract, PREFS.b) == pytest.approx(dist.variance(),
+                                                                       abs=1e-12)
+
+
 def test_variance_larger_when_underpaid():
     # holding other parameters fixed, w0 below the evaluated wage spreads more
     base = single_period_variance(ContractParams(0.2, 0.5, 0.3))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -205,6 +206,31 @@ def test_cli_writes_every_format_and_has_no_format_option(tmp_path, capsys):
     assert not (tmp_path / "csv").exists()
 
 
+def test_each_subcommand_offers_only_the_flags_it_reads(tmp_path, capsys):
+    from wagedyn.cli import build_parser, main
+    from wagedyn.report import RUNNERS
+
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+
+    def flags(name):
+        return {opt for action in sub.choices[name]._actions
+                for opt in action.option_strings} - {"-h", "--help"}
+
+    assert flags("reproduce-all") == {"--out", "--strict"}
+    assert len(RUNNERS) == 8
+    for name in RUNNERS:
+        assert flags(name) == {"--config", "--out", "--seed"}, name
+    for argv in (["reproduce-all", "--config", "x.json", "--seed", "5"],
+                 ["cd-path", "--strict"]):
+        out = tmp_path / argv[0]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
 FIRM = {"k": 1.5, "lambda": 2.0 / 3.0, "c": 0.3, "eta": 0.9}
 WORKER = "contract, prefs and horizon sections"
 
@@ -304,7 +330,8 @@ def test_employer_optimum_searches_on_the_scenario_grid(tmp_path):
     # the 0.05 w0 axis lies on the scenario's 0.05 grid but not on the
     # default 0.1 one: the Cobb-Douglas search solves on the scenario's grid
     from wagedyn.cli import main
-    from wagedyn.employer import profit_by_history_enumeration, worker_policy
+    from wagedyn.cobb_douglas import TableEffortPolicy, solve_policy
+    from wagedyn.employer import profit_by_history_enumeration
     from wagedyn.params import ContractParams
 
     raw = json.loads((SCENARIOS / "table3_2.json").read_text())
@@ -319,8 +346,8 @@ def test_employer_optimum_searches_on_the_scenario_grid(tmp_path):
     found = json.loads((out / "optimum.json").read_text())["grid_search"]
     scenario = validate_config(config)
     contract = ContractParams(found["p"], found["alpha"], found["w0"])
-    policy = worker_policy(contract, scenario.prefs, scenario.horizon, scenario.firm,
-                           cd_grid=scenario.grid)
+    policy = TableEffortPolicy(solve_policy(contract, scenario.prefs, scenario.horizon,
+                                            scenario.grid))
     enumerated = profit_by_history_enumeration(contract, scenario.firm, scenario.prefs,
                                                scenario.horizon, policy)
     assert abs(found["profit"] - enumerated) <= 1e-12

@@ -11,7 +11,7 @@ from wagedyn import (AffineEffortPolicy, AffinePolicy, ContractParams, Horizon,
                      solve_backward_induction, solve_policy, TableEffortPolicy)
 from wagedyn import distribution
 from wagedyn.distribution import (MERGE_TOL, _CHUNK_PATHS, _DRAW_PATHS, chunk_flags,
-                                  responder)
+                                  responder, step)
 
 CONTRACT = ContractParams(0.2, 0.5, 0.4)
 PREFS = WorkerPrefs.additive(delta=0.9)
@@ -248,27 +248,16 @@ def test_additive_support_growth_and_mass():
 
 
 def test_markov_composition():
-    # propagating from an intermediate distribution reproduces later periods
+    # stepping on from an intermediate distribution reproduces later periods
     T = 8
     policy = additive_policy(Horizon(T))
     dists = propagate(policy, CONTRACT, Horizon(T))
-
-    class Shifted:
-        """The base policy's response offset periods later."""
-
-        def __init__(self, base, offset):
-            self.base, self.offset = base, offset
-
-        @staticmethod
-        def stack(policies):
-            (shifted,) = policies
-            respond = type(shifted.base).stack([shifted.base])
-            return lambda t, rows, w: respond(t + shifted.offset, rows, w)
-
+    respond = responder(policy)
     k = 3
-    rest = propagate(Shifted(policy, k), CONTRACT, Horizon(T - k), initial=dists[k - 1])
-    for t in range(T - k):
-        assert rest[t].tv_distance(dists[k + t]) < 1e-12
+    current = dists[k - 1]
+    for t in range(k + 1, T + 1):
+        current = step(current, respond, CONTRACT.p, t)
+        assert current.tv_distance(dists[t - 1]) < 1e-12
 
 
 def test_never_evaluated_point_mass():

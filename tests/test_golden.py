@@ -196,14 +196,14 @@ def test_empty_bracket_rejected():
 @settings(max_examples=200, deadline=None)
 @given(p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
        alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
-       w0=st.floats(1e-3, 2.0), b=st.floats(0.5, 2.0), s=st.floats(0.5, 1.5), tol=tols)
-@example(p=1.0, alpha=0.5, w0=0.0, b=1.0, s=1.0, tol=1e-10)
-def test_optimal_effort_search_matches_old_scalar_search(p, alpha, w0, b, s, tol):
+       w0=st.floats(1e-3, 2.0), b=st.floats(0.5, 2.0))
+@example(p=1.0, alpha=0.5, w0=0.0, b=1.0)
+def test_optimal_effort_search_matches_old_scalar_search(p, alpha, w0, b):
     contract = ContractParams(p, alpha, w0)
     prefs = WorkerPrefs.additive(delta=0.9, b=b)
-    e = statics.optimal_effort_search(contract, prefs, s, tol)
+    e = statics.optimal_effort_search(contract, prefs)
     with mock.patch.object(statics, "golden_max_vec", old_golden_max):
-        e_old = statics.optimal_effort_search(contract, prefs, s, tol)
+        e_old = statics.optimal_effort_search(contract, prefs)
     assert e.hex() == float(e_old).hex()
 
 
@@ -211,7 +211,8 @@ def test_optimal_effort_search_unmoved():
     # criterion 5's search figure, which the old scalar search gave
     contract = ContractParams(0.2, 0.5, 0.4)
     prefs = WorkerPrefs.additive(delta=0.9, b=1.0)
-    assert statics.optimal_effort_search(contract, prefs, tol=1e-10) == 0.3333333237618037
+    assert statics.SEARCH_TOLERANCE == 1e-10
+    assert statics.optimal_effort_search(contract, prefs) == 0.3333333237618037
 
 
 def test_oracle_table_takes_one_new_point_per_iteration(monkeypatch):

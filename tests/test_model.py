@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wagedyn import (ContractParams, DomainError, FirmParams, Horizon, WorkerPrefs,
-                     deserved_wage, optimal_effort_search, require_base_consumption,
-                     solve_backward_induction, wage_update, zero_base_consumption)
+                     deterministic_path, optimal_effort_search, require_base_consumption,
+                     solve_backward_induction, zero_base_consumption)
 from wagedyn.config import ConfigError, validate_config
 from wagedyn.params import ParamError, UtilityFamily
 
@@ -15,8 +15,17 @@ UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
-# references: the per-period primitives as the model module once defined them.
-# No run path called them; the solvers inline the same formulas.
+# references: the per-period primitives as the model module once defined them,
+# at unit wage scale. The solvers inline the same formulas.
+
+
+def wage_update(prev_wage, effort, contract, evaluated):
+    """Next wage state under the additive scheme at unit wage scale:
+    unevaluated periods keep the previous wage, evaluated periods reset it to
+    max{e + alpha*(e - prev), 0}."""
+    if not evaluated:
+        return prev_wage
+    return max(effort + contract.alpha * (effort - prev_wage), 0.0)
 
 
 def bonus(prev_wage, effort, alpha, evaluated):
@@ -172,6 +181,16 @@ def test_wage_update_monotone_in_effort():
     assert all(b > a for a, b in zip(wages, wages[1:]))
 
 
+@given(w0=UNIT, alpha=UNIT, efforts=st.lists(UNIT, max_size=12))
+def test_deterministic_path_folds_the_wage_update_bit_for_bit(w0, alpha, efforts):
+    c = ContractParams(1.0, alpha, w0)
+    want, w = [], w0
+    for e in efforts:
+        w = wage_update(w, e, c, evaluated=True)
+        want.append(w)
+    assert [v.hex() for v in deterministic_path(c, efforts)] == [v.hex() for v in want]
+
+
 def test_bonus_and_consumption():
     assert bonus(0.4, 0.6, 0.1, evaluated=True) == pytest.approx(0.02)
     assert bonus(0.4, 0.6, 0.1, evaluated=False) == 0.0
@@ -215,7 +234,6 @@ def test_production():
     assert production(0.0, firm) == 0.0
     assert production(1.0, firm) == pytest.approx(1.5)
     assert production(0.618, firm) == pytest.approx(0.927)
-    assert deserved_wage(0.5, wage_scale=1.2) == pytest.approx(0.6)
 
 
 def test_zero_base_consumption_defined_once():

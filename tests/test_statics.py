@@ -28,18 +28,17 @@ def test_one_sided_at_boundary():
     prefs = WorkerPrefs.additive(delta=0.9, b=2.0)
     sens = effort_sensitivity(ContractParams(0.0, 0.5, 0.4), prefs)
     assert sens.de_dp == 1.0 / 2.0
-    sens = effort_sensitivity(ContractParams(0.3, 0.0, 0.4), PREFS, wage_scale=2.0)
-    assert sens.de_dalpha == 0.4 / 2.0
+    sens = effort_sensitivity(ContractParams(0.3, 0.0, 0.4), PREFS)
+    assert sens.de_dalpha == 0.4
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(0.01, 0.99), alpha=st.floats(0.01, 0.99), w0=st.floats(0.01, 2.0),
-       b=st.floats(0.5, 3.0).filter(lambda v: v != 1.0),
-       s=st.floats(0.5, 3.0).filter(lambda v: v != 1.0))
-def test_exact_slopes_match_central_differences(p, alpha, w0, b, s):
+       b=st.floats(0.5, 3.0).filter(lambda v: v != 1.0))
+def test_exact_slopes_match_central_differences(p, alpha, w0, b):
     prefs = WorkerPrefs.additive(delta=0.9, b=b)
     contract = ContractParams(p, alpha, w0)
-    sens = effort_sensitivity(contract, prefs, wage_scale=s)
+    sens = effort_sensitivity(contract, prefs)
     if sens.effort == 1.0:
         assert (sens.de_dp, sens.de_dw0, sens.de_dalpha) == (0.0, 0.0, 0.0)
         return
@@ -49,7 +48,7 @@ def test_exact_slopes_match_central_differences(p, alpha, w0, b, s):
 
     def central(name):
         v = getattr(contract, name)
-        up, down = (optimal_effort(replace(contract, **{name: x}), prefs, s)
+        up, down = (optimal_effort(replace(contract, **{name: x}), prefs)
                     for x in (v + h, v - h))
         return (up - down) / (2.0 * h)
 
@@ -118,9 +117,3 @@ def test_sensitivity_grid_signs():
         if c.sensitivity.regime == PENALTY_REGIME:
             assert c.sensitivity.de_dalpha > 0
         assert not math.isnan(c.foc_residual_at_optimum)
-
-
-def test_wage_scale_enters_derivatives():
-    contract = ContractParams(0.3, 0.5, 0.4)
-    sens = effort_sensitivity(contract, PREFS, wage_scale=2.0)
-    assert sens.de_dw0 == pytest.approx(0.5 / 1.5 / 2.0, abs=1e-6)
