@@ -37,16 +37,12 @@ import numpy as np
 
 from .golden import bisect_root, golden_max_vec
 from .model import affine_effort, require_base_consumption
-from .params import ContractParams, Horizon, UtilityFamily, WorkerPrefs
+from .params import (ContractParams, Horizon, UtilityFamily, WorkerPrefs,
+                     require_family)
 
 NEG_INF = float("-inf")
 # tolerance of the oracle's golden-section argmax per grid state (raw_effort)
 EFFORT_TOLERANCE = 1e-7
-
-
-def _require_additive(prefs: WorkerPrefs) -> None:
-    if prefs.family is not UtilityFamily.ADDITIVE:
-        raise ValueError("additive solver requires the additive utility family")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +69,7 @@ def phi_series_recursive(contract: ContractParams, prefs: WorkerPrefs,
     family, giving phi_t = S_t / (1 + alpha*delta*p*S_{t+1}) with
     S_t = sum_{j=0}^{T-t} (delta*(1-p))^j and S_{T+1} = 0.
     """
-    _require_additive(prefs)
+    require_family(prefs, UtilityFamily.ADDITIVE, "the additive solver")
     return _phi_series(contract.p, contract.alpha, prefs.delta, horizon.T)
 
 
@@ -123,7 +119,7 @@ def envelope_evaluated_wages(contract: ContractParams, prefs: WorkerPrefs,
     Where no evaluated wage clamps, the roots equal S*(p/b)*phi from
     phi_series_recursive to rounding. Requires p > 0.
     """
-    _require_additive(prefs)
+    require_family(prefs, UtilityFamily.ADDITIVE, "the additive solver")
     p, alpha, b, delta = contract.p, contract.alpha, prefs.b, prefs.delta
     if not p > 0.0:
         raise ValueError("the envelope recursion needs p > 0")
@@ -258,7 +254,7 @@ def best_response(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon
     """The additive worker's exact best response: the one-row case of
     best_responses, whose solve (_exact_phi) it runs on the contract's floats.
     It depends on (p, alpha) alone; w0 is never read."""
-    _require_additive(prefs)
+    require_family(prefs, UtilityFamily.ADDITIVE, "the additive solver")
     return AffinePolicy(contract, prefs.b, wage_scale,
                         _exact_phi([contract], contract.p, contract.alpha, prefs, horizon,
                                    wage_scale))
@@ -271,7 +267,7 @@ def best_responses(contracts, prefs: WorkerPrefs, horizon: Horizon,
     evaluated wage x*_t whatever the previous wage, so w0 is never read.
     All rows are solved at once (_exact_phi), each to the bit of its one-row
     solve (best_response)."""
-    _require_additive(prefs)
+    require_family(prefs, UtilityFamily.ADDITIVE, "the additive solver")
     p = np.array([contract.p for contract in contracts])
     alpha = np.array([contract.alpha for contract in contracts])
     phi = _exact_phi(contracts, p, alpha, prefs, horizon, wage_scale)
@@ -501,7 +497,7 @@ def solve_backward_induction(contract: ContractParams, prefs: WorkerPrefs,
     np.linspace of at least 2 points (the interpolation finds cells
     arithmetically; see _uniform_interpolant).
     """
-    _require_additive(prefs)
+    require_family(prefs, UtilityFamily.ADDITIVE, "the additive solver")
     p, alpha, b = contract.p, contract.alpha, prefs.b
     delta = prefs.delta
     s = wage_scale

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ContractParams, Horizon, UtilityFamily, WorkerPrefs
+from .params import (ContractParams, Horizon, UtilityFamily, WorkerPrefs,
+                     require_family)
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,7 @@ def solve_policies(contracts, prefs: WorkerPrefs, horizon: Horizon,
     operation is elementwise per row, so a row's table and value do not
     depend on the other rows.
     """
-    if prefs.family is not UtilityFamily.COBB_DOUGLAS:
-        raise ValueError("solve_policy requires the Cobb-Douglas utility family")
+    require_family(prefs, UtilityFamily.COBB_DOUGLAS, "the Cobb-Douglas solver")
     grid = grid or DpGrid()
     w = grid.wages
     e = grid.efforts

@@ -44,9 +44,10 @@ import numpy as np
 from .additive import _affine_response, best_response, best_responses
 from .cobb_douglas import (DpGrid, TableEffortPolicy, grid_index, solve_policies,
                            solve_policy)
-from .distribution import WageDistribution, WagePolicy, profile, propagate, responder
+from .distribution import WageDistribution, profile, propagate, responder
 from .model import zero_base_consumption
-from .params import ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs
+from .params import (ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs,
+                     require_family)
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,15 @@ def _row_policies(contracts, prefs: WorkerPrefs, horizon: Horizon, firm: FirmPar
 
 def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPrefs,
                     horizon: Horizon, value=None) -> float:
-    """Discounted expected profit: the employer value P_1(w0) of profit_values
-    under the worker's best response.
+    """Discounted expected profit: the employer value P_1(w0) of
+    slab_profit_values under the worker's best response.
 
-    value hands in P_1(w0) already priced (by profit_values or
-    slab_profit_values) under the policy of the contract's (p, alpha); the
-    call then returns it as a float. Without it, the call solves the worker
-    and prices w0, which for a Cobb-Douglas contract must lie on the default
-    0.1 policy grid. An additive contract with w0 = 0 and p < 1
-    (the never-evaluated worker consumes nothing) yields -inf, value or not.
+    value hands in P_1(w0) already priced by slab_profit_values under the
+    policy of the contract's (p, alpha); the call then returns it as a float.
+    Without it, the call solves the worker and prices w0, which for a
+    Cobb-Douglas contract must lie on the default 0.1 policy grid. An
+    additive contract with w0 = 0 and p < 1 (the never-evaluated worker
+    consumes nothing) yields -inf, value or not.
     """
     if (prefs.family is UtilityFamily.ADDITIVE
             and zero_base_consumption(contract.p, contract.w0)):
@@ -101,14 +102,8 @@ def expected_profit(contract: ContractParams, firm: FirmParams, prefs: WorkerPre
     if value is not None:
         return float(value)
     policy = worker_policy(contract, prefs, horizon, firm)
-    return float(profit_values(policy, contract.p, firm, horizon, [contract.w0])[0])
-
-
-def profit_values(policy: WagePolicy, p: float, firm: FirmParams, horizon: Horizon,
-                  wages) -> np.ndarray:
-    """Employer value P_1 at each starting wage under one policy: the one-row
-    case of slab_profit_values."""
-    return slab_profit_values([policy], p, firm, horizon, wages)[0]
+    return float(slab_profit_values([policy], contract.p, firm, horizon,
+                                    [contract.w0])[0, 0])
 
 
 def slab_profit_values(policies, p, firm: FirmParams, horizon: Horizon,
@@ -123,7 +118,7 @@ def slab_profit_values(policies, p, firm: FirmParams, horizon: Horizon,
     p is each row's evaluation rate (a scalar is every row's). The policies
     answer each period in one call, through the one response their type
     defines (AffinePolicy.stack, TableEffortPolicy.stack), of which a single
-    policy (profit_values, distribution.responder) is the one-row case. A
+    policy (distribution.responder) is the one-row case. A
     type with a closed state grid (TableEffortPolicy.state_grid: every wage
     an evaluation can set) is priced over the dense (row, wage) array of the
     starting wages and that grid, each evaluated pair moving to its x's
@@ -220,6 +215,18 @@ def profit_by_history_enumeration(contract: ContractParams, firm: FirmParams,
 
 # ---------------------------------------------------------------------------
 # one-period optimum rules
+
+
+def require_rules_worker(prefs: WorkerPrefs | None, user: str) -> None:
+    """The one check of the worker the one-period rules serve, the additive
+    worker with b = 1: raise ValueError, naming `user` and prefs.family or
+    prefs.b, for any other. No prefs passes."""
+    if prefs is not None:
+        require_family(prefs, UtilityFamily.ADDITIVE, f"{user}'s stationary rules")
+        if prefs.b != 1.0:
+            raise ValueError(f"prefs.b: {user}'s stationary rules assume the additive "
+                             f"worker with b = 1, got the additive worker with "
+                             f"b = {prefs.b}")
 
 
 def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
@@ -544,8 +551,6 @@ def tech_sweep(k_values, firm_template: FirmParams) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class TechShockReport:
-    firm_before: FirmParams
-    firm_after: FirmParams
     contract_before: ContractParams
     contract_after: ContractParams
     profile_before: "ProfileDetail"
@@ -557,7 +562,6 @@ class TechShockReport:
 class ProfileDetail:
     mean: np.ndarray
     variance: np.ndarray
-    expected_output: np.ndarray
     employment_cost: np.ndarray  # wage expectancy minus expected marginal output
 
 
@@ -571,7 +575,7 @@ def _contract_profile(contract: ContractParams, firm: FirmParams, prefs: WorkerP
     outputs = np.array([firm.k * float(np.dot(respond(t, d.support)[0], d.probs))
                         for t, d in enumerate(entering, 1)])
     series = profile(dists)
-    return ProfileDetail(series.mean, series.variance, outputs, series.mean - outputs)
+    return ProfileDetail(series.mean, series.variance, series.mean - outputs)
 
 
 def tech_shock(firm_before: FirmParams, firm_after: FirmParams, prefs: WorkerPrefs,
@@ -580,15 +584,16 @@ def tech_shock(firm_before: FirmParams, firm_after: FirmParams, prefs: WorkerPre
 
     The turnover indicator marks periods where an incumbent under the new
     technology costs more (wage expectancy minus expected output) than a fresh
-    period-1 worker, with zero training cost.
+    period-1 worker, with zero training cost. Before pricing anything, raises
+    ValueError unless k rises and require_rules_worker passes prefs.
     """
     if not firm_after.k > firm_before.k:
         raise ValueError("the shock must raise k")
+    require_rules_worker(prefs, "tech-shock")
     c_before = stationary_one_period_optimum(firm_before).contract
     c_after = stationary_one_period_optimum(firm_after).contract
     prof_before = _contract_profile(c_before, firm_before, prefs, horizon)
     prof_after = _contract_profile(c_after, firm_after, prefs, horizon)
     fresh_cost = prof_after.employment_cost[0]
     turnover = [bool(cost > fresh_cost + 1e-12) for cost in prof_after.employment_cost]
-    return TechShockReport(firm_before, firm_after, c_before, c_after,
-                           prof_before, prof_after, turnover)
+    return TechShockReport(c_before, c_after, prof_before, prof_after, turnover)

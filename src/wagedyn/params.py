@@ -89,6 +89,14 @@ class WorkerPrefs:
                            gamma=gamma, beta=beta)
 
 
+def require_family(prefs: WorkerPrefs, family: UtilityFamily, user: str) -> None:
+    """The one family guard of the solvers: raise ValueError naming
+    prefs.family unless prefs is of `family`, which `user` needs."""
+    if prefs.family is not family:
+        raise ValueError(f"prefs.family: must be {family.value} for {user}, "
+                         f"got {prefs.family.value}")
+
+
 @dataclass(frozen=True)
 class FirmParams:
     """Production and monitoring side: f(e) = k*e, wage scale lam*k,

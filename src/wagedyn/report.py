@@ -21,8 +21,8 @@ from .cobb_douglas import (TableEffortPolicy, always_sampled_path,
 from .config import Scenario, resolved_json
 from .distribution import (cd_bracket_columns, profile, propagate, responder,
                            simulate)
-from .employer import (GridSteps, grid_search_optimum, stationary_one_period_optimum,
-                       tech_shock, tech_sweep)
+from .employer import (GridSteps, grid_search_optimum, require_rules_worker,
+                       stationary_one_period_optimum, tech_shock, tech_sweep)
 from .model import require_base_consumption
 from .params import ContractParams, Horizon
 from .svgchart import write_line_chart
@@ -257,11 +257,8 @@ def run_employer_optimum(scenario: Scenario, outdir: Path) -> None:
 
 def run_tech_sweep(scenario: Scenario, outdir: Path) -> None:
     _start("tech-sweep", scenario, outdir, "firm")
-    firm, prefs = scenario.firm, scenario.prefs
-    if prefs is not None and prefs.b != 1.0:  # a Cobb-Douglas worker has no b
-        raise ValueError(f"prefs.b: tech-sweep's stationary rules assume the additive "
-                         f"worker with b = 1, got the {prefs.family.value} worker with "
-                         f"b = {prefs.b}")
+    firm = scenario.firm
+    require_rules_worker(scenario.prefs, "tech-sweep")
     k_values = [float(k) for k in scenario.experiment.get("k_values", [firm.k])]
     rows = tech_sweep(k_values, firm)
     write_csv(outdir / "sweep.csv",

@@ -17,20 +17,15 @@ from dataclasses import dataclass
 
 from .golden import golden_max_vec
 from .model import DomainError, affine_effort, require_base_consumption
-from .params import ContractParams, UtilityFamily, WorkerPrefs
+from .params import ContractParams, UtilityFamily, WorkerPrefs, require_family
 
 # golden-section tolerance of optimal_effort_search
 SEARCH_TOLERANCE = 1e-10
 
 
-def _require_additive(prefs: WorkerPrefs) -> None:
-    if prefs.family is not UtilityFamily.ADDITIVE:
-        raise ValueError("comparative statics implemented for the additive family")
-
-
 def optimal_effort(contract: ContractParams, prefs: WorkerPrefs) -> float:
     """Single-period optimum, exact and smooth in the parameters."""
-    _require_additive(prefs)
+    require_family(prefs, UtilityFamily.ADDITIVE, "the comparative statics")
     return float(affine_effort(contract.p, contract.alpha, contract.w0, b=prefs.b))
 
 
@@ -38,7 +33,7 @@ def optimal_effort_search(contract: ContractParams, prefs: WorkerPrefs) -> float
     """Golden-section solution of the same problem, to SEARCH_TOLERANCE, used
     as an oracle. Raises DomainError for w0 = 0 with p < 1
     (model.require_base_consumption)."""
-    _require_additive(prefs)
+    require_family(prefs, UtilityFamily.ADDITIVE, "the comparative statics")
     require_base_consumption(contract)
     p, alpha, w0, b = contract.p, contract.alpha, contract.w0, prefs.b
 
@@ -64,7 +59,7 @@ def foc_residual(contract: ContractParams, prefs: WorkerPrefs, effort: float) ->
     Zero at interior optima. Raises when the evaluated consumption is
     nonpositive under log utility.
     """
-    _require_additive(prefs)
+    require_family(prefs, UtilityFamily.ADDITIVE, "the comparative statics")
     p, alpha, w0, b = contract.p, contract.alpha, contract.w0, prefs.b
     c_eval = (1.0 + alpha) * effort - alpha * w0
     if c_eval <= 0.0:
@@ -85,7 +80,6 @@ class EffortSensitivity:
     de_dw0: float
     de_dalpha: float
     regime: str
-    boundary: bool                # optimum at an effort bound
 
 
 def effort_sensitivity(contract: ContractParams, prefs: WorkerPrefs) -> EffortSensitivity:
@@ -101,8 +95,7 @@ def effort_sensitivity(contract: ContractParams, prefs: WorkerPrefs) -> EffortSe
     # the deserved wage at the optimum is e_star itself
     regime = PENALTY_REGIME if e_star <= contract.w0 + 1e-9 else BONUS_REGIME
     return EffortSensitivity(effort=e_star, de_dp=de_dp, de_dw0=de_dw0,
-                             de_dalpha=de_da, regime=regime,
-                             boundary=e_star in (0.0, 1.0))
+                             de_dalpha=de_da, regime=regime)
 
 
 @dataclass(frozen=True)

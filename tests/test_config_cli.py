@@ -437,27 +437,48 @@ def test_cli_zero_consumption_error_writes_only_the_echo(tmp_path):
 
 
 
-@pytest.mark.parametrize("prefs, worker", [
-    ({"family": "additive", "delta": 0.9, "b": 2.0}, "additive worker with b = 2.0"),
+# workers the one-period rules do not serve (they assume the additive worker
+# with b = 1): prefs, the label that names the case, and the refusal naming
+# the key at fault, where {} is the subcommand
+NOT_RULES_WORKERS = [
+    ({"family": "additive", "delta": 0.9, "b": 2.0}, "additive worker with b = 2.0",
+     "prefs.b: {}'s stationary rules assume the additive worker with b = 1, got the "
+     "additive worker with b = 2.0"),
     ({"family": "cobb_douglas", "delta": 0.9, "gamma": 0.4, "beta": 0.6},
-     "cobb_douglas worker with b = None"),
-])
-def test_tech_sweep_rejects_a_worker_other_than_b_1(tmp_path, capsys, prefs, worker):
-    # the stationary rules the sweep prices assume the additive worker with
-    # b = 1, so another worker is refused rather than priced as that one
+     "cobb_douglas worker with no b",
+     "prefs.family: must be additive for {}'s stationary rules, got cobb_douglas"),
+]
+
+
+def _refuses_a_worker_the_rules_do_not_serve(tmp_path, capsys, command, scenario, prefs,
+                                             refusal):
+    # another worker is refused before anything is priced, rather than priced
+    # as the rules' worker; the bundled scenario itself (b = 1) runs
     from wagedyn.cli import main
 
-    raw = json.loads((SCENARIOS / "fig4_1.json").read_text())
-    cfg = tmp_path / "sweep.json"
+    raw = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(raw, prefs=prefs)))
     out = tmp_path / "out"
-    assert main(["tech-sweep", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: prefs.b: tech-sweep's stationary rules "
-                                       "assume the additive worker with b = 1, got the "
-                                       f"{worker}\n")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {refusal.format(command)}\n"
     assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
-    cfg.write_text(json.dumps(raw))  # b = 1
-    assert main(["tech-sweep", "--config", str(cfg), "--out", str(tmp_path / "b1")]) == 0
+    cfg.write_text(json.dumps(raw))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "b1")]) == 0
+
+
+@pytest.mark.parametrize("prefs, worker, refusal", NOT_RULES_WORKERS)
+def test_tech_sweep_rejects_a_worker_other_than_b_1(tmp_path, capsys, prefs, worker,
+                                                    refusal):
+    _refuses_a_worker_the_rules_do_not_serve(tmp_path, capsys, "tech-sweep", "fig4_1",
+                                             prefs, refusal)
+
+
+@pytest.mark.parametrize("prefs, worker, refusal", NOT_RULES_WORKERS)
+def test_tech_shock_rejects_a_worker_other_than_b_1(tmp_path, capsys, prefs, worker,
+                                                    refusal):
+    _refuses_a_worker_the_rules_do_not_serve(tmp_path, capsys, "tech-shock", "fig4_2",
+                                             prefs, refusal)
 
 # ---------------------------------------------------------------------------
 # the reader's path runs the exact best response, never the grid oracle

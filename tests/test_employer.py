@@ -15,7 +15,7 @@ from wagedyn.additive import best_response, envelope_evaluated_wages
 from wagedyn.checks import one_period_second_forms
 from wagedyn.distribution import responder
 from wagedyn.employer import (_axis, _one_period_profit, _profit_differences, _w0_max,
-                              profit_values, slab_profit_values, worker_policy)
+                              slab_profit_values, worker_policy)
 
 PREFS = WorkerPrefs.additive(delta=0.9)
 UNIT_SCALE_FIRM = FirmParams(k=1.5, lam=1.0 / 1.5, c=0.3, eta=0.9)
@@ -620,7 +620,7 @@ def test_grid_profit_matches_enumeration_and_distribution_loop(p, alpha, w0_step
     assert abs(single - profit_by_distribution_loop(contract, CD_FIRM, policy, T)) <= 1e-12
     # priced inside a row of starting wages, the value is the same to the bit
     grid = DpGrid()
-    values = profit_values(policy, p, CD_FIRM, Horizon(T), grid.wages)
+    values = slab_profit_values([policy], p, CD_FIRM, Horizon(T), grid.wages)[0]
     assert values[w0_step] == single
     # handed that priced value, the call returns it
     assert expected_profit(contract, CD_FIRM, prefs, Horizon(T),
@@ -891,8 +891,8 @@ def test_additive_search_solves_one_exact_policy_per_row(monkeypatch, profit_cal
 
 
 def profit_values_per_row(policy, p, firm, horizon, wages):
-    """Reference: employer.profit_values as it was before slab pricing, one
-    recursion per policy, its reachable wages kept with np.union1d and indexed
+    """Reference: one policy's employer value as priced before slab pricing,
+    one recursion per policy, its reachable wages kept with np.union1d and indexed
     with two searchsorted calls per period."""
     wages = np.asarray(wages, dtype=float)
     respond = responder(policy)
@@ -982,7 +982,7 @@ def test_slab_rows_equal_one_row_passes(p, alphas, wage_draws, T, cobb_douglas, 
                               horizon, wages)
     assert slab.shape == (len(alphas), len(wages))
     for q, a, policy, row in zip(row_p, alphas, policies, slab):
-        one = profit_values(policy, q, CD_FIRM, horizon, wages)
+        one = slab_profit_values([policy], q, CD_FIRM, horizon, wages)[0]
         assert row.tobytes() == one.tobytes()
         assert row.tobytes() == profit_values_per_row(policy, q, CD_FIRM, horizon,
                                                       wages).tobytes()
@@ -1003,11 +1003,11 @@ def test_dense_pricing_refuses_an_effort_off_the_state_grid(direction):
     table[0, :] = np.nextafter(0.3, direction)
     off = TableEffortPolicy(replace(policy, table=table))
     with pytest.raises(ValueError, match="not a point of the policies' state grid"):
-        profit_values(off, 0.5, CD_FIRM, Horizon(3), [0.5])
+        slab_profit_values([off], 0.5, CD_FIRM, Horizon(3), [0.5])
     # on the grid efforts the same table prices
     table[0, :] = 0.3
-    profit_values(TableEffortPolicy(replace(policy, table=table)), 0.5, CD_FIRM,
-                  Horizon(3), [0.5])
+    slab_profit_values([TableEffortPolicy(replace(policy, table=table))], 0.5, CD_FIRM,
+                       Horizon(3), [0.5])
 
 
 def test_slab_with_unequal_reach_matches_per_cell_scan(profit_calls):

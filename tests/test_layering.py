@@ -311,8 +311,8 @@ def test_employer_keeps_one_backward_profit_loop():
     backward = {name: len(_backward_loops(fn)) for name, fn in functions.items()
                 if _backward_loops(fn)}
     assert backward == {"slab_profit_values": 1}
-    # the one-row pricing is its one-row case
-    assert _one_row_case(functions["profit_values"], "slab_profit_values")
+    # the one-contract pricing is its one-row case
+    assert _one_row_case(functions["expected_profit"], "slab_profit_values")
 
 
 def test_backward_loop_reader_sees_reversed_and_negative_ranges():

@@ -107,6 +107,30 @@ def test_prefs_validation():
                     b=1.0, gamma=0.3)
 
 
+def test_every_solver_refuses_the_other_family_by_one_guard():
+    # params.require_family is the one guard: each solver's refusal names
+    # prefs.family, the family it needs and the family it got
+    from wagedyn import additive, cobb_douglas, statics
+
+    contract, horizon = ContractParams(0.5, 0.5, 0.5), Horizon(2)
+    additive_prefs = WorkerPrefs.additive(delta=0.9)
+    cd_prefs = WorkerPrefs.cobb_douglas(delta=0.9, gamma=0.4, beta=0.6)
+    refusals = [
+        (lambda: additive.best_response(contract, cd_prefs, horizon),
+         "prefs.family: must be additive for the additive solver, got cobb_douglas"),
+        (lambda: additive.best_responses([contract], cd_prefs, horizon),
+         "prefs.family: must be additive for the additive solver, got cobb_douglas"),
+        (lambda: statics.optimal_effort(contract, cd_prefs),
+         "prefs.family: must be additive for the comparative statics, got cobb_douglas"),
+        (lambda: cobb_douglas.solve_policy(contract, additive_prefs, horizon),
+         "prefs.family: must be cobb_douglas for the Cobb-Douglas solver, got additive"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
 def test_non_finite_params_rejected(tmp_path):
     with pytest.raises(ParamError) as err:
         ContractParams(1.0, 0.5, math.inf)

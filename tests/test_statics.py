@@ -20,7 +20,6 @@ def test_analytic_derivative_values():
     assert sens.de_dp == 1.0
     assert sens.de_dw0 == 0.5 / 1.5
     assert sens.de_dalpha == 0.4 / 1.5 ** 2
-    assert not sens.boundary
 
 
 def test_one_sided_at_boundary():
@@ -66,9 +65,10 @@ def test_regime_classification():
 
 
 def test_boundary_optimum_flagged():
+    # at full effort every slope is 0
     sens = effort_sensitivity(ContractParams(1.0, 1.0, 1.0), PREFS)
-    assert sens.boundary
     assert sens.effort == 1.0
+    assert sens.de_dp == sens.de_dw0 == sens.de_dalpha == 0.0
 
 
 def test_foc_residual_zero_at_optimum():
