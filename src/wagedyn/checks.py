@@ -20,7 +20,7 @@ import numpy as np
 from . import additive, reference, statics
 from .cobb_douglas import TableEffortPolicy, always_sampled_path, solve_policy
 from .config import Scenario, validate_config
-from .distribution import cd_bracket_columns, enumerate_histories, propagate, simulate
+from .distribution import cd_bracket_table, enumerate_histories, propagate, simulate
 from .employer import (GridSteps, _profit_differences, grid_search_optimum,
                        stationary_grid_search, stationary_one_period_optimum,
                        tech_shock, tech_sweep)
@@ -162,7 +162,7 @@ def check_distribution_table() -> CriterionResult:
     scenario = load_scenario("table3_4")
     policy = TableEffortPolicy(_policy_for(scenario))
     dists = propagate(policy, scenario.contract, scenario.horizon)
-    cols = cd_bracket_columns(dists, scenario.contract.w0, scenario.grid.wage_step)
+    _, cols = cd_bracket_table(dists, scenario.contract.w0, scenario.grid.wage_step)
     col1 = cols[0]
     out.add("period1_single_bracket_mass_1",
             len(col1) == 1 and abs(next(iter(col1.values())) - 1.0) < 1e-12,
@@ -408,8 +408,8 @@ def check_technology() -> CriterionResult:
             bool(np.all(report.profile_after.variance
                         >= report.profile_before.variance - eps)),
             "")
-    rel_before = report.profile_before.employment_cost - report.profile_before.employment_cost[0]
-    rel_after = report.profile_after.employment_cost - report.profile_after.employment_cost[0]
+    rel_before = report.cost_before - report.cost_before[0]
+    rel_after = report.cost_after - report.cost_after[0]
     out.add("late_period_relative_cost_rises",
             rel_after[-1] > rel_before[-1] + eps,
             f"relative late-period cost before {rel_before[-1]:.4f} vs after "
@@ -435,15 +435,15 @@ def check_statics() -> CriterionResult:
     interior = [c for c in cells if c.interior]
     out.add("grid_has_interior_cells", len(interior) > 0,
             f"{len(interior)}/{len(cells)} interior")
-    out.add("de_dp_positive", all(c.sensitivity.de_dp > 0 for c in interior), "")
-    out.add("de_dw0_positive", all(c.sensitivity.de_dw0 > 0 for c in interior), "")
-    penalty = [c for c in interior if c.sensitivity.regime == statics.PENALTY_REGIME]
+    out.add("de_dp_positive", all(c.de_dp > 0 for c in interior), "")
+    out.add("de_dw0_positive", all(c.de_dw0 > 0 for c in interior), "")
+    penalty = [c for c in interior if c.regime == statics.PENALTY_REGIME]
     out.add("de_dalpha_positive_in_penalty_regime",
-            all(c.sensitivity.de_dalpha > 0 for c in penalty),
+            all(c.de_dalpha > 0 for c in penalty),
             f"{len(penalty)} penalty-regime cells")
-    bonus_regime = [c for c in interior if c.sensitivity.regime == statics.BONUS_REGIME]
+    bonus_regime = [c for c in interior if c.regime == statics.BONUS_REGIME]
     if bonus_regime:
-        signs = {c.sensitivity.de_dalpha > 0 for c in bonus_regime}
+        signs = {c.de_dalpha > 0 for c in bonus_regime}
         out.warnings.append(
             f"bonus-regime de/dalpha observed positive: {signs == {True}} "
             "(reported, not asserted)")

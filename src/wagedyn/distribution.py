@@ -153,6 +153,16 @@ def step(dist: WageDistribution, respond: Callable, p: float, t: int) -> WageDis
                   np.concatenate([dist.probs * (1.0 - p), dist.probs * p]))
 
 
+MAX_ENUMERATION_T = 20  # the longest horizon whose 2^T histories are enumerated
+
+
+def require_enumerable(horizon: Horizon) -> None:
+    """The one horizon bound of every history enumeration."""
+    if horizon.T > MAX_ENUMERATION_T:
+        raise ValueError(f"history enumeration refuses T > {MAX_ENUMERATION_T}: "
+                         f"2^T histories (got T = {horizon.T})")
+
+
 def enumerate_histories(policy: WagePolicy, contract: ContractParams,
                         horizon: Horizon) -> WageDistribution:
     """Exact final-period distribution by summing over all sampling histories.
@@ -163,10 +173,8 @@ def enumerate_histories(policy: WagePolicy, contract: ContractParams,
     per period on the whole level, and not at all when p = 0; histories whose
     probability is 0 are dropped by the merge.
     """
-    T = horizon.T
-    if T > 20:
-        raise ValueError(f"history enumeration refuses T > 20 (got {T})")
-    p = contract.p
+    require_enumerable(horizon)
+    T, p = horizon.T, contract.p
     respond = responder(policy)
     wages = np.array([float(contract.w0)])
     probs = np.array([1.0])
@@ -329,26 +337,32 @@ def bracketize(dist: WageDistribution, bracket_width: float) -> dict[str, float]
     """Mass per bracket, {label: mass} in bracket order: a wage of exactly 0
     keeps its own degenerate bracket "0", first; the rest fall in half-open
     brackets (low, high], labelled "low-high" with %g."""
-    if bracket_width <= 0.0:
-        raise ValueError("bracket_width must be positive")
     cells: dict[int, float] = {}
-    zero_mass = 0.0
-    for w, m in zip(dist.support.tolist(), dist.probs.tolist()):
-        if w <= 0.0:
-            zero_mass += m
-            continue
-        idx = int(math.ceil(round(w / bracket_width, 9))) - 1
-        cells[idx] = cells.get(idx, 0.0) + m
-    out = {"0": zero_mass} if zero_mass > 0.0 else {}
-    for idx in sorted(cells):
-        out[f"{idx * bracket_width:g}-{(idx + 1) * bracket_width:g}"] = cells[idx]
-    return out
+    for i, m in zip(_bracket_indices(dist, bracket_width), dist.probs.tolist()):
+        cells[i] = cells.get(i, 0.0) + m
+    return {_bracket_label(i, bracket_width): cells[i] for i in sorted(cells)}
 
 
-def cd_bracket_columns(dists: list[WageDistribution], w0: float,
-                       width: float) -> list[dict[str, float]]:
-    """Published-layout columns: column t is the distribution entering period t
-    (the point mass at the starting wage w0 first, then the first T-1
-    propagated rounds), bracketed at the given width."""
-    return [bracketize(d, width)
-            for d in [WageDistribution.point_mass(w0)] + list(dists[:-1])]
+def _bracket_indices(dist: WageDistribution, width: float) -> list[int]:
+    """Each support point's bracket: -1 for "0", else i for (i*width, (i+1)*width],
+    where a quotient within 1e-9 of an edge is on it."""
+    if width <= 0.0:
+        raise ValueError("bracket_width must be positive")
+    return [-1 if w <= 0.0 else max(int(math.ceil(round(w / width, 9))) - 1, 0)
+            for w in dist.support.tolist()]
+
+
+def _bracket_label(index: int, width: float) -> str:
+    return "0" if index < 0 else f"{index * width:g}-{(index + 1) * width:g}"
+
+
+def cd_bracket_table(dists: list[WageDistribution], w0: float,
+                     width: float) -> tuple[list[str], list[dict[str, float]]]:
+    """Published-layout (row labels, columns): column t brackets the
+    distribution entering period t (the point mass at w0, then the first T-1
+    propagated rounds); the rows are every bracket a column holds, in
+    bracketize's order."""
+    entering = [WageDistribution.point_mass(w0)] + list(dists[:-1])
+    rows = sorted({i for d in entering for i in _bracket_indices(d, width)})
+    return ([_bracket_label(i, width) for i in rows],
+            [bracketize(d, width) for d in entering])

@@ -44,7 +44,8 @@ import numpy as np
 from .additive import _affine_response, best_response, best_responses
 from .cobb_douglas import (DpGrid, TableEffortPolicy, grid_index, solve_policies,
                            solve_policy)
-from .distribution import WageDistribution, profile, propagate, responder
+from .distribution import (ProfileSeries, WageDistribution, profile, propagate,
+                           require_enumerable, responder)
 from .model import zero_base_consumption
 from .params import (ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs,
                      require_family)
@@ -186,9 +187,8 @@ def profit_by_history_enumeration(contract: ContractParams, firm: FirmParams,
     sampling mask). Each history's discounted profit accumulates period by
     period, and the probability-weighted histories are summed in mask order.
     """
+    require_enumerable(horizon)
     T = horizon.T
-    if T > 20:
-        raise ValueError("history enumeration refuses T > 20")
     if policy is None:
         policy = worker_policy(contract, prefs, horizon, firm)
     respond = responder(policy)
@@ -553,20 +553,16 @@ def tech_sweep(k_values, firm_template: FirmParams) -> list[SweepRow]:
 class TechShockReport:
     contract_before: ContractParams
     contract_after: ContractParams
-    profile_before: "ProfileDetail"
-    profile_after: "ProfileDetail"
+    profile_before: ProfileSeries
+    profile_after: ProfileSeries
+    cost_before: np.ndarray  # per period: wage expectancy minus expected output
+    cost_after: np.ndarray
     turnover: list[bool]  # per period: incumbent costs more than a fresh hire
 
 
-@dataclass(frozen=True)
-class ProfileDetail:
-    mean: np.ndarray
-    variance: np.ndarray
-    employment_cost: np.ndarray  # wage expectancy minus expected marginal output
-
-
 def _contract_profile(contract: ContractParams, firm: FirmParams, prefs: WorkerPrefs,
-                      horizon: Horizon) -> ProfileDetail:
+                      horizon: Horizon) -> tuple[ProfileSeries, np.ndarray]:
+    """The wage profile under contract and its per-period employment cost."""
     policy = worker_policy(contract, prefs, horizon, firm)
     dists = propagate(policy, contract, horizon)
     respond = responder(policy)
@@ -575,7 +571,7 @@ def _contract_profile(contract: ContractParams, firm: FirmParams, prefs: WorkerP
     outputs = np.array([firm.k * float(np.dot(respond(t, d.support)[0], d.probs))
                         for t, d in enumerate(entering, 1)])
     series = profile(dists)
-    return ProfileDetail(series.mean, series.variance, series.mean - outputs)
+    return series, series.mean - outputs
 
 
 def tech_shock(firm_before: FirmParams, firm_after: FirmParams, prefs: WorkerPrefs,
@@ -592,8 +588,8 @@ def tech_shock(firm_before: FirmParams, firm_after: FirmParams, prefs: WorkerPre
     require_rules_worker(prefs, "tech-shock")
     c_before = stationary_one_period_optimum(firm_before).contract
     c_after = stationary_one_period_optimum(firm_after).contract
-    prof_before = _contract_profile(c_before, firm_before, prefs, horizon)
-    prof_after = _contract_profile(c_after, firm_after, prefs, horizon)
-    fresh_cost = prof_after.employment_cost[0]
-    turnover = [bool(cost > fresh_cost + 1e-12) for cost in prof_after.employment_cost]
-    return TechShockReport(c_before, c_after, prof_before, prof_after, turnover)
+    prof_before, cost_before = _contract_profile(c_before, firm_before, prefs, horizon)
+    prof_after, cost_after = _contract_profile(c_after, firm_after, prefs, horizon)
+    turnover = [bool(cost > cost_after[0] + 1e-12) for cost in cost_after]
+    return TechShockReport(c_before, c_after, prof_before, prof_after,
+                           cost_before, cost_after, turnover)

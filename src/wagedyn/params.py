@@ -70,8 +70,8 @@ class WorkerPrefs:
             present, absent = ("gamma", "beta"), ("b",)
         for name in present:
             value = getattr(self, name)
-            if value is None or not value > 0.0:
-                errors.append(f"prefs.{name}: must be > 0, got {value}")
+            if value is None or not 0.0 < value < math.inf:
+                errors.append(f"prefs.{name}: must be finite and > 0, got {value}")
         for name in absent:
             if getattr(self, name) is not None:
                 errors.append(f"prefs.{name}: must be absent for the "

@@ -19,8 +19,7 @@ from . import additive, statics
 from .cobb_douglas import (TableEffortPolicy, always_sampled_path,
                            policy_monotonicity_report, solve_policy)
 from .config import Scenario, resolved_json
-from .distribution import (cd_bracket_columns, profile, propagate, responder,
-                           simulate)
+from .distribution import cd_bracket_table, profile, propagate, responder, simulate
 from .employer import (GridSteps, grid_search_optimum, require_rules_worker,
                        stationary_one_period_optimum, tech_shock, tech_sweep)
 from .model import require_base_consumption
@@ -88,6 +87,17 @@ def _start(command: str, scenario: Scenario, outdir: Path, *sections: str) -> No
         needs = (f"the {sections[0]} section" if len(sections) == 1 else
                  f"{', '.join(sections[:-1])} and {sections[-1]} sections")
         raise ValueError(f"{command} needs {needs}")
+
+
+def _require_w0_on_grid(scenario: Scenario) -> None:
+    """Raise ValueError naming contract.w0 unless the base wage is a point of
+    the scenario's policy grid, where a Cobb-Douglas table is read."""
+    grid, w0 = scenario.grid, scenario.contract.w0
+    try:
+        grid.index(w0)
+    except ValueError:
+        raise ValueError(f"contract.w0: must be a point of the policy grid (step "
+                         f"{grid.wage_step}, max {grid.wage_max}), got {w0}") from None
 
 
 def run_additive_profile(scenario: Scenario, outdir: Path) -> None:
@@ -182,6 +192,7 @@ def run_cd_policy(scenario: Scenario, outdir: Path) -> None:
 
 def run_cd_path(scenario: Scenario, outdir: Path) -> None:
     _start("cd-path", scenario, outdir, "contract", "prefs", "horizon")
+    _require_w0_on_grid(scenario)
     contract, prefs, horizon = scenario.contract, scenario.prefs, scenario.horizon
     policy = solve_policy(contract, prefs, horizon, scenario.grid)
     path = always_sampled_path(policy, contract.w0)
@@ -196,22 +207,20 @@ def run_cd_path(scenario: Scenario, outdir: Path) -> None:
 
 def run_cd_distribution(scenario: Scenario, outdir: Path) -> None:
     _start("cd-distribution", scenario, outdir, "contract", "prefs", "horizon")
+    _require_w0_on_grid(scenario)
     contract, prefs = scenario.contract, scenario.prefs
     horizons = [int(h) for h in scenario.experiment.get("horizons", [scenario.horizon.T])]
     for T in horizons:
         horizon = Horizon(T)
-        policy = solve_policy(contract, prefs, horizon, scenario.grid)
-        adapter = TableEffortPolicy(policy)
-        dists = propagate(adapter, contract, horizon)
+        policy = TableEffortPolicy(solve_policy(contract, prefs, horizon, scenario.grid))
+        dists = propagate(policy, contract, horizon)
         prof = profile(dists)
         suffix = f"_T{T}" if len(horizons) > 1 else ""
-        cols = cd_bracket_columns(dists, contract.w0, scenario.grid.wage_step)
+        labels, cols = cd_bracket_table(dists, contract.w0, scenario.grid.wage_step)
         write_csv(outdir / f"distribution{suffix}.csv",
                   ["period", "wage", "probability"],
                   [[t + 1, w, pr] for t, d in enumerate(dists)
                    for w, pr in zip(d.support, d.probs)])
-        labels = sorted({lab for col in cols for lab in col},
-                        key=lambda s: float(s.split("-")[0]))
         write_csv(outdir / f"brackets{suffix}.csv",
                   ["bracket"] + [str(t) for t in range(1, T + 1)],
                   [[lab] + [col.get(lab, 0.0) for col in cols] for lab in labels])
@@ -240,19 +249,19 @@ def run_employer_optimum(scenario: Scenario, outdir: Path) -> None:
     prefs = scenario.prefs
     horizon = scenario.horizon or Horizon(1)
     refine = int(scenario.experiment.get("refine_rounds", 2))
-    grid_opt = grid_search_optimum(firm, prefs, horizon, steps, refine_rounds=refine,
-                                   cd_grid=scenario.grid) if prefs is not None else None
     # the admissible contract: the raw rule values can be infinite (p* at c = 0)
-    payload = {"analytic": {"alpha": rules.contract.alpha, "p": rules.contract.p,
-                            "w0": rules.contract.w0, "profit": rules.profit,
-                            "flags": list(rules.flags)}}
-    if grid_opt is not None:
-        payload["grid_search"] = {"p": grid_opt.contract.p,
-                                  "alpha": grid_opt.contract.alpha,
-                                  "w0": grid_opt.contract.w0,
-                                  "profit": grid_opt.profit,
-                                  "flags": list(grid_opt.flags)}
+    payload = {"analytic": _optimum_json(rules)}
+    if prefs is not None:
+        payload["grid_search"] = _optimum_json(grid_search_optimum(
+            firm, prefs, horizon, steps, refine_rounds=refine, cd_grid=scenario.grid))
     write_json(outdir / "optimum.json", payload)
+
+
+def _optimum_json(opt) -> dict:
+    """A contract, its profit and flags (OptimalContract, SweepRow) as JSON."""
+    c = opt.contract
+    return {"p": c.p, "alpha": c.alpha, "w0": c.w0, "profit": opt.profit,
+            "flags": list(opt.flags)}
 
 
 def run_tech_sweep(scenario: Scenario, outdir: Path) -> None:
@@ -267,10 +276,7 @@ def run_tech_sweep(scenario: Scenario, outdir: Path) -> None:
               [[r.k, r.contract.p, r.contract.alpha, r.contract.w0, r.profit,
                 r.effort, r.wage_mean, r.wage_variance, r.std_over_mean,
                 "|".join(r.flags)] for r in rows])
-    write_json(outdir / "contracts.json", [
-        {"k": r.k, "p": r.contract.p, "alpha": r.contract.alpha,
-         "w0": r.contract.w0, "profit": r.profit, "flags": list(r.flags)}
-        for r in rows])
+    write_json(outdir / "contracts.json", [{"k": r.k, **_optimum_json(r)} for r in rows])
     write_line_chart(outdir / "sweep.svg", k_values,
                      {"expectancy": [r.wage_mean for r in rows],
                       "variance": [r.wage_variance for r in rows],
@@ -280,36 +286,29 @@ def run_tech_sweep(scenario: Scenario, outdir: Path) -> None:
 
 def run_tech_shock(scenario: Scenario, outdir: Path) -> None:
     _start("tech-shock", scenario, outdir, "firm", "prefs", "horizon")
-    firm = scenario.firm
-    prefs = scenario.prefs
-    horizon = scenario.horizon
+    firm, prefs, horizon = scenario.firm, scenario.prefs, scenario.horizon
     if "k_after" not in scenario.experiment:
         raise ValueError("experiment.k_after: tech-shock needs the marginal product "
                          "after the shock")
     k_before = float(scenario.experiment.get("k_before", firm.k))
     k_after = float(scenario.experiment["k_after"])
     report = tech_shock(replace(firm, k=k_before), replace(firm, k=k_after), prefs, horizon)
+    before, after = report.profile_before, report.profile_after
+    periods = range(1, horizon.T + 1)
     write_csv(outdir / "shock.csv",
               ["period", "mean_before", "variance_before", "cost_before",
                "mean_after", "variance_after", "cost_after", "turnover"],
-              [[t + 1,
-                report.profile_before.mean[t], report.profile_before.variance[t],
-                report.profile_before.employment_cost[t],
-                report.profile_after.mean[t], report.profile_after.variance[t],
-                report.profile_after.employment_cost[t],
-                report.turnover[t]] for t in range(horizon.T)])
+              list(zip(periods, before.mean, before.variance, report.cost_before,
+                       after.mean, after.variance, report.cost_after, report.turnover)))
     write_json(outdir / "contracts.json", {
-        "before": {"k": k_before, "p": report.contract_before.p,
-                   "alpha": report.contract_before.alpha,
-                   "w0": report.contract_before.w0},
-        "after": {"k": k_after, "p": report.contract_after.p,
-                  "alpha": report.contract_after.alpha,
-                  "w0": report.contract_after.w0}})
-    write_line_chart(outdir / "shock.svg", range(1, horizon.T + 1),
-                     {"expectancy before": report.profile_before.mean.tolist(),
-                      "expectancy after": report.profile_after.mean.tolist(),
-                      "variance before": report.profile_before.variance.tolist(),
-                      "variance after": report.profile_after.variance.tolist()},
+        side: {"k": k, "p": c.p, "alpha": c.alpha, "w0": c.w0}
+        for side, k, c in (("before", k_before, report.contract_before),
+                           ("after", k_after, report.contract_after))})
+    write_line_chart(outdir / "shock.svg", periods,
+                     {"expectancy before": before.mean.tolist(),
+                      "expectancy after": after.mean.tolist(),
+                      "variance before": before.variance.tolist(),
+                      "variance after": after.variance.tolist()},
                      title="profiles before and after the shock", x_label="period")
 
 
@@ -329,12 +328,10 @@ def run_statics(scenario: Scenario, outdir: Path) -> None:
               ["p", "alpha", "w0", "effort", "de_dp", "de_dw0", "de_dalpha",
                "regime", "dalpha_sign", "interior", "foc_residual",
                "one_sided"],
-              [[c.contract.p, c.contract.alpha, c.contract.w0,
-                c.sensitivity.effort, c.sensitivity.de_dp, c.sensitivity.de_dw0,
-                c.sensitivity.de_dalpha, c.sensitivity.regime,
-                "asserted" if c.sensitivity.regime == statics.PENALTY_REGIME
-                else "observed",
-                c.interior, c.foc_residual_at_optimum, ""] for c in cells])
+              [[c.contract.p, c.contract.alpha, c.contract.w0, c.effort,
+                c.de_dp, c.de_dw0, c.de_dalpha, c.regime,
+                "asserted" if c.regime == statics.PENALTY_REGIME else "observed",
+                c.interior, c.foc_residual, ""] for c in cells])
 
 
 RUNNERS = {

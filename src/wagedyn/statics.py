@@ -75,47 +75,39 @@ BONUS_REGIME = "deserved>w0"
 
 @dataclass(frozen=True)
 class EffortSensitivity:
+    contract: ContractParams
     effort: float
     de_dp: float
     de_dw0: float
     de_dalpha: float
     regime: str
+    interior: bool
+    foc_residual: float  # NaN unless interior
 
 
 def effort_sensitivity(contract: ContractParams, prefs: WorkerPrefs) -> EffortSensitivity:
-    """Exact right derivatives of the optimal effort with respect to p, w0
-    and alpha: the affine rule's slopes below full effort, 0 at it."""
+    """The cell at contract: e*, its exact right derivatives in p, w0 and alpha
+    (the affine rule's slopes below full effort, 0 at it), its regime, and the
+    FOC residual where 0 < e* < 1 and the evaluated consumption is positive,
+    which needs p > 0: the rule puts it at 0 when p = 0."""
     e_star = optimal_effort(contract, prefs)
-    alpha = contract.alpha
+    alpha, w0 = contract.alpha, contract.w0
     if e_star < 1.0:
         de_dp, de_dw0 = 1.0 / prefs.b, alpha / (1.0 + alpha)
-        de_da = contract.w0 / (1.0 + alpha) ** 2
+        de_da = w0 / (1.0 + alpha) ** 2
     else:
         de_dp = de_dw0 = de_da = 0.0
     # the deserved wage at the optimum is e_star itself
-    regime = PENALTY_REGIME if e_star <= contract.w0 + 1e-9 else BONUS_REGIME
-    return EffortSensitivity(effort=e_star, de_dp=de_dp, de_dw0=de_dw0,
-                             de_dalpha=de_da, regime=regime)
-
-
-@dataclass(frozen=True)
-class SensitivityCell:
-    contract: ContractParams
-    sensitivity: EffortSensitivity
-    foc_residual_at_optimum: float
-    interior: bool
+    regime = PENALTY_REGIME if e_star <= w0 + 1e-9 else BONUS_REGIME
+    interior = 0.0 < e_star < 1.0 and contract.p > 0.0 and (1 + alpha) * e_star > alpha * w0
+    res = foc_residual(contract, prefs, e_star) if interior else math.nan
+    return EffortSensitivity(contract=contract, effort=e_star, de_dp=de_dp,
+                             de_dw0=de_dw0, de_dalpha=de_da, regime=regime,
+                             interior=interior, foc_residual=res)
 
 
 def sensitivity_grid(p_values, alpha_values, w0_values,
-                     prefs: WorkerPrefs) -> list[SensitivityCell]:
-    """Sensitivity sweep over a parameter grid; cells carry an interior flag."""
-    cells = []
-    for p in p_values:
-        for alpha in alpha_values:
-            for w0 in w0_values:
-                contract = ContractParams(p, alpha, w0)
-                sens = effort_sensitivity(contract, prefs)
-                interior = 0.0 < sens.effort < 1.0
-                res = foc_residual(contract, prefs, sens.effort) if interior else math.nan
-                cells.append(SensitivityCell(contract, sens, res, interior))
-    return cells
+                     prefs: WorkerPrefs) -> list[EffortSensitivity]:
+    """effort_sensitivity over every (p, alpha, w0) of a parameter grid."""
+    return [effort_sensitivity(ContractParams(p, alpha, w0), prefs)
+            for p in p_values for alpha in alpha_values for w0 in w0_values]

@@ -52,20 +52,32 @@ def test_criterion_03_distribution_table():
     _assert_criterion(checks.check_distribution_table())
 
 
-def test_criterion_03_warnings_independent_of_hash_seed():
-    # reproduce-all writes these warnings into report.txt/report.json, which
+def test_criterion_03_warnings_independent_of_hash_seed(tmp_path):
+    # reproduce-all writes criterion 3's warnings into report.txt/report.json;
+    # its whole tree, and a bracket table whose columns hold the zero bracket,
     # must be byte-identical across interpreter runs
     src = str(Path(wagedyn.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import json; from wagedyn import checks; "
-            "print(json.dumps(checks.check_distribution_table().warnings))")
-    runs = []
+    probe = tmp_path / "zero_bracket.json"
+    probe.write_text(json.dumps({
+        "contract": {"p": 0.2, "alpha": 0.1, "w0": 0.1},
+        "prefs": {"family": "cobb_douglas", "delta": 0.9, "gamma": 0.7, "beta": 0.6},
+        "horizon": {"T": 6}}))
+    trees = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                              capture_output=True, text=True, timeout=300)
-        runs.append(json.loads(proc.stdout))
-    assert runs[0] == runs[1]
+        out = tmp_path / f"seed{seed}"
+        for args, code in ((["reproduce-all"], 2),
+                           (["cd-distribution", "--config", str(probe)], 0)):
+            proc = subprocess.run([sys.executable, "-m", "wagedyn.cli", *args, "--out",
+                                   str(out / args[0])], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == code, proc.stderr
+        trees.append({f.relative_to(out).as_posix(): f.read_bytes()
+                      for f in sorted(out.rglob("*")) if f.is_file()})
+    assert trees[0].keys() == trees[1].keys()
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+    assert trees[0]["cd-distribution/brackets.csv"].splitlines()[1].startswith(b"0,")
 
 
 def test_criterion_04_additive_oracle():

@@ -480,6 +480,26 @@ def test_tech_shock_rejects_a_worker_other_than_b_1(tmp_path, capsys, prefs, wor
     _refuses_a_worker_the_rules_do_not_serve(tmp_path, capsys, "tech-shock", "fig4_2",
                                              prefs, refusal)
 
+
+@pytest.mark.parametrize("command", ["cd-path", "cd-distribution"])
+def test_cobb_douglas_runners_refuse_a_base_wage_off_the_grid(tmp_path, capsys, command):
+    # the table answers at grid wages only: the refusal names contract.w0 and
+    # the grid step before anything is solved; cd-policy never reads w0
+    from wagedyn.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "contract": {"p": 0.2, "alpha": 0.1, "w0": 0.45},
+        "prefs": {"family": "cobb_douglas", "delta": 0.9, "gamma": 0.7, "beta": 0.6},
+        "horizon": {"T": 3}}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: contract.w0: must be a point of the policy grid (step 0.1, max 1.0), "
+        "got 0.45\n")
+    assert [p.name for p in out.iterdir()] == ["resolved_scenario.json"]
+    assert main(["cd-policy", "--config", str(cfg), "--out", str(tmp_path / "policy")]) == 0
+
 # ---------------------------------------------------------------------------
 # the reader's path runs the exact best response, never the grid oracle
 

@@ -238,6 +238,18 @@ def test_enumeration_refuses_large_horizons():
         enumerate_histories(additive_policy(Horizon(2)), CONTRACT, Horizon(21))
 
 
+def test_both_history_enumerations_refuse_T_21_with_one_message():
+    from wagedyn import FirmParams, profit_by_history_enumeration
+
+    firm = FirmParams(k=1.5, lam=0.8, c=0.2, eta=0.9)
+    with pytest.raises(ValueError) as wages:
+        enumerate_histories(additive_policy(Horizon(2)), CONTRACT, Horizon(21))
+    with pytest.raises(ValueError) as profit:
+        profit_by_history_enumeration(CONTRACT, firm, PREFS, Horizon(21))
+    assert str(wages.value) == str(profit.value) == (
+        "history enumeration refuses T > 20: 2^T histories (got T = 21)")
+
+
 def test_additive_support_growth_and_mass():
     T = 10
     policy = additive_policy(Horizon(T))
@@ -348,6 +360,21 @@ def test_bracketize_conventions():
 def test_bracketize_point_mass():
     masses = bracketize(WageDistribution(np.array([0.25]), np.array([1.0])), 0.1)
     assert masses == {"0.2-0.3": 1.0}
+
+
+def test_bracketize_puts_a_tiny_wage_in_the_first_bracket():
+    # w / width rounds to 0 at 9 digits, but the wage is in (0, 0.1]
+    masses = bracketize(WageDistribution.point_mass(1e-12), 0.1)
+    assert masses == {"0-0.1": 1.0}
+
+
+def test_bracket_table_rows_zero_bracket_first_then_by_index():
+    # column 1 is the point mass at w0, column 2 the first round
+    dists = [WageDistribution(np.array([0.0, 0.25]), np.array([0.4, 0.6])),
+             WageDistribution.point_mass(0.9)]
+    labels, columns = distribution.cd_bracket_table(dists, 0.1, 0.1)
+    assert labels == ["0", "0-0.1", "0.2-0.3"]
+    assert columns == [{"0-0.1": 1.0}, {"0": 0.4, "0.2-0.3": 0.6}]
 
 
 @settings(max_examples=25, deadline=None)

@@ -523,6 +523,10 @@ def test_tech_shock_report():
     assert np.all(report.profile_after.variance >= report.profile_before.variance)
     assert report.turnover[-1]
     assert not report.turnover[0]
+    # the employment cost of each period, beside each cohort's profile
+    assert report.cost_before.shape == report.cost_after.shape == (5,)
+    assert report.turnover == [bool(c > report.cost_after[0] + 1e-12)
+                               for c in report.cost_after]
     with pytest.raises(ValueError):
         tech_shock(after, before, prefs, Horizon(5))
 

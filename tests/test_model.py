@@ -150,6 +150,18 @@ def test_non_finite_params_rejected(tmp_path):
                                 "firm.c: must be finite and >= 0, got inf"]
 
 
+def test_non_finite_prefs_rejected():
+    # like the contract and firm bounds: an infinite b would make de/dp 0 and
+    # the first-order residual -inf
+    with pytest.raises(ParamError) as err:
+        WorkerPrefs.additive(delta=0.9, b=math.inf)
+    assert err.value.errors == ["prefs.b: must be finite and > 0, got inf"]
+    with pytest.raises(ParamError) as err:
+        WorkerPrefs.cobb_douglas(delta=0.9, gamma=math.inf, beta=math.inf)
+    assert err.value.errors == ["prefs.gamma: must be finite and > 0, got inf",
+                                "prefs.beta: must be finite and > 0, got inf"]
+
+
 def test_firm_and_horizon_validation():
     firm = FirmParams(k=1.5, lam=0.8, c=0.2, eta=0.9)
     assert firm.wage_scale == pytest.approx(1.2)

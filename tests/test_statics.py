@@ -1,5 +1,9 @@
+import csv
 import math
+import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -112,8 +116,66 @@ def test_sensitivity_grid_signs():
     interior = [c for c in cells if c.interior]
     assert len(interior) == 27
     for c in interior:
-        assert c.sensitivity.de_dp > 0
-        assert c.sensitivity.de_dw0 > 0
-        if c.sensitivity.regime == PENALTY_REGIME:
-            assert c.sensitivity.de_dalpha > 0
-        assert not math.isnan(c.foc_residual_at_optimum)
+        assert c.de_dp > 0
+        assert c.de_dw0 > 0
+        if c.regime == PENALTY_REGIME:
+            assert c.de_dalpha > 0
+        assert not math.isnan(c.foc_residual)
+
+
+def test_no_interior_cell_at_p_0():
+    # the rule puts the evaluated consumption at exactly 0 when p = 0, where
+    # the first-order condition is undefined; the slopes are still the rule's
+    cells = sensitivity_grid([0.0, 0.3], [0.5], [0.5], PREFS)
+    assert [c.interior for c in cells] == [False, True]
+    assert math.isnan(cells[0].foc_residual)
+    assert (cells[0].de_dp, cells[0].de_dw0) == (1.0, 0.5 / 1.5)
+    assert abs(cells[1].foc_residual) < 1e-12
+
+
+def test_no_interior_cell_where_p_rounds_away():
+    # p/b below an ulp of alpha/(1+alpha)*w0 leaves the evaluated
+    # consumption to rounding, so the residual would be noise or raise
+    sens = effort_sensitivity(ContractParams(1e-20, 0.5, 0.5), PREFS)
+    assert 0.0 < sens.effort < 1.0
+    assert not sens.interior and math.isnan(sens.foc_residual)
+
+
+def _finite_or_empty(cell):
+    return cell == "" or math.isfinite(float(cell))
+
+
+@pytest.mark.xfail(strict=True, reason="the params bounds accept a subnormal b, whose "
+                   "1/b (the slope de/dp) overflows to inf")
+def test_slope_is_finite_at_a_subnormal_b():
+    sens = effort_sensitivity(ContractParams(0.0, 0.5, 0.5),
+                              WorkerPrefs.additive(delta=0.9, b=5e-324))
+    assert math.isfinite(sens.de_dp)
+
+
+# b is drawn over the normal floats: below them 1/b overflows, which
+# test_slope_is_finite_at_a_subnormal_b records
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(p_values=st.lists(st.floats(0.0, 1.0), max_size=3),
+       alpha_values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+       w0_values=st.lists(st.floats(0.0, sys.float_info.max), min_size=1, max_size=3),
+       b=st.floats(sys.float_info.min, sys.float_info.max))
+def test_statics_runner_writes_finite_numbers(p_values, alpha_values, w0_values, b):
+    from wagedyn.config import validate_config
+    from wagedyn.report import run_statics
+
+    scenario = validate_config({
+        "prefs": {"family": "additive", "delta": 0.9, "b": b},
+        "experiment": {"p_values": [0.0, 1.0] + p_values, "alpha_values": alpha_values,
+                       "w0_values": w0_values}})
+    with tempfile.TemporaryDirectory() as out:
+        run_statics(scenario, Path(out))
+        with open(Path(out) / "statics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    assert len(rows) == (2 + len(p_values)) * len(alpha_values) * len(w0_values)
+    numeric = ["p", "alpha", "w0", "effort", "de_dp", "de_dw0", "de_dalpha",
+               "foc_residual"]
+    for row in rows:
+        assert all(_finite_or_empty(row[name]) for name in numeric), row
+        if row["interior"] == "true":
+            assert row["foc_residual"] != "", row
