@@ -17,7 +17,7 @@ from .employer import (GridSteps, OptimalContract, expected_profit,
                        grid_search_optimum, profit_by_history_enumeration,
                        stationary_grid_search, stationary_one_period_optimum,
                        tech_shock, tech_sweep)
-from .model import (DomainError, affine_effort, require_base_consumption,
+from .model import (DomainError, affine_response, require_base_consumption,
                     zero_base_consumption)
 from .params import (ContractParams, FirmParams, Horizon, UtilityFamily,
                      WorkerPrefs)

@@ -24,7 +24,7 @@ Key structural facts used throughout: with wage scale s and bonus rate alpha,
 the evaluated consumption is x = s*(1+alpha)*e - alpha*w, the first-order
 condition pins x independently of the previous wage w, and the optimal effort
 is affine in w: e_t(w) = (p/b)*phi_t + (alpha/(1+alpha))*(w/s)
-(model.affine_effort).
+(model.affine_response, the worker's one response).
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .golden import bisect_root, golden_max_vec
-from .model import affine_effort, require_base_consumption
+from .model import affine_response, require_base_consumption
 from .params import (ContractParams, Horizon, UtilityFamily, WorkerPrefs,
                      require_family)
 
@@ -176,24 +176,14 @@ def deterministic_path(contract: ContractParams, efforts: list[float]) -> list[f
 # the exact best response
 
 
-def dead_corner(alpha, w, wage_scale: float):
-    """True where not even full effort yields a positive evaluated wage,
-    s(1+alpha) - alpha*w <= 0. An evaluation then leaves the worker with
-    nothing whatever the effort, so the worker idles: e = 0 and x = 0.
-    Broadcasts over alpha and w."""
-    return wage_scale * (1.0 + alpha) - alpha * w <= 0.0
-
-
 class AffinePolicy:
     """The additive worker's affine effort policy, answered through stack.
 
-    Period t (1..len(phi)) exerts model.affine_effort(p, alpha, w, phi[t-1],
-    b, wage_scale) at previous wage w. The worker exerts no effort when p = 0
-    (never evaluated, effort is pure disutility) and in the dead corner (see
-    dead_corner), as in the one-period response; only a starting wage
-    w0 >= s(1+alpha)/alpha lies there, because every evaluated wage is below
-    it. An evaluation folds the bonus into the wage state, so the evaluated
-    next wage is max(s(1+alpha)e - alpha*w, 0) and the bonus is zero.
+    Period t (1..len(phi)) answers model.affine_response(p, alpha, w,
+    phi[t-1], b, wage_scale) at previous wage w. The worker idles when p = 0
+    and in the dead corner, where only a starting wage w0 >= s(1+alpha)/alpha
+    lies, because every evaluated wage is below it. An evaluation folds the
+    bonus into the wage state, so the bonus is zero.
     """
 
     def __init__(self, contract: ContractParams, b: float, wage_scale: float, phi):
@@ -214,7 +204,7 @@ class AffinePolicy:
         """The policy type's one response, for several policies of one b and
         wage scale: respond(t, rows, w) returns the effort, the evaluated next
         wage and the (zero) bonus at each pair (policies[rows[i]], w[i]), with
-        the effort computed once for both (_affine_response). rows and w
+        the effort computed once for both (model.affine_response). rows and w
         broadcast; distribution.responder answers one policy as rows = 0."""
         b, s = policies[0].b, policies[0].wage_scale
         if any(pol.b != b or pol.wage_scale != s for pol in policies):
@@ -224,7 +214,7 @@ class AffinePolicy:
         phi = np.stack([pol.phi for pol in policies])  # raises on unequal horizons
 
         def respond(t, rows, w):
-            e, x = _affine_response(p[rows], alpha[rows], w, _phi_at(phi, t)[rows], b, s)
+            e, x = affine_response(p[rows], alpha[rows], w, _phi_at(phi, t)[rows], b, s)
             return e, x, np.zeros_like(w)
 
         return respond
@@ -235,18 +225,6 @@ def _phi_at(phi: np.ndarray, t: int):
     if not 1 <= t <= phi.shape[-1]:
         raise ValueError(f"period {t} outside 1..{phi.shape[-1]}")
     return phi[..., t - 1]
-
-
-def _affine_response(p, alpha, w, phi_t, b, s):
-    """AffinePolicy's effort e and evaluated next wage max(s(1+alpha)e - alpha*w, 0)
-    at previous wages w, with e = 0 where p = 0 and in the dead corner; with
-    phi_t = 1 it is the one-period worker's response, which the employer's
-    one-period profit prices. The arguments broadcast; 0-d results come back
-    as numpy scalars."""
-    w = np.asarray(w, dtype=float)
-    e = np.where((p == 0.0) | dead_corner(alpha, w, s), 0.0,
-                 affine_effort(p, alpha, w, phi_t, b, s))
-    return e[()], np.maximum(s * (1.0 + alpha) * e - alpha * w, 0.0)[()]
 
 
 def best_response(contract: ContractParams, prefs: WorkerPrefs, horizon: Horizon,

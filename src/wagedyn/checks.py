@@ -24,7 +24,7 @@ from .distribution import cd_bracket_table, enumerate_histories, propagate, simu
 from .employer import (GridSteps, _profit_differences, grid_search_optimum,
                        stationary_grid_search, stationary_one_period_optimum,
                        tech_shock, tech_sweep)
-from .model import affine_effort
+from .model import affine_response
 from .params import ContractParams, FirmParams, Horizon, WorkerPrefs
 
 
@@ -210,8 +210,8 @@ def check_additive_oracle() -> CriterionResult:
     # states with a well-posed problem: finite value (w = 0 is degenerate under
     # log utility with p < 1, every effort is equally bad there)
     posed = np.isfinite(sol.value)
-    affine = affine_effort(contract.p, contract.alpha, grid[None, :], sol.phi[:, None],
-                           prefs.b, sol.wage_scale)
+    affine = affine_response(contract.p, contract.alpha, grid[None, :], sol.phi[:, None],
+                             prefs.b, sol.wage_scale)[0]
     gap = float(np.abs(affine - sol.raw_effort)[posed].max())
     out.add("effort_agreement_1e-5", gap <= 1e-5,
             f"max |closed form - argmax| = {gap:.2e} over well-posed states")

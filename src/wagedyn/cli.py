@@ -28,8 +28,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "for the subcommand)")
         sp.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override simulation.seed")
+        if name == "additive-profile":  # the one runner that simulates
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override simulation.seed")
     sp = sub.add_parser("reproduce-all")
     sp.add_argument("--out", type=Path, default=Path("out"),
                     help="output directory")
@@ -46,7 +47,7 @@ def _load(args) -> "Scenario":
         if not bundled:
             raise ConfigError([f"{args.command}: --config is required"])
         scenario = load_scenario(bundled[0])
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         raw = dict(scenario.raw)
         raw["simulation"] = dict(raw.get("simulation", {}), seed=args.seed)
         scenario = validate_config(raw)

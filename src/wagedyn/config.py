@@ -48,21 +48,26 @@ def _is_integer(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, int)
 
 
+NUMBER_LISTS = ("k_values", "p_values", "alpha_values", "w0_values", "variance_p_values",
+                "variance_w0_values")
 # each experiment key a runner or check reads: what it must be, and its test
 EXPERIMENT_TYPES = {
     **dict.fromkeys(("initial_effort", "effort_growth", "grid_step", "k_before",
                      "k_after"), ("a number", _is_number)),
     "refine_rounds": ("an integer", _is_integer),
-    **dict.fromkeys(("k_values", "p_values", "alpha_values", "w0_values",
-                     "variance_p_values", "variance_w0_values"),
-                    ("a list of numbers",
-                     lambda v: isinstance(v, list) and all(map(_is_number, v)))),
+    **dict.fromkeys(NUMBER_LISTS, ("a list of numbers",
+                                   lambda v: isinstance(v, list) and all(map(_is_number, v)))),
     "horizons": ("a list of integers",
                  lambda v: isinstance(v, list) and all(map(_is_integer, v))),
 }
 # the bound on an experiment key of the right type: what it must be, and its test
-EXPERIMENT_BOUNDS = {"grid_step": ("finite and > 0", lambda v: 0.0 < v < math.inf),
-                     "refine_rounds": (">= 0", lambda v: v >= 0)}
+EXPERIMENT_BOUNDS = {
+    "grid_step": ("finite and > 0", lambda v: 0.0 < v < math.inf),
+    "refine_rounds": (">= 0", lambda v: v >= 0),
+    **dict.fromkeys(NUMBER_LISTS, ("at least one entry", lambda v: len(v) > 0)),
+    "horizons": ("at least one entry, each a valid horizon.T",
+                 lambda v: len(v) > 0 and all(_build([], Horizon, T) is not None for T in v)),
+}
 
 
 def _number(section: dict, key: str, path: str, errors: list[str],

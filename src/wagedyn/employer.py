@@ -41,12 +41,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .additive import _affine_response, best_response, best_responses
+from .additive import best_response, best_responses
 from .cobb_douglas import (DpGrid, TableEffortPolicy, grid_index, solve_policies,
                            solve_policy)
 from .distribution import (ProfileSeries, WageDistribution, profile, propagate,
                            require_enumerable, responder)
-from .model import zero_base_consumption
+from .model import affine_response, zero_base_consumption
 from .params import (ContractParams, FirmParams, Horizon, UtilityFamily, WorkerPrefs,
                      require_family)
 
@@ -288,14 +288,13 @@ def stationary_one_period_optimum(firm: FirmParams) -> OptimalContract:
 
 def _one_period_profit(p: float, alpha, w0, firm: FirmParams, b: float = 1.0):
     """Exact one-period profit k*e - (p*x + (1-p)*w0 + p*c) under the additive
-    worker's one-period response: additive._affine_response with phi = 1,
-    e = 0 and x = 0 when p = 0 and in the dead corner.
+    worker's one-period response, model.affine_response with phi = 1.
 
     alpha and w0 broadcast against each other; w0 = 0 with p < 1 gives -inf
     (the never-evaluated worker consumes nothing). Scalar input returns a
     Python float.
     """
-    e, x = _affine_response(p, alpha, w0, 1.0, b, firm.wage_scale)
+    e, x = affine_response(p, alpha, w0, 1.0, b, firm.wage_scale)
     w0 = np.asarray(w0, dtype=float)
     out = firm.k * e - (p * x + (1.0 - p) * w0 + p * firm.c)
     out = np.where(zero_base_consumption(p, w0), -math.inf, out)
@@ -539,7 +538,7 @@ def tech_sweep(k_values, firm_template: FirmParams) -> list[SweepRow]:
         firm = replace(firm_template, k=float(k))
         opt = stationary_one_period_optimum(firm)
         p, a, w0 = opt.contract.p, opt.contract.alpha, opt.contract.w0
-        e, x = map(float, _affine_response(p, a, w0, 1.0, 1.0, firm.wage_scale))
+        e, x = map(float, affine_response(p, a, w0, 1.0, 1.0, firm.wage_scale))
         mean = p * x + (1.0 - p) * w0
         var = p * (1.0 - p) * (x - w0) ** 2
         rows.append(SweepRow(k=float(k), contract=opt.contract, profit=opt.profit,

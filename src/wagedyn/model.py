@@ -1,4 +1,4 @@
-"""Primitive model functions: the additive effort rule and the
+"""Primitive model functions: the additive worker's response and the
 zero-consumption case of the additive scheme.
 
 Two compensation schemes coexist. In the additive scheme the bonus/penalty is
@@ -30,12 +30,19 @@ def require_base_consumption(contract: ContractParams) -> None:
         raise DomainError("w0 = 0 with p < 1 gives zero consumption when never evaluated")
 
 
-def affine_effort(p, alpha, w, phi=1.0, b=1.0, s=1.0):
-    """The additive worker's best response e_t(w) = (p/b)*phi_t + alpha/(1+alpha)*w/s,
-    clamped to [0, 1]; phi_t = 1 in the one-period case.
+def dead_corner(alpha, w, wage_scale: float):
+    """True where not even full effort yields a positive evaluated wage,
+    s(1+alpha) - alpha*w <= 0, so the worker idles. Broadcasts over alpha and w."""
+    return wage_scale * (1.0 + alpha) - alpha * w <= 0.0
 
-    Vectorised over every argument. It has no p = 0 case, so it stays affine
-    in p there (the statics' slopes hold at p = 0); the policy of a worker who
-    is never evaluated returns zero effort itself (additive.AffinePolicy).
-    """
-    return np.clip((p / b) * phi + alpha / (1.0 + alpha) * w / s, 0.0, 1.0)
+
+def affine_response(p, alpha, w, phi_t, b, s):
+    """The additive worker's one response at previous wages w: the effort
+    e = (p/b)*phi_t + alpha/(1+alpha)*w/s clamped to [0, 1], 0 when p = 0 and
+    in the dead corner, and the evaluated next wage max(s(1+alpha)e - alpha*w, 0).
+    With phi_t = 1 it is the one-period response. The arguments broadcast;
+    0-d results come back as numpy scalars."""
+    w = np.asarray(w, dtype=float)
+    e = np.where((p == 0.0) | dead_corner(alpha, w, s), 0.0,
+                 np.clip((p / b) * phi_t + alpha / (1.0 + alpha) * w / s, 0.0, 1.0))
+    return e[()], np.maximum(s * (1.0 + alpha) * e - alpha * w, 0.0)[()]

@@ -1,14 +1,17 @@
 """Comparative statics of the single-period optimal effort, at unit wage
 scale (the deserved wage is the effort itself), as the paper states them.
 
-The additive worker's one-period optimum is the affine rule
-e* = clip(p/b + alpha/(1+alpha)*w0, 0, 1) (model.affine_effort), so its
-slopes are exact: de/dp = 1/b, de/dw0 = alpha/(1+alpha) and
-de/dalpha = w0/(1+alpha)^2 where e* < 1, and 0 where e* = 1. They are
-right derivatives, so they hold at the parameter bounds p = 0 and alpha = 0
-too. The golden-section search and the first-order-condition residual check
-the rule independently. The regime label compares the deserved wage at the
-optimum against the base wage: w_hat(e*) <= w0 is the penalty regime.
+The additive worker's one-period optimum e* is its one-period response
+(model.affine_response with phi = 1): clip(p/b + alpha/(1+alpha)*w0, 0, 1),
+and 0 when p = 0 and in the dead corner. The slopes are its exact right
+derivatives, at the parameter bounds p = 0 and alpha = 0 too: de/dp = 1/b,
+de/dw0 = alpha/(1+alpha) and de/dalpha = w0/(1+alpha)^2 where p > 0 and
+e* < 1, 0 at e* = 1 and in the dead corner. At p = 0 the slopes in w0 and
+alpha are 0, and de/dp is 1/b where alpha*w0 = 0 and NaN where the effort
+jumps, alpha*w0 > 0. The golden-section search and the first-order-condition
+residual check the rule independently. The regime label compares the
+deserved wage at the optimum against the base wage: w_hat(e*) <= w0 is the
+penalty regime.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .golden import golden_max_vec
-from .model import DomainError, affine_effort, require_base_consumption
+from .model import DomainError, affine_response, require_base_consumption
 from .params import ContractParams, UtilityFamily, WorkerPrefs, require_family
 
 # golden-section tolerance of optimal_effort_search
@@ -24,9 +27,9 @@ SEARCH_TOLERANCE = 1e-10
 
 
 def optimal_effort(contract: ContractParams, prefs: WorkerPrefs) -> float:
-    """Single-period optimum, exact and smooth in the parameters."""
+    """Single-period optimum: the worker's one-period response, exact."""
     require_family(prefs, UtilityFamily.ADDITIVE, "the comparative statics")
-    return float(affine_effort(contract.p, contract.alpha, contract.w0, b=prefs.b))
+    return float(affine_response(contract.p, contract.alpha, contract.w0, 1.0, prefs.b, 1.0)[0])
 
 
 def optimal_effort_search(contract: ContractParams, prefs: WorkerPrefs) -> float:
@@ -87,19 +90,22 @@ class EffortSensitivity:
 
 def effort_sensitivity(contract: ContractParams, prefs: WorkerPrefs) -> EffortSensitivity:
     """The cell at contract: e*, its exact right derivatives in p, w0 and alpha
-    (the affine rule's slopes below full effort, 0 at it), its regime, and the
-    FOC residual where 0 < e* < 1 and the evaluated consumption is positive,
-    which needs p > 0: the rule puts it at 0 when p = 0."""
-    e_star = optimal_effort(contract, prefs)
-    alpha, w0 = contract.alpha, contract.w0
-    if e_star < 1.0:
-        de_dp, de_dw0 = 1.0 / prefs.b, alpha / (1.0 + alpha)
-        de_da = w0 / (1.0 + alpha) ** 2
-    else:
+    (module docstring), its regime, and the FOC residual where 0 < e* < 1 and
+    the evaluated consumption is positive."""
+    require_family(prefs, UtilityFamily.ADDITIVE, "the comparative statics")
+    p, alpha, w0 = contract.p, contract.alpha, contract.w0
+    e_star, x = map(float, affine_response(p, alpha, w0, 1.0, prefs.b, 1.0))
+    # the dead corner depends on neither p nor b, and only there does a
+    # worker with p = b = 1 idle
+    if e_star == 1.0 or affine_response(1.0, alpha, w0, 1.0, 1.0, 1.0)[0] == 0.0:
         de_dp = de_dw0 = de_da = 0.0
+    elif p == 0.0:  # the effort jumps to alpha/(1+alpha)*w0 as p leaves 0
+        de_dp, de_dw0, de_da = (1.0 / prefs.b if alpha * w0 == 0.0 else math.nan), 0.0, 0.0
+    else:
+        de_dp, de_dw0, de_da = 1.0 / prefs.b, alpha / (1.0 + alpha), w0 / (1.0 + alpha) ** 2
     # the deserved wage at the optimum is e_star itself
     regime = PENALTY_REGIME if e_star <= w0 + 1e-9 else BONUS_REGIME
-    interior = 0.0 < e_star < 1.0 and contract.p > 0.0 and (1 + alpha) * e_star > alpha * w0
+    interior = 0.0 < e_star < 1.0 and x > 0.0
     res = foc_residual(contract, prefs, e_star) if interior else math.nan
     return EffortSensitivity(contract=contract, effort=e_star, de_dp=de_dp,
                              de_dw0=de_dw0, de_dalpha=de_da, regime=regime,

@@ -24,9 +24,10 @@ from hypothesis import example, given, settings, strategies as st
 from wagedyn import (AffineEffortPolicy, AffinePolicy, ContractParams, FirmParams,
                      Horizon, TableEffortPolicy, WorkerPrefs, optimal_effort,
                      solve_policy, tech_sweep)
-from wagedyn.additive import _affine_response, _phi_at, dead_corner
+from wagedyn.additive import _phi_at
 from wagedyn.distribution import responder
 from wagedyn.employer import _one_period_profit
+from wagedyn.model import affine_response, dead_corner
 
 EPS = np.finfo(float).eps
 ZERO = (0.0).hex()
@@ -103,12 +104,12 @@ class AffinePolicyMethods:
 
     def effort(self, t: int, prev_wage):
         c = self.contract
-        return _affine_response(c.p, c.alpha, prev_wage, _phi_at(self.phi, t), self.b,
+        return affine_response(c.p, c.alpha, prev_wage, _phi_at(self.phi, t), self.b,
                                 self.wage_scale)[0]
 
     def next_wage_if_evaluated(self, t: int, prev_wage):
         c = self.contract
-        return _affine_response(c.p, c.alpha, prev_wage, _phi_at(self.phi, t), self.b,
+        return affine_response(c.p, c.alpha, prev_wage, _phi_at(self.phi, t), self.b,
                                 self.wage_scale)[1]
 
     def bonus_if_evaluated(self, t: int, prev_wage):
@@ -260,11 +261,15 @@ def test_affine_policy_matches_old_policies_bit_for_bit(data, s, b, phi):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), b=b_values)
 def test_single_period_rules_match_old_spelling_bit_for_bit(data, b):
-    # the statics run at unit wage scale
+    # the statics run at unit wage scale and take the worker's response: the
+    # old clipped rule where p > 0 outside the dead corner, and no effort at
+    # p = 0 and in the dead corner, where the old spelling kept the rule
     contract = data.draw(contracts(1.0))
-    old = old_single_period_effort(contract, b)
-    assert optimal_effort(contract, WorkerPrefs.additive(delta=0.9, b=b)).hex() \
-        == old.hex()
+    effort = optimal_effort(contract, WorkerPrefs.additive(delta=0.9, b=b))
+    if contract.p == 0.0 or dead_corner(contract.alpha, contract.w0, 1.0):
+        assert effort.hex() == ZERO
+    else:
+        assert effort.hex() == old_single_period_effort(contract, b).hex()
 
 
 def test_affine_policy_rejects_periods_outside_horizon():
@@ -372,7 +377,7 @@ def test_tech_sweep_matches_old_effort_and_wage(k, lam, c):
     p, a, w0 = row.contract.p, row.contract.alpha, row.contract.w0
     s = lam * k
     e_old, x_old = old_sweep_effort_and_wage(p, a, w0, s)
-    e_new, x_new = _affine_response(p, a, w0, 1.0, 1.0, s)
+    e_new, x_new = affine_response(p, a, w0, 1.0, 1.0, s)
     scale = (1.0 + p + a * w0 / s) * (1.0 + s * (1.0 + a))
     assert within_reorder_bound(e_new, e_old, scale)
     assert within_reorder_bound(x_new, x_old, scale)

@@ -220,9 +220,11 @@ def test_each_subcommand_offers_only_the_flags_it_reads(tmp_path, capsys):
     assert flags("reproduce-all") == {"--out", "--strict"}
     assert len(RUNNERS) == 8
     for name in RUNNERS:
-        assert flags(name) == {"--config", "--out", "--seed"}, name
+        # only additive-profile simulates, so only it reads simulation.seed
+        seed = {"--seed"} if name == "additive-profile" else set()
+        assert flags(name) == {"--config", "--out"} | seed, name
     for argv in (["reproduce-all", "--config", "x.json", "--seed", "5"],
-                 ["cd-path", "--strict"]):
+                 ["cd-path", "--strict"], ["cd-policy", "--seed", "5"]):
         out = tmp_path / argv[0]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])
@@ -379,6 +381,45 @@ def test_experiment_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, 
     assert capsys.readouterr().err == (f"config error: experiment.{key}: expected "
                                        f"{expected}, got {value!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, scenario, key, value, bound", [
+    ("tech-sweep", "fig4_1", "k_values", [], "at least one entry"),
+    ("additive-profile", "fig3_3", "variance_p_values", [], "at least one entry"),
+    ("additive-profile", "fig3_3", "variance_w0_values", [], "at least one entry"),
+    ("statics", "appendix1", "p_values", [], "at least one entry"),
+    ("statics", "appendix1", "alpha_values", [], "at least one entry"),
+    ("statics", "appendix1", "w0_values", [], "at least one entry"),
+    ("cd-distribution", "fig3_4", "horizons", [], "at least one entry, each a valid "
+     "horizon.T"),
+    ("cd-distribution", "fig3_4", "horizons", [10, 0], "at least one entry, each a valid "
+     "horizon.T"),
+])
+def test_experiment_list_out_of_bounds_is_a_config_error(tmp_path, capsys, command,
+                                                         scenario, key, value, bound):
+    # refused before the runner starts, naming the experiment key: no echo,
+    # no empty sweep or chart, no horizon.T message for a horizons entry
+    from wagedyn.cli import main
+
+    raw = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(raw, experiment=dict(raw["experiment"], **{key: value}))))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: experiment.{key}: must be "
+                                       f"{bound}, got {value!r}\n")
+    assert not out.exists()
+
+
+def test_every_list_valued_experiment_key_has_a_bound():
+    from wagedyn.config import EXPERIMENT_BOUNDS, EXPERIMENT_TYPES
+
+    lists = {key for key, (expected, _) in EXPERIMENT_TYPES.items()
+             if expected.startswith("a list")}
+    assert lists <= set(EXPERIMENT_BOUNDS)
+    for key in lists:
+        bound, within = EXPERIMENT_BOUNDS[key]
+        assert bound.startswith("at least one entry") and not within([]), key
 
 
 @pytest.mark.parametrize("value", [0, -0.1, 0.0])

@@ -22,11 +22,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wagedyn import ContractParams, FirmParams, Horizon, WorkerPrefs, phi_series_recursive
-from wagedyn.additive import (best_response, best_responses, dead_corner,
-                              envelope_evaluated_wages)
+from wagedyn.additive import best_response, best_responses, envelope_evaluated_wages
 from wagedyn.checks import load_scenario
 from wagedyn.distribution import responder
 from wagedyn.employer import worker_policy
+from wagedyn.model import dead_corner
 
 N_GRID = 8001
 

@@ -145,9 +145,9 @@ def test_oracle_reader_sees_names_attributes_and_imports(tmp_path):
 # one response per policy type
 
 PER_POLICY_ANSWERS = ("effort", "next_wage_if_evaluated", "bonus_if_evaluated")
-# what computing an additive response takes; the employer reads the response
-# from additive instead
-RESPONSE_PARTS = {"affine_effort", "dead_corner"}
+# the additive worker's one response and what computing it takes, all defined
+# in model; the employer prices and the statics differentiate that response
+RESPONSE_DEFINITIONS = {"affine_response", "dead_corner"}
 
 
 def test_engine_policy_types_answer_through_stack_alone():
@@ -159,14 +159,29 @@ def test_engine_policy_types_answer_through_stack_alone():
         assert not defined, (cls.__name__, defined)
 
 
-def test_employer_defines_no_response_of_its_own():
-    tree = ast.parse((PACKAGE / "employer.py").read_text(encoding="utf-8"))
+def _assert_reads_the_model_response(module: str) -> None:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     responses = [node.name for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef) and node.name.endswith("_response")]
-    assert not imported & RESPONSE_PARTS
+    assert "dead_corner" not in imported
+    assert "affine_response" in imported
     assert not responses
+
+
+def test_employer_defines_no_response_of_its_own():
+    _assert_reads_the_model_response("employer")
+
+
+def test_statics_defines_no_response_of_its_own():
+    _assert_reads_the_model_response("statics")
+
+
+def test_model_holds_the_one_additive_response():
+    defined = {module: set(_functions(module)) & RESPONSE_DEFINITIONS for module in LAYER_OF}
+    assert {module: names for module, names in defined.items() if names} == \
+        {"model": RESPONSE_DEFINITIONS}
 
 
 # ---------------------------------------------------------------------------

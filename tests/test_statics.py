@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wagedyn import (ContractParams, WorkerPrefs, effort_sensitivity, foc_residual,
                      optimal_effort, optimal_effort_search, sensitivity_grid)
-from wagedyn.model import DomainError
+from wagedyn.model import DomainError, affine_response, dead_corner
 from wagedyn.statics import BONUS_REGIME, PENALTY_REGIME
 
 PREFS = WorkerPrefs.additive(delta=0.9)
@@ -27,10 +27,16 @@ def test_analytic_derivative_values():
 
 
 def test_one_sided_at_boundary():
-    # right derivatives at the parameter bounds p = 0 and alpha = 0
+    # right derivatives at the parameter bounds p = 0 and alpha = 0. At p = 0
+    # the worker idles; the effort leaves 0 as p/b where alpha*w0 = 0, and
+    # jumps to alpha/(1+alpha)*w0 otherwise, where de/dp is empty
     prefs = WorkerPrefs.additive(delta=0.9, b=2.0)
+    for contract in (ContractParams(0.0, 0.0, 0.4), ContractParams(0.0, 0.5, 0.0)):
+        sens = effort_sensitivity(contract, prefs)
+        assert (sens.effort, sens.de_dp, sens.de_dw0, sens.de_dalpha) == \
+            (0.0, 1.0 / 2.0, 0.0, 0.0)
     sens = effort_sensitivity(ContractParams(0.0, 0.5, 0.4), prefs)
-    assert sens.de_dp == 1.0 / 2.0
+    assert math.isnan(sens.de_dp) and (sens.de_dw0, sens.de_dalpha) == (0.0, 0.0)
     sens = effort_sensitivity(ContractParams(0.3, 0.0, 0.4), PREFS)
     assert sens.de_dalpha == 0.4
 
@@ -58,6 +64,43 @@ def test_exact_slopes_match_central_differences(p, alpha, w0, b):
     assert sens.de_dp == pytest.approx(central("p"), abs=1e-6)
     assert sens.de_dw0 == pytest.approx(central("w0"), abs=1e-6)
     assert sens.de_dalpha == pytest.approx(central("alpha"), abs=1e-6)
+
+
+# forward step of the slope check against the worker's response
+H = 1e-7
+
+
+def _response_effort(p, alpha, w0, b):
+    return float(affine_response(p, alpha, w0, 1.0, b, 1.0)[0])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       edge_share=st.one_of(st.just(1.0), st.floats(0.0, 2.0)),
+       b=st.floats(0.1, 10.0))
+def test_statics_differentiate_the_worker_response(p, alpha, edge_share, b):
+    # w0 on both sides of the dead-corner edge (1+alpha)/alpha where alpha >=
+    # 1e-3, below it otherwise
+    w0 = edge_share * (1.0 + alpha) / max(alpha, 1e-3)
+    sens = effort_sensitivity(ContractParams(p, alpha, w0),
+                              WorkerPrefs.additive(delta=0.9, b=b))
+    base = (p, alpha, w0)
+    assert sens.effort.hex() == _response_effort(*base, b).hex()
+    for i, slope in enumerate((sens.de_dp, sens.de_dalpha, sens.de_dw0)):
+        if math.isnan(slope):
+            continue
+        bumped = list(base)
+        bumped[i] += H
+        step = bumped[i] - base[i]
+        # the step crosses neither the full-effort clamp of the rule
+        # p/b + alpha/(1+alpha)*w0 nor the dead-corner edge
+        below_one = {q / b + a / (1.0 + a) * w < 1.0 for q, a, w in (base, bumped)}
+        dead = {bool(dead_corner(a, w, 1.0)) for _, a, w in (base, bumped)}
+        if len(below_one) > 1 or len(dead) > 1:
+            continue
+        forward = (_response_effort(*bumped, b) - _response_effort(*base, b)) / step
+        assert slope == pytest.approx(forward, rel=1e-6, abs=1e-6), (i, base)
 
 
 def test_regime_classification():
@@ -124,13 +167,25 @@ def test_sensitivity_grid_signs():
 
 
 def test_no_interior_cell_at_p_0():
-    # the rule puts the evaluated consumption at exactly 0 when p = 0, where
-    # the first-order condition is undefined; the slopes are still the rule's
+    # the never-evaluated worker idles, whatever alpha and w0, so the effort
+    # does not move with them; it jumps as p leaves 0, so de/dp is empty
     cells = sensitivity_grid([0.0, 0.3], [0.5], [0.5], PREFS)
     assert [c.interior for c in cells] == [False, True]
     assert math.isnan(cells[0].foc_residual)
-    assert (cells[0].de_dp, cells[0].de_dw0) == (1.0, 0.5 / 1.5)
+    assert cells[0].effort == 0.0 and math.isnan(cells[0].de_dp)
+    assert (cells[0].de_dw0, cells[0].de_dalpha) == (0.0, 0.0)
     assert abs(cells[1].foc_residual) < 1e-12
+
+
+def test_worker_idles_in_the_dead_corner():
+    # w0 >= (1+alpha)/alpha: not even full effort leaves a positive evaluated
+    # wage, so the worker exerts none, at every p, and no bump of p, w0 or
+    # alpha moves it out
+    for p in (0.0, 0.5, 1.0):
+        for w0 in (2.0, 3.0):
+            sens = effort_sensitivity(ContractParams(p, 1.0, w0), PREFS)
+            assert sens.effort == 0.0 and not sens.interior, (p, w0)
+            assert (sens.de_dp, sens.de_dw0, sens.de_dalpha) == (0.0, 0.0, 0.0)
 
 
 def test_no_interior_cell_where_p_rounds_away():
@@ -148,7 +203,8 @@ def _finite_or_empty(cell):
 @pytest.mark.xfail(strict=True, reason="the params bounds accept a subnormal b, whose "
                    "1/b (the slope de/dp) overflows to inf")
 def test_slope_is_finite_at_a_subnormal_b():
-    sens = effort_sensitivity(ContractParams(0.0, 0.5, 0.5),
+    # at p = 0 with alpha = 0 the effort leaves 0 as p/b: de/dp = 1/b
+    sens = effort_sensitivity(ContractParams(0.0, 0.0, 0.5),
                               WorkerPrefs.additive(delta=0.9, b=5e-324))
     assert math.isfinite(sens.de_dp)
 
